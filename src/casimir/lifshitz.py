@@ -18,9 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.constants import Boltzmann as k_B, c, hbar
 
-from .quadrature import QuadratureError, semi_infinite_integral
+from .quadrature import (QuadratureError, semi_infinite_integral,
+                         semi_infinite_rows)
 from .stack import (FromModel, Polarization, g_full_thickness_derivative,
                     ln_g_full)
+
+# Matsubara indices n >= 1 are integrated this many at a time, one
+# quadrature row each; a chunk is one lockstep pass over a 2-D (n, k) array.
+_CHUNK = 64
 
 
 def matsubara_xi(n, temperature):
@@ -45,8 +50,9 @@ class MatsubaraConfig:
     zero_mode: object = field(default_factory=FromModel)
 
     def __post_init__(self):
-        if not self.temperature > 0.0:
-            raise ValueError("temperature must be positive")
+        if not (self.temperature > 0.0 and math.isfinite(self.temperature)):
+            raise ValueError(
+                f"temperature must be positive and finite, got {self.temperature}")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
 
@@ -76,11 +82,15 @@ class EnergyPerArea:
     ``terms[n]`` is the full contribution of Matsubara index n including
     prefactor and the half weight at n = 0; ``value`` is their compensated
     (ascending-n) sum, so partial sums are reproducible regardless of how
-    the terms were computed.
+    the terms were computed. ``n_stop`` is the last index evaluated: the
+    terms after it are zero padding left by the early stop. ``panels``
+    counts the k-quadrature panels of terms 0 .. n_stop.
     """
 
     value: float
     terms: list
+    panels: int = 0
+    n_stop: int | None = None
 
     def partial_sums(self):
         out = []
@@ -101,6 +111,18 @@ def k_integral(f, quad, scale=1.0):
                                   max_panels=quad.max_panels)
 
 
+def _k_rows(f, xi, quad, scale):
+    """k-integrals of ``f(k, xi)`` for every frequency in ``xi``, one row each.
+
+    Returns the integrals, panel counts and ``{row: QuadratureError}`` of
+    :func:`semi_infinite_rows`; ``f`` sees ``xi`` as a column matching k.
+    """
+    xi = np.asarray(xi, dtype=float)[:, None]
+    return semi_infinite_rows(lambda k, rows: f(k, xi[rows]), len(xi),
+                              scale=scale, rel_tol=quad.rel_tol,
+                              max_panels=quad.max_panels)
+
+
 def _tagged(err, n):
     tagged = QuadratureError(
         f"{err} (while integrating Matsubara index n={n})",
@@ -110,38 +132,54 @@ def _tagged(err, n):
     return tagged
 
 
+def _ascending_terms(ln_g_sum, mats, quad, k_scale):
+    """Yield (n, k-integral, panels, failure or None) for n = 1 .. n_max.
+
+    Indices are integrated in chunks of ``_CHUNK`` rows; a chunk is only
+    computed once the consumer asks for its first index.
+    """
+    for start in range(1, mats.n_max + 1, _CHUNK):
+        ns = np.arange(start, min(start + _CHUNK, mats.n_max + 1))
+        values, panels, failures = _k_rows(lambda k, xi: k * ln_g_sum(k, xi),
+                                           matsubara_xi(ns, mats.temperature),
+                                           quad, k_scale)
+        for row, n in enumerate(ns.tolist()):
+            yield n, float(values[row]), int(panels[row]), failures.get(row)
+
+
 def matsubara_energy(ln_g_sum, ln_g_sum_zero, mats, quad, k_scale):
     """Finite-temperature free energy per area of a generic mode function.
 
     ``ln_g_sum(k, xi)`` and ``ln_g_sum_zero(k)`` return
-    sum_pol ln G(k, i*xi) for xi > 0 and for the zero mode. Terms are
+    sum_pol ln G(k, i*xi) for xi > 0 and for the zero mode; ``ln_g_sum``
+    receives k of shape (rows, points) and xi of shape (rows, 1). Terms are
     accumulated in ascending n and summed with compensation, so the result
     is bitwise stable for a fixed panel decomposition.
     """
     pref = k_B * mats.temperature / (2.0 * math.pi)
-    terms = []
-    try:
-        i0 = k_integral(lambda k: k * ln_g_sum_zero(k), quad, scale=k_scale)
-    except QuadratureError as err:
-        raise _tagged(err, 0) from err
-    terms.append(0.5 * pref * i0)
+    i0, used, failures = _k_rows(lambda k, xi: k * ln_g_sum_zero(k), [0.0],
+                                 quad, k_scale)
+    if failures:
+        raise _tagged(failures[0], 0) from failures[0]
+    terms = [0.5 * pref * float(i0[0])]
+    panels = int(used[0])
     largest = abs(terms[0])
     dead = 0
-    for n in range(1, mats.n_max + 1):
-        xi = matsubara_xi(n, mats.temperature)
-        try:
-            i_n = k_integral(lambda k: k * ln_g_sum(k, xi), quad, scale=k_scale)
-        except QuadratureError as err:
-            raise _tagged(err, n) from err
+    n_stop = 0
+    for n_stop, i_n, used, failure in _ascending_terms(ln_g_sum, mats, quad,
+                                                       k_scale):
+        if failure is not None:
+            raise _tagged(failure, n_stop) from failure
         terms.append(pref * i_n)
+        panels += used
         largest = max(largest, abs(terms[-1]))
         # terms decay exponentially in n; once several in a row are below
         # double precision relative to the largest, the rest are padding
         dead = dead + 1 if abs(terms[-1]) <= 1e-15 * largest else 0
         if dead >= 3:
-            terms.extend([0.0] * (mats.n_max - n))
             break
-    return EnergyPerArea(math.fsum(terms), terms)
+    terms.extend([0.0] * (mats.n_max - n_stop))
+    return EnergyPerArea(math.fsum(terms), terms, panels, n_stop)
 
 
 def _stack_ln_g(stack):
@@ -184,9 +222,12 @@ def energy_per_area_T0(stack, quad=QuadratureConfig()):
     xi_scale = c * k_scale
 
     def outer(xis):
-        vals = [k_integral(lambda k: k * ln_g(k, float(xi)), quad, scale=k_scale)
-                for xi in np.atleast_1d(xis)]
-        return np.asarray(vals)
+        # every xi node of an outer panel is one row of the inner k pass
+        values, _, failures = _k_rows(lambda k, xi: k * ln_g(k, xi), xis,
+                                      quad, k_scale)
+        if failures:
+            raise failures[min(failures)]
+        return values
 
     integral = semi_infinite_integral(outer, scale=xi_scale,
                                       rel_tol=quad.rel_tol,

@@ -57,6 +57,26 @@ def eps2_from_nk(n, k):
 #   eps_imag_axis(xi) -> eps(i*xi), real and >= 1 for passive media, and
 #   zero_limit() -> (order, coeff) with eps(i*xi) ~ coeff * xi**(-order)
 #                   as xi -> 0+ (order 0 means a finite static value).
+# eps_imag_axis also takes an ndarray of frequencies, all > 0 (one row per
+# Matsubara frequency in the batched sums), and returns an array of the same
+# shape that equals the scalar calls element by element, bit for bit.
+
+
+def _require_positive(xi, what):
+    if (np.asarray(xi) <= 0.0).any():
+        raise ZeroFrequencyError(
+            f"{what}; the zero-frequency term must come from a zero-mode "
+            "prescription")
+
+
+def _constant_response(value, xi):
+    """A frequency-independent response: the scalar, or one per array xi."""
+    if np.ndim(xi) == 0:
+        return value
+    _require_positive(xi, "array frequencies must be positive")
+    out = np.empty(np.shape(xi))
+    out.fill(value)
+    return out
 
 
 @dataclass(frozen=True)
@@ -64,7 +84,7 @@ class Vacuum:
     """Unit permittivity."""
 
     def eps_imag_axis(self, xi):
-        return 1.0
+        return _constant_response(1.0, xi)
 
     def zero_limit(self):
         return 0, 1.0
@@ -81,7 +101,7 @@ class Constant:
             raise ValueError(f"constant permittivity must be positive, got {self.value}")
 
     def eps_imag_axis(self, xi):
-        return self.value
+        return _constant_response(self.value, xi)
 
     def zero_limit(self):
         return 0, self.value
@@ -104,10 +124,7 @@ class Drude:
             raise ValueError("Drude gamma must be non-negative")
 
     def eps_imag_axis(self, xi):
-        if xi <= 0.0:
-            raise ZeroFrequencyError(
-                "Drude permittivity diverges at xi = 0; the zero-frequency "
-                "term must come from a zero-mode prescription")
+        _require_positive(xi, "Drude permittivity diverges at xi = 0")
         return 1.0 + self.omega_p ** 2 / (xi * (xi + self.gamma))
 
     def zero_limit(self):
@@ -127,11 +144,9 @@ class Plasma:
             raise ValueError("plasma omega_p must be positive")
 
     def eps_imag_axis(self, xi):
-        if xi <= 0.0:
-            raise ZeroFrequencyError(
-                "plasma permittivity diverges at xi = 0; the zero-frequency "
-                "term must come from a zero-mode prescription")
-        return 1.0 + (self.omega_p / xi) ** 2
+        _require_positive(xi, "plasma permittivity diverges at xi = 0")
+        ratio = self.omega_p / xi
+        return 1.0 + ratio * ratio
 
     def zero_limit(self):
         return 2, self.omega_p ** 2
@@ -148,7 +163,7 @@ class Permeability:
             raise ValueError(f"permeability must be positive, got {self.value}")
 
     def mu_imag_axis(self, xi):
-        return self.value
+        return _constant_response(self.value, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +476,13 @@ class Tabulated:
         self._cache = {}
 
     def eps_imag_axis(self, xi):
+        if np.ndim(xi):
+            # cache hits are read directly; misses take the scalar path
+            values = []
+            for x in np.ravel(xi).tolist():
+                hit = self._cache.get(x)
+                values.append(self.eps_imag_axis(x) if hit is None else hit)
+            return np.reshape(values, np.shape(xi))
         xi = float(xi)
         hit = self._cache.get(xi)
         if hit is None:

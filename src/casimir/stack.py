@@ -7,6 +7,9 @@ field can take between the four interfaces; its logarithm integrates to
 the zero-point interaction energy.
 
 All k-dependent functions accept scalar or ndarray transverse wavenumbers.
+The frequency xi is either a scalar, where xi == 0 selects the zero mode,
+or an ndarray of frequencies > 0 that broadcasts against k (one row per
+Matsubara frequency in the batched sums).
 """
 
 from __future__ import annotations
@@ -103,6 +106,10 @@ class PlasmaLike:
 # single-interface quantities
 
 
+def _is_zero_mode(xi):
+    return np.ndim(xi) == 0 and xi == 0.0
+
+
 def kappa(layer, k_par, xi):
     """Imaginary-axis normal wavenumber sqrt(k**2 + eps*mu*xi**2/c**2).
 
@@ -111,7 +118,7 @@ def kappa(layer, k_par, xi):
     contribution there.
     """
     mu = layer.mu.mu_imag_axis(xi)
-    if xi == 0.0:
+    if _is_zero_mode(xi):
         order, coeff = layer.eps.zero_limit()
         if order >= 2:
             return np.sqrt(k_par ** 2 + coeff * mu / c ** 2)
@@ -220,7 +227,7 @@ _G_TERMS = (
 
 
 def _coeffs(pol, stack, k_par, xi):
-    """Reflections and decay factors of all four interfaces at one xi > 0."""
+    """Reflections and decay factors of all four interfaces at xi > 0."""
     layers = stack.layers
     kap = {i: kappa(layers[i - 1], k_par, xi) for i in range(1, 6)}
     if pol is Polarization.ALPHA:
@@ -285,7 +292,7 @@ def g_full(pol, stack, k_par, xi, zero_mode=None):
     At xi = 0 the interface limits are taken under ``zero_mode`` (default:
     each model's own limit).
     """
-    if xi == 0.0:
+    if _is_zero_mode(xi):
         refl, decay, _ = _coeffs_zero(pol, stack, k_par, zero_mode or FromModel())
     else:
         refl, decay, _ = _coeffs(pol, stack, k_par, xi)
@@ -301,7 +308,7 @@ _LN_CLAMP = np.nextafter(-1.0, 0.0)
 
 def ln_g_full(pol, stack, k_par, xi, zero_mode=None):
     """log of the five-layer mode function, accurate when G is close to 1."""
-    if xi == 0.0:
+    if _is_zero_mode(xi):
         refl, decay, _ = _coeffs_zero(pol, stack, k_par, zero_mode or FromModel())
     else:
         refl, decay, _ = _coeffs(pol, stack, k_par, xi)
@@ -312,7 +319,7 @@ def g_full_thickness_derivative(pol, stack, which, k_par, xi, zero_mode=None):
     """(G, dG/dd_which) for which in {2, 3, 4}; used by the normal pressure."""
     if which not in (2, 3, 4):
         raise ValueError(f"thickness index must be 2, 3 or 4, got {which}")
-    if xi == 0.0:
+    if _is_zero_mode(xi):
         refl, decay, kap = _coeffs_zero(pol, stack, k_par, zero_mode or FromModel())
     else:
         refl, decay, kap = _coeffs(pol, stack, k_par, xi)
@@ -321,7 +328,7 @@ def g_full_thickness_derivative(pol, stack, which, k_par, xi, zero_mode=None):
 
 def _two_interface_term(pol, bounding, gap, d, k_par, xi, zero_mode):
     # the single round-trip term -r**2 * exp(-2*kappa_gap*d), i.e. G - 1
-    if xi == 0.0:
+    if _is_zero_mode(xi):
         zm = zero_mode or FromModel()
         gap_lim = _zero_limit(gap, zm)
         r = _reflection_zero(pol, gap_lim, _zero_limit(bounding, zm), k_par)

@@ -531,6 +531,22 @@ def test_quadrature_failure_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_finite_temperature_exit_code(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, GOLD_SECTION + """
+        [force]
+        material = gold
+        treatments = drude
+        d_min_m = 1e-7
+        d_max_m = 1e-7
+        points = 1
+
+        [matsubara]
+        temperature_k = inf
+    """)
+    assert main(["force-sweep", "--config", cfg]) == 1
+    assert "temperature must be positive and finite" in capsys.readouterr().err
+
+
 def test_float_cells_have_nine_significant_digits(tmp_path):
     cfg = force_cfg(tmp_path)
     out = tmp_path / "f.csv"

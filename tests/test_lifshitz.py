@@ -38,6 +38,9 @@ def test_config_validation():
         MatsubaraConfig(0.0)
     with pytest.raises(ValueError):
         MatsubaraConfig(300.0, n_max=0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            MatsubaraConfig(bad)
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(ValueError):

@@ -92,6 +92,39 @@ def test_permeability():
         Permeability(0.0)
 
 
+def _array_models():
+    table = drude_synthetic_table(9.0, 0.035, 0.1, 10.0, per_decade=20)
+    return [
+        ("eps", Vacuum()), ("eps", Constant(2.25)),
+        ("eps", Drude(W_P, GAMMA)), ("eps", Drude(W_P, 0.0)),
+        ("eps", Plasma(W_P)), ("mu", Permeability(1.5)),
+        ("eps", Tabulated(table, low_tail=DrudeTail(W_P, GAMMA, 0.1))),
+    ]
+
+
+@pytest.mark.parametrize("kind,model", _array_models(),
+                         ids=["vacuum", "constant", "drude", "drude-lossless",
+                              "plasma", "permeability", "tabulated"])
+def test_array_xi_equals_scalar_calls_bitwise(kind, model):
+    # batched Matsubara sums pass one frequency per row as an (R, 1) column
+    evaluate = model.eps_imag_axis if kind == "eps" else model.mu_imag_axis
+    xi = np.geomspace(1e12, 1e17, 37)[:, None]
+    batched = evaluate(xi)
+    assert isinstance(batched, np.ndarray) and batched.shape == xi.shape
+    scalar = np.array([[float(evaluate(float(x)))] for x in xi[:, 0]])
+    assert batched.tobytes() == scalar.tobytes()
+
+
+@pytest.mark.parametrize("model", [Vacuum(), Constant(2.25), Drude(W_P, GAMMA),
+                                   Plasma(W_P)])
+def test_array_xi_rejects_non_positive(model):
+    for bad in (0.0, -1e14):
+        with pytest.raises(ZeroFrequencyError):
+            model.eps_imag_axis(np.array([[1e14], [bad]]))
+    with pytest.raises(ZeroFrequencyError):
+        Permeability(1.5).mu_imag_axis(np.array([1e14, 0.0]))
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         Drude(-1.0, GAMMA)

@@ -1,0 +1,177 @@
+"""The batched Matsubara sum: panel counts, early stop and failure reporting.
+
+Matsubara indices n >= 1 are integrated in chunks, one quadrature row per
+index. These tests pin the per-term panel decompositions to the counts of
+the term-by-term algorithm and drive ``matsubara_energy`` with synthetic
+mode functions whose terms, stop index and failing rows are known.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.constants import Boltzmann as k_B
+
+from casimir.lifshitz import (MatsubaraConfig, QuadratureConfig,
+                              energy_per_area_T, matsubara_energy,
+                              matsubara_xi)
+from casimir.materials import (Constant, Drude, Permeability, Plasma, Vacuum,
+                               ev_to_radps)
+from casimir.quadrature import QuadratureError, semi_infinite_integral
+from casimir.stack import (DrudeLike, FiveLayerStack, FromModel, Layer,
+                           Polarization, ln_g_full)
+from casimir.tangential import _two_interface_energy
+
+GOLD = Layer(Drude(ev_to_radps(9.0), ev_to_radps(0.035)))
+VAC = Layer(Vacuum())
+T = 300.0
+XI1 = matsubara_xi(1, T)
+PREF = k_B * T / (2.0 * math.pi)
+
+
+# ---------------------------------------------------------------------------
+# panel counts of the term-by-term algorithm (ROADMAP spot measurements)
+
+
+def _assert_padding(energy, n_max):
+    assert len(energy.terms) == n_max + 1
+    assert all(t == 0.0 for t in energy.terms[energy.n_stop + 1:])
+
+
+def test_panels_gold_reduced_force():
+    mats = MatsubaraConfig(T, n_max=500, zero_mode=DrudeLike())
+    energy = _two_interface_energy(GOLD, VAC, 1e-7, mats, QuadratureConfig())
+    assert energy.panels == 1933
+    assert energy.n_stop < 500
+    _assert_padding(energy, 500)
+
+
+def test_panels_ideal_mirrors_10k():
+    mats = MatsubaraConfig(10.0, n_max=3000, zero_mode=FromModel())
+    energy = _two_interface_energy(Layer(Plasma(1e20)), VAC, 1e-7, mats,
+                                   QuadratureConfig())
+    assert energy.panels == 33713
+    _assert_padding(energy, 3000)
+
+
+def test_panels_five_layer_gold_energy():
+    stack = FiveLayerStack((GOLD, VAC, GOLD, VAC, GOLD), 2e-7, 2e-7, 2e-7)
+    mats = MatsubaraConfig(T, n_max=200, zero_mode=DrudeLike())
+    energy = energy_per_area_T(stack, mats)
+    assert energy.panels == 1053
+    assert energy.n_stop < 200
+    _assert_padding(energy, 200)
+
+
+# ---------------------------------------------------------------------------
+# synthetic mode functions: ln G = -A(n) exp(-k), so term n = -pref * A(n)
+
+QUAD = QuadratureConfig(rel_tol=1e-9, max_panels=16)
+
+
+def _decaying(n):
+    # |term n| / |term 0| = 2 exp(-n) drops below 1e-15 at n = 36, so the
+    # third dead term in a row is n = 38, inside the first chunk
+    return np.exp(-n)
+
+
+def _synthetic(amplitude, kinked=()):
+    """ln_g_sum with term amplitudes A(n); rows in ``kinked`` get a kink
+    that no 16-panel budget resolves to rel_tol = 1e-9."""
+
+    def ln_g_sum(k, xi):
+        n = np.rint(xi / XI1)
+        smooth = -amplitude(n) * np.exp(-k)
+        kink = np.abs(k - 1.0 / 3.0) ** 0.51 * np.exp(-k)
+        return np.where(np.isin(n, kinked), kink, smooth)
+
+    return ln_g_sum
+
+
+def _zero(k):
+    return -np.exp(-k)
+
+
+def _alone(ln_g_sum, n):
+    """Term n integrated on its own, as the term-by-term sum did."""
+    xi = np.array([[matsubara_xi(n, T)]])
+    return PREF * semi_infinite_integral(
+        lambda k: k * ln_g_sum(k[None, :], xi)[0], rel_tol=QUAD.rel_tol,
+        max_panels=QUAD.max_panels)
+
+
+def _energy(ln_g_sum, n_max=100):
+    return matsubara_energy(ln_g_sum, _zero, MatsubaraConfig(T, n_max=n_max),
+                            QUAD, 1.0)
+
+
+def test_early_stop_lands_inside_a_chunk():
+    energy = _energy(_synthetic(_decaying))
+    assert energy.n_stop == 38
+    _assert_padding(energy, 100)
+    assert energy.terms[0] == pytest.approx(-0.5 * PREF, rel=1e-12)
+    for n in range(1, 39):
+        assert energy.terms[n] == pytest.approx(
+            _alone(_synthetic(_decaying), n), rel=1e-13)
+    assert energy.value == math.fsum(energy.terms)
+
+
+def test_failing_row_past_the_stop_is_discarded():
+    kinked = _synthetic(_decaying, kinked=(40, 64))
+    for n in (40, 64):   # both rows sit in the chunk that holds the stop
+        with pytest.raises(QuadratureError):
+            _alone(kinked, n)
+    clean = _energy(_synthetic(_decaying))
+    energy = _energy(kinked)
+    assert energy.terms == clean.terms
+    assert energy.panels == clean.panels
+    assert energy.n_stop == 38
+
+
+def test_lowest_failing_row_before_the_stop_raises():
+    ln_g_sum = _synthetic(_decaying, kinked=(10, 20))
+    with pytest.raises(QuadratureError) as info:
+        _energy(ln_g_sum)
+    err = info.value
+    assert err.matsubara_n == 10
+    assert "n=10" in str(err)
+    with pytest.raises(QuadratureError) as alone:
+        _alone(ln_g_sum, 10)
+    # the estimates carry the pref-free k-integral of row 10 alone
+    assert err.last_estimate == pytest.approx(alone.value.last_estimate,
+                                              rel=1e-13)
+    assert err.previous_estimate == pytest.approx(
+        alone.value.previous_estimate, rel=1e-13)
+    assert err.last_estimate != err.previous_estimate
+
+
+def test_sign_changing_terms():
+    # like a mu != 1 stack: repulsive low-n terms, attractive beyond n = 4
+    def amplitude(n):
+        return (n - 4.5) * np.exp(-0.5 * n)
+
+    energy = _energy(_synthetic(amplitude), n_max=150)
+    signs = [math.copysign(1.0, t) for t in energy.terms[1:energy.n_stop + 1]]
+    assert signs[:4] == [1.0] * 4 and set(signs[4:]) == {-1.0}
+    for n in (1, 4, 5, 30, energy.n_stop):
+        assert energy.terms[n] == pytest.approx(_alone(_synthetic(amplitude), n),
+                                                rel=1e-13)
+    _assert_padding(energy, 150)
+    assert energy.value == math.fsum(energy.terms)
+
+
+def test_magnetic_stack_matches_term_by_term_sum():
+    magnetic = Layer(Constant(3.0), Permeability(4.0))
+    stack = FiveLayerStack((magnetic, VAC, GOLD, VAC, magnetic),
+                           1e-7, 1e-7, 1e-7)
+    mats = MatsubaraConfig(T, n_max=40)
+    quad = QuadratureConfig()
+    energy = energy_per_area_T(stack, mats, quad)
+    scale = 1.0 / (2.0 * 1e-7)
+    for n in range(1, energy.n_stop + 1):
+        xi = matsubara_xi(n, T)
+        ref = PREF * semi_infinite_integral(
+            lambda k: k * sum(ln_g_full(pol, stack, k, xi)
+                              for pol in Polarization),
+            scale=scale, rel_tol=quad.rel_tol, max_panels=quad.max_panels)
+        assert energy.terms[n] == pytest.approx(ref, rel=1e-12)

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import zeta
 
 from casimir.quadrature import (QuadratureError, adaptive_integral,
-                                semi_infinite_integral)
+                                semi_infinite_integral, semi_infinite_rows)
 
 
 def test_finite_polynomial_exact():
@@ -78,3 +78,45 @@ def test_non_decaying_integrand_raises():
     with pytest.raises(QuadratureError):
         semi_infinite_integral(lambda k: 1.0 / (1.0 + k ** 2) ** 0.2,
                                max_blocks=8)
+
+
+def _row_family(k, rows):
+    # row r: k**2 * exp(-(1 + r/4) k), integral 2 / (1 + r/4)**3
+    return k ** 2 * np.exp(-(1.0 + 0.25 * rows[:, None]) * k)
+
+
+def test_rows_match_one_row_integrals():
+    values, panels, failures = semi_infinite_rows(_row_family, 9,
+                                                  rel_tol=1e-11)
+    assert failures == {}
+    for r in range(9):
+        alone, alone_panels, _ = semi_infinite_rows(
+            lambda k, rows, r=r: _row_family(k, np.full_like(rows, r)), 1,
+            rel_tol=1e-11)
+        # same panel decomposition; values agree to dot-product rounding
+        assert panels[r] == alone_panels[0]
+        assert values[r] == pytest.approx(alone[0], rel=1e-14, abs=0.0)
+        assert values[r] == pytest.approx(2.0 / (1.0 + 0.25 * r) ** 3,
+                                          rel=1e-10)
+
+
+def test_row_budget_failure_is_recorded_not_raised():
+    kink = lambda k: np.abs(k - 1.0 / 3.0) ** 0.51 * np.exp(-k)
+
+    def f(k, rows):
+        smooth = np.exp(-k)
+        return np.where((rows == 2)[:, None], kink(k), smooth)
+
+    values, _, failures = semi_infinite_rows(f, 4, rel_tol=1e-13,
+                                             max_panels=16)
+    assert list(failures) == [2]
+    for r in (0, 1, 3):
+        assert values[r] == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(QuadratureError) as alone:
+        semi_infinite_integral(kink, rel_tol=1e-13, max_panels=16)
+    # the batched row stops where the row alone stops, with its estimates
+    assert str(failures[2]) == str(alone.value)
+    assert failures[2].last_estimate == pytest.approx(
+        alone.value.last_estimate, rel=1e-13)
+    assert failures[2].previous_estimate == pytest.approx(
+        alone.value.previous_estimate, rel=1e-13)
