@@ -87,25 +87,25 @@ def cmd_eps_table(args):
     grid = get(cfg, "eps_table", "grid", str, "matsubara").lower()
     metadata = [("material", name), ("model", _material_label(layer)),
                 ("grid", grid)]
-    rows = []
     if grid == "matsubara":
         mats, _ = build_matsubara(cfg, [layer], args.zero_mode, args.n_max,
                                   args.temperature_k)
         metadata += [("temperature_k", mats.temperature), ("n_max", mats.n_max)]
         columns = ["n", "xi_rad_s", "eps"]
-        for n in range(1, mats.n_max + 1):
-            xi = matsubara_xi(n, mats.temperature)
-            rows.append((n, xi, layer.eps.eps_imag_axis(xi)))
+        ns = np.arange(1, mats.n_max + 1)
+        grid_columns = [ns.tolist(), matsubara_xi(ns, mats.temperature).tolist()]
     elif grid == "log":
         lo = get(cfg, "eps_table", "xi_min_rad_s", float)
         hi = get(cfg, "eps_table", "xi_max_rad_s", float)
         points = get(cfg, "eps_table", "points", int)
         metadata += [("xi_min_rad_s", lo), ("xi_max_rad_s", hi), ("points", points)]
         columns = ["xi_rad_s", "eps"]
-        for xi in np.geomspace(lo, hi, points):
-            rows.append((float(xi), layer.eps.eps_imag_axis(float(xi))))
+        grid_columns = [np.geomspace(lo, hi, points).tolist()]
     else:
         raise ConfigError(f"[eps_table] unknown grid '{grid}'")
+    # xi (the last grid column) in one call, so tabulated data is batched
+    eps = layer.eps.eps_imag_axis(np.array(grid_columns[-1]))
+    rows = list(zip(*grid_columns, eps.tolist()))
     with _out_stream(args) as stream:
         _write_table(stream, "eps-table", metadata, columns, rows)
     return 0

@@ -18,14 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.constants import Boltzmann as k_B, c, hbar
 
-from .quadrature import (QuadratureError, semi_infinite_integral,
+from .quadrature import (_CHUNK, QuadratureError, semi_infinite_integral,
                          semi_infinite_rows)
 from .stack import (FromModel, Polarization, g_full_thickness_derivative,
                     ln_g_full)
-
-# Matsubara indices n >= 1 are integrated this many at a time, one
-# quadrature row each; a chunk is one lockstep pass over a 2-D (n, k) array.
-_CHUNK = 64
 
 
 def matsubara_xi(n, temperature):

@@ -3,7 +3,8 @@
 Dispersive models (Drude, plasma) are closed forms in the imaginary
 frequency xi; tabulated optical data is carried to the imaginary axis
 with a Kramers-Kronig transform over the measured absorption eps''(w),
-extended below and above the data range by analytic tails.
+extended below and above the data range by analytic tails. It takes many
+xi at once; its xi-independent integrand is computed once per table.
 
 Electronvolts appear only at ingestion and reporting boundaries; every
 internal frequency is in rad/s.
@@ -11,6 +12,7 @@ internal frequency is in rad/s.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -18,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import c, e as _ELEMENTARY_CHARGE, hbar
 
-from .quadrature import _GL15_W, _GL7_W, _NODES, QuadratureError, adaptive_integral
+# adaptive_integral stays a name here: perfbench/tracing.py patches it
+from .quadrature import (_CHUNK, _GL15_W, _GL7_W, _NODES, _NOISE_FLOOR,
+                         QuadratureError, _adaptive_rows, adaptive_integral)
 
 _EV = _ELEMENTARY_CHARGE / hbar  # rad/s per eV
 
@@ -185,9 +189,9 @@ class OpticalDataTable:
     """
 
     def __init__(self, energies_ev, eps1, eps2, source_label=""):
-        e = np.asarray(energies_ev, dtype=float)
-        e1 = np.asarray(eps1, dtype=float)
-        e2 = np.asarray(eps2, dtype=float)
+        e = np.array(energies_ev, dtype=float)
+        e1 = np.array(eps1, dtype=float)
+        e2 = np.array(eps2, dtype=float)
         if e.ndim != 1 or e.size < 2:
             raise DataFileError("optical data needs at least two samples")
         if e1.shape != e.shape or e2.shape != e.shape:
@@ -208,6 +212,16 @@ class OpticalDataTable:
         self.eps2 = e2
         self.source_label = source_label
         self.omegas = e * _EV  # rad/s
+        # read-only, so the transform integrand cached below cannot go stale
+        for column in (e, e1, e2, self.omegas):
+            column.setflags(write=False)
+
+    @functools.cached_property
+    def _kk_band(self):
+        """Round-0 panels of :func:`_data_band_integral`, one per segment."""
+        w, e2 = self.omegas, np.maximum(self.eps2, _LOG_FLOOR)
+        return _band_panels(w[:-1], w[1:], w[:-1], e2[:-1],
+                            np.diff(np.log(e2)) / np.diff(np.log(w)))
 
     @property
     def e_min_ev(self):
@@ -378,16 +392,29 @@ def _drude_tail_integral(omega_p, gamma, w_hi, xi):
 
 
 def _power_tail_integral(tail, w_max, xi, rel_tol, max_panels):
-    """int_{w_max}^inf w*eps''_tail(w) / (w**2 + xi**2) dw via t = w_max/w."""
+    """int_{w_max}^inf w*eps''_tail(w) / (w**2 + xi**2) dw, one row per xi."""
+    out = np.zeros(xi.size)
     if tail is None or tail.amplitude == 0.0:
-        return 0.0
+        return out
     amp, p = tail.amplitude, tail.exponent
+    for start in range(0, xi.size, _CHUNK):
+        col = xi[start:start + _CHUNK, None]
+        def f(t, rows):
+            return (amp * w_max ** 2 * t ** (p - 1.0)
+                    / (w_max ** 2 + (col[rows] * t) ** 2))
+        out[start:start + _CHUNK], _, failures = _adaptive_rows(
+            f, 0.0, 1.0, np.arange(col.size), rel_tol, max_panels, _NOISE_FLOOR)
+        if failures:
+            raise failures[min(failures)]
+    return out
 
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        return amp * w_max ** 2 * t ** (p - 1.0) / (w_max ** 2 + (xi * t) ** 2)
 
-    return adaptive_integral(f, 0.0, 1.0, rel_tol=rel_tol, max_panels=max_panels)
+def _band_panels(a, b, w_ref, e_ref, s):
+    """Panel arrays, then half widths, x**2 and x*eps''(x) at the Gauss nodes x."""
+    half = 0.5 * (b - a)
+    x = 0.5 * (a + b)[:, None] + half[:, None] * _NODES[None, :]
+    return (a, b, w_ref, e_ref, s, half, x ** 2,
+            e_ref[:, None] * (x / w_ref[:, None]) ** s[:, None] * x)
 
 
 def _data_band_integral(table, xi, rel_tol, max_rounds=24):
@@ -396,24 +423,12 @@ def _data_band_integral(table, xi, rel_tol, max_rounds=24):
     eps'' is interpolated log-log between samples, so each sample segment
     carries an analytic power law; segments are integrated with paired
     15/7-point Gauss rules, bisecting (with the segment's own power law)
-    until the summed error estimate meets the tolerance.
+    until the summed error estimate meets the tolerance. Round 0, one panel
+    per segment, starts from the table's cached xi-independent integrand.
     """
-    w = table.omegas
-    e2 = np.maximum(table.eps2, _LOG_FLOOR)
-    slopes = np.diff(np.log(e2)) / np.diff(np.log(w))
-
-    # panel arrays: bounds plus the anchor (w_ref, e2_ref, slope) of the
-    # sample segment each panel lives on
-    a = w[:-1].copy()
-    b = w[1:].copy()
-    w_ref = w[:-1].copy()
-    e_ref = e2[:-1].copy()
-    s = slopes.copy()
-
+    a, b, w_ref, e_ref, s, half, x2, num = table._kk_band
     for _ in range(max_rounds):
-        half = 0.5 * (b - a)
-        x = 0.5 * (a + b)[:, None] + half[:, None] * _NODES[None, :]
-        y = e_ref[:, None] * (x / w_ref[:, None]) ** s[:, None] * x / (x ** 2 + xi ** 2)
+        y = num / (x2 + xi ** 2)
         i15 = half * (y[:, :15] @ _GL15_W)
         i7 = half * (y[:, 15:] @ _GL7_W)
         err = np.abs(i15 - i7)
@@ -425,11 +440,11 @@ def _data_band_integral(table, xi, rel_tol, max_rounds=24):
         split = err > tol / max(err.size, 1)
         keep = ~split
         mid = 0.5 * (a[split] + b[split])
-        a = np.concatenate([a[keep], a[split], mid])
-        b = np.concatenate([b[keep], mid, b[split]])
-        w_ref = np.concatenate([w_ref[keep], w_ref[split], w_ref[split]])
-        e_ref = np.concatenate([e_ref[keep], e_ref[split], e_ref[split]])
-        s = np.concatenate([s[keep], s[split], s[split]])
+        a, b, w_ref, e_ref, s, half, x2, num = _band_panels(
+            np.concatenate([a[keep], a[split], mid]),
+            np.concatenate([b[keep], mid, b[split]]),
+            *(np.concatenate([v[keep], v[split], v[split]])
+              for v in (w_ref, e_ref, s)))
     raise QuadratureError(
         f"Kramers-Kronig data-band integral did not converge to rel_tol={rel_tol:g}")
 
@@ -441,22 +456,30 @@ def kk_transform(table, low_tail, high_tail, xi, rel_tol=1e-6, max_panels=512):
     with eps'' given by ``low_tail`` below the join energy, log-log
     interpolation of the table inside the data range and ``high_tail``
     above it. Either tail may be None (treated as zero absorption).
+
+    ``xi`` is a scalar or an array; an array gives the scalar results in its
+    shape, with the power tail of all elements integrated as batched rows.
     """
-    if xi < 0.0:
+    xis = np.asarray(xi, dtype=float)
+    if (xis < 0.0).any():
         raise ValueError("xi must be non-negative")
-    if xi == 0.0 and low_tail is not None:
+    if (xis == 0.0).any() and low_tail is not None:
         raise ZeroFrequencyError(
             "tabulated permittivity with a Drude low-frequency tail diverges "
             "at xi = 0; the zero-frequency term must come from a zero-mode "
             "prescription")
-    total = 0.0
     lo = table.omegas[0]
     if low_tail is not None:
         lo = min(lo, ev_to_radps(low_tail.join_energy_ev))
-        total += _drude_tail_integral(low_tail.omega_p, low_tail.gamma, lo, xi)
-    total += _data_band_integral(table, xi, rel_tol)
-    total += _power_tail_integral(high_tail, table.omegas[-1], xi, rel_tol, max_panels)
-    return 1.0 + (2.0 / math.pi) * total
+    tails = _power_tail_integral(high_tail, table.omegas[-1], xis.ravel(),
+                                 rel_tol, max_panels)
+    out = []
+    for x, tail in zip(xis.ravel().tolist(), tails.tolist()):
+        total = 0.0 if low_tail is None else _drude_tail_integral(
+            low_tail.omega_p, low_tail.gamma, lo, x)
+        total += _data_band_integral(table, x, rel_tol)
+        out.append(1.0 + (2.0 / math.pi) * (total + tail))
+    return out[0] if xis.ndim == 0 else np.reshape(out, xis.shape)
 
 
 class Tabulated:
@@ -464,6 +487,8 @@ class Tabulated:
 
     Evaluations are cached per xi value, so Matsubara sweeps touching the
     same frequency grid pay the transform cost once per material.
+    ``eps_imag_axis`` takes a scalar or an array of frequencies and
+    transforms all of its cache misses in one :func:`kk_transform` call.
     """
 
     def __init__(self, table, low_tail=None, high_tail=None,
@@ -476,26 +501,27 @@ class Tabulated:
         self._cache = {}
 
     def eps_imag_axis(self, xi):
-        if np.ndim(xi):
-            # cache hits are read directly; misses take the scalar path
-            values = []
-            for x in np.ravel(xi).tolist():
-                hit = self._cache.get(x)
-                values.append(self.eps_imag_axis(x) if hit is None else hit)
-            return np.reshape(values, np.shape(xi))
-        xi = float(xi)
-        hit = self._cache.get(xi)
-        if hit is None:
-            hit = kk_transform(self.table, self.low_tail, self.high_tail, xi,
-                               rel_tol=self.rel_tol, max_panels=self.max_panels)
-            self._cache[xi] = hit
-        return hit
+        keys = np.asarray(xi, dtype=float).ravel().tolist()
+        missing = list(dict.fromkeys(x for x in keys if x not in self._cache))
+        if missing:
+            values = kk_transform(self.table, self.low_tail, self.high_tail,
+                                  np.array(missing), rel_tol=self.rel_tol,
+                                  max_panels=self.max_panels)
+            self._cache.update(zip(missing, values.tolist()))
+        if np.ndim(xi) == 0:
+            return self._cache[keys[0]]
+        return np.array([self._cache[x] for x in keys]).reshape(np.shape(xi))
 
     def zero_limit(self):
         if self.low_tail is not None and self.low_tail.gamma > 0.0:
             return 1, self.low_tail.omega_p ** 2 / self.low_tail.gamma
-        return 0, kk_transform(self.table, None, self.high_tail, 0.0,
-                               rel_tol=self.rel_tol, max_panels=self.max_panels)
+        return 0, self._static_eps
+
+    @functools.cached_property
+    def _static_eps(self):
+        # eps(0) without the low tail: a full transform, so computed once
+        return kk_transform(self.table, None, self.high_tail, 0.0,
+                            rel_tol=self.rel_tol, max_panels=self.max_panels)
 
     def __eq__(self, other):
         if not isinstance(other, Tabulated):

@@ -25,6 +25,9 @@ _RULES = np.zeros((_NODES.size, 2))
 _RULES[:15, 0] = _GL15_W
 _RULES[15:, 1] = _GL7_W
 _ONE_ROW = np.arange(1)
+# Rows per batched pass (Matsubara indices n >= 1, Kramers-Kronig
+# frequencies): bounds the (rows, points) working set of one lockstep pass.
+_CHUNK = 64
 
 
 class QuadratureError(RuntimeError):

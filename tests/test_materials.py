@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from casimir import materials
 from casimir.materials import (Constant, DataFileError, Drude, DrudeTail,
                                OpticalDataTable, Permeability, Plasma,
                                PowerTail, Tabulated, Vacuum,
@@ -144,7 +145,128 @@ def test_plasma_frequency_of():
 
 
 # ---------------------------------------------------------------------------
+# Kramers-Kronig over many xi at once
+#
+# The data band runs the scalar arithmetic per xi; the power tail rows go
+# through one matrix product per chunk, whose rounding may differ from the
+# one-row product in the last bits, hence a few units of the float64 epsilon.
+BATCH_RTOL = 4.0 * np.finfo(float).eps
+
+
+def _gold_kk():
+    tab = drude_synthetic_table(9.0, 0.035, 0.01, 100.0, per_decade=50)
+    return tab, DrudeTail(W_P, GAMMA, 0.01), fit_power_tail(tab)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(materials, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(materials, name, counted)
+    return calls
+
+
+def test_kk_array_equals_scalar_calls():
+    tab, low, high = _gold_kk()
+    # three power-tail chunks, xi = gamma (degenerate low tail) and duplicates
+    grid = ev_to_radps(np.geomspace(1e-3, 1e4, 150))
+    xi = np.concatenate([grid, [GAMMA, GAMMA, grid[7]]])
+    batched = kk_transform(tab, low, high, xi)
+    scalar = np.array([kk_transform(tab, low, high, float(x)) for x in xi])
+    assert batched.shape == xi.shape
+    np.testing.assert_allclose(batched, scalar, rtol=BATCH_RTOL, atol=0.0)
+    column = kk_transform(tab, low, high, xi[:, None])
+    assert column.shape == (xi.size, 1)
+    np.testing.assert_allclose(column[:, 0], scalar, rtol=BATCH_RTOL, atol=0.0)
+    assert isinstance(kk_transform(tab, low, high, float(GAMMA)), float)
+
+
+def test_kk_data_band_matches_segment_formula_bitwise():
+    # round 0 reuses the table's cached xi-independent integrand; it must
+    # give the one-pass formula over the sample segments bit for bit
+    tab, _, _ = _gold_kk()
+    w = tab.omegas
+    e2 = np.maximum(tab.eps2, 1e-300)
+    s = (np.diff(np.log(e2)) / np.diff(np.log(w)))[:, None]
+    half = 0.5 * (w[1:] - w[:-1])
+    x = 0.5 * (w[:-1] + w[1:])[:, None] + half[:, None] * materials._NODES[None, :]
+    for xi in ev_to_radps(np.geomspace(1e-3, 1e4, 8)):
+        y = e2[:-1, None] * (x / w[:-1, None]) ** s * x / (x ** 2 + xi ** 2)
+        reference = float(np.sum(half * (y[:, :15] @ materials._GL15_W)))
+        assert materials._data_band_integral(tab, float(xi), 1e-6) == reference
+
+
+def test_kk_array_row_with_band_refinement(monkeypatch):
+    # five samples over four decades: every row bisects its segments
+    tab = drude_synthetic_table(9.0, 0.035, 0.01, 100.0, per_decade=1)
+    high = fit_power_tail(tab)
+    xi = ev_to_radps(np.geomspace(1e-3, 1e3, 7))
+    scalar = np.array([kk_transform(tab, None, high, float(x), rel_tol=1e-9)
+                       for x in xi])
+    refinements = _counting(monkeypatch, "_band_panels")
+    batched = kk_transform(tab, None, high, xi, rel_tol=1e-9)
+    assert len(refinements) >= xi.size
+    np.testing.assert_allclose(batched, scalar, rtol=BATCH_RTOL, atol=0.0)
+
+
+def test_kk_array_rejects_non_positive():
+    tab, low, high = _gold_kk()
+    with pytest.raises(ZeroFrequencyError, match="diverges at xi = 0"):
+        kk_transform(tab, low, high, np.array([1e15, 0.0, 1e16]))
+    for bad in (np.array([1e15, -1e14]), np.array([[0.0], [-1e14]])):
+        with pytest.raises(ValueError, match="xi must be non-negative"):
+            kk_transform(tab, low, high, bad)
+        with pytest.raises(ValueError, match="xi must be non-negative"):
+            kk_transform(tab, None, high, bad)
+    model = Tabulated(tab, low_tail=low, high_tail=high)
+    with pytest.raises(ZeroFrequencyError, match="diverges at xi = 0"):
+        model.eps_imag_axis(np.array([1e15, 0.0]))
+    # without a low tail xi = 0 is the finite static limit, also in an array
+    flat = Tabulated(tab, high_tail=high)
+    values = flat.eps_imag_axis(np.array([0.0, 1e15]))
+    assert values[0] == pytest.approx(flat.zero_limit()[1], rel=BATCH_RTOL)
+
+
+def test_tabulated_array_misses_in_one_transform(monkeypatch):
+    tab, low, high = _gold_kk()
+    model = Tabulated(tab, low_tail=low, high_tail=high)
+    xi = ev_to_radps(np.geomspace(0.01, 50.0, 40))
+    grid = np.concatenate([xi, xi[:5]])[:, None]
+    transforms = _counting(monkeypatch, "kk_transform")
+    first = model.eps_imag_axis(grid)
+    assert len(transforms) == 1
+    assert transforms[0][3].tolist() == xi.tolist()  # distinct misses, in order
+    second = model.eps_imag_axis(grid)
+    assert model.eps_imag_axis(float(xi[3])) == first[3, 0]
+    assert len(transforms) == 1
+    assert second.tobytes() == first.tobytes()
+
+
+def test_tabulated_zero_limit_transforms_once(monkeypatch):
+    tab, _, high = _gold_kk()
+    model = Tabulated(tab, high_tail=high)
+    transforms = _counting(monkeypatch, "kk_transform")
+    limits = [model.zero_limit() for _ in range(3)]
+    assert len(transforms) == 1
+    assert limits[0][0] == 0 and limits == [limits[0]] * 3
+
+
+# ---------------------------------------------------------------------------
 # tables and ingestion
+
+
+def test_table_arrays_read_only():
+    energies = np.array([1.0, 2.0, 3.0])
+    tab = OpticalDataTable(energies, np.ones(3), np.array([0.5, 0.25, 0.1]))
+    for name in ("energies_ev", "eps1", "eps2", "omegas"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(tab, name)[0] = 9.0
+    energies[0] = 0.5  # the caller's array is copied, not frozen
+    assert tab.energies_ev[0] == 1.0
 
 
 def test_table_validation():
