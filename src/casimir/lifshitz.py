@@ -1,4 +1,4 @@
-"""Zero-point energies and normal pressures of five-layer stacks.
+"""Zero-point energies and normal pressures of layered stacks.
 
 At finite temperature the interaction free energy per unit area is a sum
 over discrete imaginary frequencies xi_n = 2*pi*n*kB*T/hbar with the n = 0
@@ -12,6 +12,7 @@ and negative normal pressure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -20,8 +21,9 @@ from scipy.constants import Boltzmann as k_B, c, hbar
 
 from .quadrature import (_CHUNK, QuadratureError, semi_infinite_integral,
                          semi_infinite_rows)
-from .stack import (FromModel, Polarization, g_full_thickness_derivative,
-                    ln_g_full)
+from .stack import FromModel, Polarization, _require_inner, d_ln_g, ln_g
+# perfbench/tracing.py patches these names here; nothing in this module calls them
+from .stack import g_full_thickness_derivative, ln_g_full  # noqa: F401
 
 
 def matsubara_xi(n, temperature):
@@ -143,17 +145,17 @@ def _ascending_terms(ln_g_sum, mats, quad, k_scale):
             yield n, float(values[row]), int(panels[row]), failures.get(row)
 
 
-def matsubara_energy(ln_g_sum, ln_g_sum_zero, mats, quad, k_scale):
+def matsubara_energy(ln_g_sum, mats, quad, k_scale):
     """Finite-temperature free energy per area of a generic mode function.
 
-    ``ln_g_sum(k, xi)`` and ``ln_g_sum_zero(k)`` return
-    sum_pol ln G(k, i*xi) for xi > 0 and for the zero mode; ``ln_g_sum``
-    receives k of shape (rows, points) and xi of shape (rows, 1). Terms are
+    ``ln_g_sum(k, xi)`` returns sum_pol ln G(k, i*xi). It receives k of
+    shape (rows, points) with xi of shape (rows, 1) for the frequencies
+    n >= 1, and the scalar xi = 0.0 for the zero mode. Terms are
     accumulated in ascending n and summed with compensation, so the result
     is bitwise stable for a fixed panel decomposition.
     """
     pref = k_B * mats.temperature / (2.0 * math.pi)
-    i0, used, failures = _k_rows(lambda k, xi: k * ln_g_sum_zero(k), [0.0],
+    i0, used, failures = _k_rows(lambda k, xi: k * ln_g_sum(k, 0.0), [0.0],
                                  quad, k_scale)
     if failures:
         raise _tagged(failures[0], 0) from failures[0]
@@ -178,54 +180,46 @@ def matsubara_energy(ln_g_sum, ln_g_sum_zero, mats, quad, k_scale):
     return EnergyPerArea(math.fsum(terms), terms, panels, n_stop)
 
 
-def _stack_ln_g(stack):
-    def ln_g_sum(k, xi):
+def _mode_sum(layers, thicknesses, zero_mode=None, mode=ln_g):
+    """``(f, k_scale)`` of a layered system for :func:`matsubara_energy`.
+
+    ``layers`` runs from one half-space to the other and ``thicknesses``
+    holds the widths of the layers in between. ``f(k, xi)`` is the sum over
+    polarizations of ``mode`` (ln G by default), with the zero mode taken
+    under ``zero_mode``.
+    """
+    def mode_sum(k, xi):
         total = 0.0
         for pol in Polarization:
-            total = total + ln_g_full(pol, stack, k, xi)
+            total = total + mode(pol, layers, thicknesses, k, xi, zero_mode)
         return total
-    return ln_g_sum
-
-
-def _stack_ln_g_zero(stack, zero_mode):
-    def ln_g_sum_zero(k):
-        total = 0.0
-        for pol in Polarization:
-            total = total + ln_g_full(pol, stack, k, 0.0, zero_mode=zero_mode)
-        return total
-    return ln_g_sum_zero
-
-
-def _stack_k_scale(stack):
     # Rescaling by the largest thickness keeps structure from every layer
     # visible: the slowest decay sits at u ~ 1 and faster ones at larger u,
     # which the geometrically growing blocks always reach. The reverse
     # choice would bury large-layer structure inside the first panel.
-    return 1.0 / (2.0 * max(stack.inner_thicknesses))
+    return mode_sum, 1.0 / (2.0 * max(thicknesses))
 
 
 def energy_per_area_T(stack, mats, quad=QuadratureConfig()):
     """Finite-temperature interaction free energy per unit area in J/m^2."""
-    return matsubara_energy(_stack_ln_g(stack),
-                            _stack_ln_g_zero(stack, mats.zero_mode),
-                            mats, quad, _stack_k_scale(stack))
+    ln_g_sum, k_scale = _mode_sum(stack.layers, stack.inner_thicknesses,
+                                  mats.zero_mode)
+    return matsubara_energy(ln_g_sum, mats, quad, k_scale)
 
 
 def energy_per_area_T0(stack, quad=QuadratureConfig()):
     """Zero-temperature energy per unit area: integral over xi instead of a sum."""
-    ln_g = _stack_ln_g(stack)
-    k_scale = _stack_k_scale(stack)
-    xi_scale = c * k_scale
+    ln_g_sum, k_scale = _mode_sum(stack.layers, stack.inner_thicknesses)
 
     def outer(xis):
         # every xi node of an outer panel is one row of the inner k pass
-        values, _, failures = _k_rows(lambda k, xi: k * ln_g(k, xi), xis,
+        values, _, failures = _k_rows(lambda k, xi: k * ln_g_sum(k, xi), xis,
                                       quad, k_scale)
         if failures:
             raise failures[min(failures)]
         return values
 
-    integral = semi_infinite_integral(outer, scale=xi_scale,
+    integral = semi_infinite_integral(outer, scale=c * k_scale,
                                       rel_tol=quad.rel_tol,
                                       max_panels=quad.max_panels)
     return hbar / (4.0 * math.pi ** 2) * integral
@@ -237,26 +231,11 @@ def normal_pressure(stack, which, mats, quad=QuadratureConfig()):
     Computed from the analytic thickness derivative of ln G, not finite
     differences: P = -d(E/A)/dd_which. Negative values mean attraction.
     """
-    zero_mode = mats.zero_mode
-
-    def integrand(k, xi):
-        total = 0.0
-        for pol in Polarization:
-            g, dg = g_full_thickness_derivative(pol, stack, which, k, xi)
-            total = total + dg / g
-        return total
-
-    def integrand_zero(k):
-        total = 0.0
-        for pol in Polarization:
-            g, dg = g_full_thickness_derivative(pol, stack, which, k, 0.0,
-                                                zero_mode=zero_mode)
-            total = total + dg / g
-        return total
-
-    energy_like = matsubara_energy(integrand, integrand_zero, mats, quad,
-                                   _stack_k_scale(stack))
-    return -energy_like.value
+    _require_inner(which)
+    d_ln_g_sum, k_scale = _mode_sum(stack.layers, stack.inner_thicknesses,
+                                    mats.zero_mode,
+                                    functools.partial(d_ln_g, which=which - 1))
+    return -matsubara_energy(d_ln_g_sum, mats, quad, k_scale).value
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,8 @@ class Drude:
             raise ValueError("Drude omega_p must be positive")
         if self.gamma < 0.0:
             raise ValueError("Drude gamma must be non-negative")
+        if self.gamma > 0.0 and not math.isfinite(self.omega_p ** 2 / self.gamma):
+            raise ValueError("Drude gamma is so small that omega_p**2/gamma overflows")
 
     def eps_imag_axis(self, xi):
         _require_positive(xi, "Drude permittivity diverges at xi = 0")

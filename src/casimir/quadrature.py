@@ -18,12 +18,8 @@ _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
 _GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
 # Both rules are evaluated from one vectorized call on the joint node set.
 _NODES = np.concatenate([_GL15_X, _GL7_X])
+_WEIGHTS = np.concatenate([_GL15_W, _GL7_W])
 _NODES_ROW = _NODES[None, :]
-# Both rules as one weight matrix: column 0 is the 15-point rule on the
-# first 15 nodes, column 1 the 7-point rule on the last 7.
-_RULES = np.zeros((_NODES.size, 2))
-_RULES[:15, 0] = _GL15_W
-_RULES[15:, 1] = _GL7_W
 _ONE_ROW = np.arange(1)
 # Rows per batched pass (Matsubara indices n >= 1, Kramers-Kronig
 # frequencies): bounds the (rows, points) working set of one lockstep pass.
@@ -46,11 +42,14 @@ class QuadratureError(RuntimeError):
 def _estimates(y, half):
     """(15-point estimates, |15-point - 7-point|) of one panel per row of y.
 
-    ``half`` is the half width of the panels: a scalar, or a column with
-    one entry per row.
+    ``half`` is the half width of the panels: a scalar, or one entry per
+    row. Each row is reduced on its own, not through a matrix product, so
+    its estimates do not depend on which rows share its batch.
     """
-    i = np.dot(y, _RULES) * half
-    return i[:, 0], np.abs(i[:, 0] - i[:, 1])
+    weighted = y * _WEIGHTS
+    i15 = np.sum(weighted[:, :15], axis=1) * half
+    i7 = np.sum(weighted[:, 15:], axis=1) * half
+    return i15, np.abs(i15 - i7)
 
 
 def _evaluate(f, x, rows):
@@ -129,8 +128,7 @@ def _adaptive_rows(f, a, b, rows, rel_tol, max_panels, floor):
         chalf = 0.5 * (cb - ca)
         x = (0.5 * (ca + cb))[..., None] + chalf[..., None] * _NODES
         y = _evaluate(f, x.reshape(pos.size, -1), rows[pos])
-        cval, cerr = _estimates(y.reshape(-1, _NODES.size),
-                                chalf.reshape(-1, 1))
+        cval, cerr = _estimates(y.reshape(-1, _NODES.size), chalf.reshape(-1))
         cval = cval.reshape(-1, 2)
         cerr = cerr.reshape(-1, 2)
         previous[pos] = total[pos]

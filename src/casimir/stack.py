@@ -1,10 +1,11 @@
-"""Planar five-layer stacks and their mode functions on the imaginary axis.
+"""Planar layered stacks and their mode functions on the imaginary axis.
 
-A stack is five homogeneous magnetodielectric layers; the outer two are
-half-spaces and the inner three have thicknesses d2, d3, d4. For each
-polarization the mode function G(k, i*xi) collects every round trip the
-field can take between the four interfaces; its logarithm integrates to
-the zero-point interaction energy.
+A stack is a sequence of homogeneous magnetodielectric layers: two
+half-spaces around any number of inner layers of finite thickness. The
+paper's :class:`FiveLayerStack` has three inner layers d2, d3, d4; the
+two-interface system has one. For each polarization the mode function
+G(k, i*xi) collects every round trip the field can take between the
+interfaces; its logarithm integrates to the zero-point interaction energy.
 
 All k-dependent functions accept scalar or ndarray transverse wavenumbers.
 The frequency xi is either a scalar, where xi == 0 selects the zero mode,
@@ -20,7 +21,7 @@ from enum import Enum
 import numpy as np
 from scipy.constants import c
 
-from .materials import Permeability, ZeroFrequencyError
+from .materials import Permeability, Plasma, Vacuum, ZeroFrequencyError
 
 
 class Polarization(Enum):
@@ -117,17 +118,12 @@ def kappa(layer, k_par, xi):
     eps*mu*xi**2 is used; only a dissipationless metal keeps a nonzero
     contribution there.
     """
-    mu = layer.mu.mu_imag_axis(xi)
-    if _is_zero_mode(xi):
-        order, coeff = layer.eps.zero_limit()
-        if order >= 2:
-            return np.sqrt(k_par ** 2 + coeff * mu / c ** 2)
-        if order > 0 and np.any(np.asarray(k_par) == 0.0):
-            raise ZeroFrequencyError(
-                "kappa is undefined at k = 0, xi = 0 for a diverging permittivity")
-        return np.sqrt(k_par ** 2 + 0.0)
-    eps = layer.eps.eps_imag_axis(xi)
-    return np.sqrt(k_par ** 2 + eps * mu * (xi / c) ** 2)
+    if (_is_zero_mode(xi) and 0 < layer.eps.zero_limit()[0] < 2
+            and np.any(np.asarray(k_par) == 0.0)):
+        raise ZeroFrequencyError(
+            "kappa is undefined at k = 0, xi = 0 for a diverging permittivity")
+    # kappa does not depend on the polarization
+    return _interfaces(Polarization.BETA, (layer,), k_par, xi, None)[0][0]
 
 
 def _r_pair(w_lo, k_lo, w_up, k_up):
@@ -142,15 +138,7 @@ def reflection(pol, lower, upper, k_par, xi):
     permeabilities, electric-type (BETA) with the two permittivities.
     Swapping the layers flips the sign.
     """
-    k_lo = kappa(lower, k_par, xi)
-    k_up = kappa(upper, k_par, xi)
-    if pol is Polarization.ALPHA:
-        w_lo = lower.mu.mu_imag_axis(xi)
-        w_up = upper.mu.mu_imag_axis(xi)
-    else:
-        w_lo = lower.eps.eps_imag_axis(xi)
-        w_up = upper.eps.eps_imag_axis(xi)
-    return _r_pair(w_lo, k_lo, w_up, k_up)
+    return _interfaces(pol, (lower, upper), k_par, xi, None)[1][0]
 
 
 def reflection_zero_mode(pol, prescription, k_par):
@@ -160,14 +148,12 @@ def reflection_zero_mode(pol, prescription, k_par):
     magnetic-type value is 0 for DrudeLike and interpolates between -1
     (k = 0) and 0 (k -> inf) for PlasmaLike.
     """
-    if pol is Polarization.BETA:
-        return np.ones_like(np.asarray(k_par, dtype=float)) if np.ndim(k_par) else 1.0
-    if isinstance(prescription, DrudeLike):
-        return np.zeros_like(np.asarray(k_par, dtype=float)) if np.ndim(k_par) else 0.0
-    if isinstance(prescription, PlasmaLike):
-        q = np.sqrt(k_par ** 2 + (prescription.omega_p / c) ** 2)
-        return (k_par - q) / (k_par + q)
-    raise TypeError(f"unsupported zero-mode prescription {prescription!r}")
+    if not isinstance(prescription, (DrudeLike, PlasmaLike)):
+        raise TypeError(f"unsupported zero-mode prescription {prescription!r}")
+    # the prescription replaces the xi -> 0 limit of any metal
+    r = _interfaces(pol, (Layer(Vacuum()), Layer(Plasma(1.0))), k_par, 0.0,
+                    prescription)[1][0]
+    return np.zeros_like(k_par, dtype=float) + r
 
 
 # Resolved xi -> 0 behavior of one layer: eps ~ coeff * xi**(-order).
@@ -187,11 +173,9 @@ def _kappa_zero(limit, k_par):
     return np.abs(k_par) + 0.0
 
 
-def _reflection_zero(pol, lower_limit, upper_limit, k_par):
+def _reflection_zero(pol, lower_limit, upper_limit, k_lo, k_up):
     lo_order, lo_coeff, lo_mu = lower_limit
     up_order, up_coeff, up_mu = upper_limit
-    k_lo = _kappa_zero(lower_limit, k_par)
-    k_up = _kappa_zero(upper_limit, k_par)
     if pol is Polarization.ALPHA:
         if lo_order < 2 and up_order < 2:
             # both kappas reduce to k, which cancels
@@ -207,80 +191,109 @@ def _reflection_zero(pol, lower_limit, upper_limit, k_par):
     return _r_pair(lo_coeff, k_lo, up_coeff, k_up)
 
 
+def _interfaces(pol, layers, k_par, xi, zero_mode):
+    """Normal wavenumbers of ``layers`` and the reflections r_{j,j+1}.
+
+    ``r[j]`` looks from layer j up into layer j+1. This is the one xi = 0
+    dispatch of the mode functions: at the scalar xi = 0 every layer takes
+    its limit under ``zero_mode`` (default: each model's own limit). Each
+    distinct layer object is evaluated once and each distinct interface
+    once; the reverse of an interface is its exact IEEE negation.
+    """
+    zero = _is_zero_mode(xi)
+    ids = [id(layer) for layer in layers]
+    kap, weight, refl = {}, {}, {}   # weight: eps or mu, or the xi = 0 limit
+    for i, layer in dict(zip(ids, layers)).items():
+        if zero:
+            weight[i] = _zero_limit(layer, zero_mode or FromModel())
+            kap[i] = _kappa_zero(weight[i], k_par)
+        else:
+            eps = layer.eps.eps_imag_axis(xi)
+            mu = layer.mu.mu_imag_axis(xi)
+            kap[i] = np.sqrt(k_par ** 2 + eps * mu * (xi / c) ** 2)
+            weight[i] = mu if pol is Polarization.ALPHA else eps
+    for lo, up in dict.fromkeys(zip(ids, ids[1:])):
+        if (up, lo) in refl:
+            refl[lo, up] = -refl[up, lo]
+        elif zero:
+            refl[lo, up] = _reflection_zero(pol, weight[lo], weight[up],
+                                            kap[lo], kap[up])
+        else:
+            refl[lo, up] = _r_pair(weight[lo], kap[lo], weight[up], kap[up])
+    return [kap[i] for i in ids], [refl[pair] for pair in zip(ids, ids[1:])]
+
+
 # ---------------------------------------------------------------------------
 # mode functions
 #
-# Term table for the five-layer G: sign, the interface reflections in the
-# coefficient, and which inner layers appear in the round-trip exponent.
-# Reflection keys are (layer, direction): (2, -1) looks from layer 2 down
-# into layer 1, (2, +1) from layer 2 up into layer 3, and so on.
-
-_G_TERMS = (
-    (-1.0, ((2, -1), (2, +1)), (2,)),
-    (-1.0, ((3, -1), (3, +1)), (3,)),
-    (-1.0, ((4, -1), (4, +1)), (4,)),
-    (-1.0, ((2, -1), (3, +1)), (2, 3)),
-    (-1.0, ((3, -1), (4, +1)), (3, 4)),
-    (+1.0, ((2, -1), (2, +1), (4, -1), (4, +1)), (2, 4)),
-    (-1.0, ((2, -1), (4, +1)), (2, 3, 4)),
-)
+# Layers are numbered 0 (lower half-space) to N-1 (upper half-space); inner
+# layer j has thickness thicknesses[j-1] and gap factor
+# e_j = exp(-2*kappa_j*d_j). In the recursive product form of multilayer
+# Lifshitz theory (M. S. Tomas, Phys. Rev. A 66, 052103 (2002)),
+#
+#     ln G = sum_j log1p(-R_j * r_{j,j+1} * e_j),
+#
+# where R_j is the reflection of all layers below layer j seen from inside
+# it (see _below). The thickness derivative uses the reflections on both
+# sides of a layer; forming G - G|_{e_j=0} instead loses precision.
 
 
-def _coeffs(pol, stack, k_par, xi):
-    """Reflections and decay factors of all four interfaces at xi > 0."""
-    layers = stack.layers
-    kap = {i: kappa(layers[i - 1], k_par, xi) for i in range(1, 6)}
-    if pol is Polarization.ALPHA:
-        w = {i: layers[i - 1].mu.mu_imag_axis(xi) for i in range(1, 6)}
-    else:
-        w = {i: layers[i - 1].eps.eps_imag_axis(xi) for i in range(1, 6)}
-    refl = {(i, sgn): _r_pair(w[i], kap[i], w[i + sgn], kap[i + sgn])
-            for i in (2, 3, 4) for sgn in (-1, +1)}
-    decay = {i: np.exp(-2.0 * kap[i] * d)
-             for i, d in zip((2, 3, 4), stack.inner_thicknesses)}
-    return refl, decay, kap
+def _gap_factors(kap, thicknesses):
+    # one entry per layer; the half-spaces have none
+    return [None] + [np.exp(-2.0 * kap[j] * d)
+                     for j, d in enumerate(thicknesses, 1)] + [None]
 
 
-def _coeffs_zero(pol, stack, k_par, zero_mode):
-    limits = [_zero_limit(layer, zero_mode) for layer in stack.layers]
-    refl = {(i, sgn): _reflection_zero(pol, limits[i - 1], limits[i - 1 + sgn], k_par)
-            for i in (2, 3, 4) for sgn in (-1, +1)}
-    kap = {i: _kappa_zero(limits[i - 1], k_par) for i in (2, 3, 4)}
-    decay = {i: np.exp(-2.0 * kap[i] * d)
-             for i, d in zip((2, 3, 4), stack.inner_thicknesses)}
-    return refl, decay, kap
+def _below(r, e):
+    """[R_1, ..., R_{N-2}]: R_1 = r_{1,0} and, with r_back = r_{j+1,j},
+    R_{j+1} = (r_back + R_j*e_j) / (1 + r_back*R_j*e_j)."""
+    down = [-r[0]]
+    for j in range(1, len(r) - 1):
+        r_back, x = -r[j], down[-1] * e[j]
+        down.append((r_back + x) / (1.0 + r_back * x))
+    return down
 
 
-def _combine(refl, decay):
-    """Sum of the round-trip terms, i.e. G - 1.
+# G is positive for passive media, but a factor 1 - R*r*e can round to 0
+# (or just below) when unit reflections meet underflowing gap factors;
+# clamping R*r*e to the next float below 1 bounds that factor's ln at
+# about -36.7 there, which the k weight makes negligible.
+_LN_CLAMP = np.nextafter(-1.0, 0.0)
 
-    Kept separate from the leading 1 so callers can form ln G through
-    log1p without losing precision when every term is tiny.
+
+def ln_g(pol, layers, thicknesses, k_par, xi, zero_mode=None):
+    """log of the mode function of a layered system, accurate when G is close to 1.
+
+    ``layers`` runs from the lower half-space to the upper one and
+    ``thicknesses`` holds the widths of the layers in between. At xi = 0
+    the interface limits are taken under ``zero_mode`` (default: each
+    model's own limit).
     """
-    s = 0.0
-    for sign, refl_keys, exp_layers in _G_TERMS:
-        term = sign
-        for key in refl_keys:
-            term = term * refl[key]
-        for i in exp_layers:
-            term = term * decay[i]
-        s = s + term
-    return s
+    kap, r = _interfaces(pol, layers, k_par, xi, zero_mode)
+    e = _gap_factors(kap, thicknesses)
+    total = 0.0
+    for j, down in enumerate(_below(r, e), 1):
+        total = total + np.log1p(np.maximum(-down * r[j] * e[j], _LN_CLAMP))
+    return total
 
 
-def _combine_derivative(refl, decay, kap, which):
-    """d/d(d_which) of the combined mode function."""
-    dg = 0.0
-    for sign, refl_keys, exp_layers in _G_TERMS:
-        if which not in exp_layers:
-            continue
-        term = sign
-        for key in refl_keys:
-            term = term * refl[key]
-        for i in exp_layers:
-            term = term * decay[i]
-        dg = dg + term * (-2.0 * kap[which])
-    return dg
+def d_ln_g(pol, layers, thicknesses, k_par, xi, zero_mode=None, *, which):
+    """d ln G / d(thickness of ``layers[which]``), for an inner layer ``which``.
+
+    G is 1 - x times factors free of that thickness, with x = R_down*R_up*e
+    from the reflections of the layers below and above (R_up is R_down of
+    the mirrored stack), so the derivative is 2*kappa*x / (1 - x).
+    """
+    kap, r = _interfaces(pol, layers, k_par, xi, zero_mode)
+    e = _gap_factors(kap, thicknesses)
+    up = _below([-x for x in r[::-1]], e[::-1])[len(thicknesses) - which]
+    x = _below(r, e)[which - 1] * up * e[which]
+    return 2.0 * kap[which] * x / (1.0 - x)
+
+
+def _require_inner(which):
+    if which not in (2, 3, 4):
+        raise ValueError(f"thickness index must be 2, 3 or 4, got {which}")
 
 
 def g_full(pol, stack, k_par, xi, zero_mode=None):
@@ -292,51 +305,20 @@ def g_full(pol, stack, k_par, xi, zero_mode=None):
     At xi = 0 the interface limits are taken under ``zero_mode`` (default:
     each model's own limit).
     """
-    if _is_zero_mode(xi):
-        refl, decay, _ = _coeffs_zero(pol, stack, k_par, zero_mode or FromModel())
-    else:
-        refl, decay, _ = _coeffs(pol, stack, k_par, xi)
-    return 1.0 + _combine(refl, decay)
-
-
-# G is positive for passive media, but the term sum can round to -1 (or
-# just below) when unit reflections meet underflowing gap factors; clamping
-# to the next float above -1 bounds ln G at about -36.7 there, which the
-# k weight makes negligible.
-_LN_CLAMP = np.nextafter(-1.0, 0.0)
+    return np.exp(ln_g_full(pol, stack, k_par, xi, zero_mode))
 
 
 def ln_g_full(pol, stack, k_par, xi, zero_mode=None):
     """log of the five-layer mode function, accurate when G is close to 1."""
-    if _is_zero_mode(xi):
-        refl, decay, _ = _coeffs_zero(pol, stack, k_par, zero_mode or FromModel())
-    else:
-        refl, decay, _ = _coeffs(pol, stack, k_par, xi)
-    return np.log1p(np.maximum(_combine(refl, decay), _LN_CLAMP))
+    return ln_g(pol, stack.layers, stack.inner_thicknesses, k_par, xi, zero_mode)
 
 
 def g_full_thickness_derivative(pol, stack, which, k_par, xi, zero_mode=None):
-    """(G, dG/dd_which) for which in {2, 3, 4}; used by the normal pressure."""
-    if which not in (2, 3, 4):
-        raise ValueError(f"thickness index must be 2, 3 or 4, got {which}")
-    if _is_zero_mode(xi):
-        refl, decay, kap = _coeffs_zero(pol, stack, k_par, zero_mode or FromModel())
-    else:
-        refl, decay, kap = _coeffs(pol, stack, k_par, xi)
-    return 1.0 + _combine(refl, decay), _combine_derivative(refl, decay, kap, which)
-
-
-def _two_interface_term(pol, bounding, gap, d, k_par, xi, zero_mode):
-    # the single round-trip term -r**2 * exp(-2*kappa_gap*d), i.e. G - 1
-    if _is_zero_mode(xi):
-        zm = zero_mode or FromModel()
-        gap_lim = _zero_limit(gap, zm)
-        r = _reflection_zero(pol, gap_lim, _zero_limit(bounding, zm), k_par)
-        kap = _kappa_zero(gap_lim, k_par)
-    else:
-        r = reflection(pol, gap, bounding, k_par, xi)
-        kap = kappa(gap, k_par, xi)
-    return -r * r * np.exp(-2.0 * kap * d)
+    """(G, dG/dd_which) for which in {2, 3, 4}."""
+    _require_inner(which)
+    g = g_full(pol, stack, k_par, xi, zero_mode)
+    return g, g * d_ln_g(pol, stack.layers, stack.inner_thicknesses, k_par, xi,
+                         zero_mode, which=which - 1)
 
 
 def g_two_interface(pol, bounding, gap, d, k_par, xi, zero_mode=None):
@@ -346,13 +328,12 @@ def g_two_interface(pol, bounding, gap, d, k_par, xi, zero_mode=None):
     G = 1 - r**2 * exp(-2*kappa_gap*d) with r looking from the gap into
     the bounding medium.
     """
-    return 1.0 + _two_interface_term(pol, bounding, gap, d, k_par, xi, zero_mode)
+    return np.exp(ln_g_two_interface(pol, bounding, gap, d, k_par, xi, zero_mode))
 
 
 def ln_g_two_interface(pol, bounding, gap, d, k_par, xi, zero_mode=None):
     """log of the two-interface mode function, accurate when G is close to 1."""
-    term = _two_interface_term(pol, bounding, gap, d, k_par, xi, zero_mode)
-    return np.log1p(np.maximum(term, _LN_CLAMP))
+    return ln_g(pol, (bounding, gap, bounding), (d,), k_par, xi, zero_mode)
 
 
 def g_slab_in_medium(pol, medium, slab, d, k_par, xi, zero_mode=None):

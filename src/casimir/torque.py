@@ -21,8 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import c, hbar
 
-from .lifshitz import QuadratureConfig, energy_per_area_T, matsubara_energy
-from .stack import FiveLayerStack, Polarization, ln_g_slab_in_medium
+from .lifshitz import (QuadratureConfig, _mode_sum, energy_per_area_T,
+                       matsubara_energy)
+from .stack import FiveLayerStack
+# perfbench/tracing.py patches this name here; nothing in this module calls it
+from .stack import ln_g_slab_in_medium  # noqa: F401
 
 
 class BranchPointError(ValueError):
@@ -205,23 +208,9 @@ def torque_energy_density(plate_a, plate_b, medium, d3, mats,
     e_full = energy_per_area_T(stack, mats, quad)
 
     def slab_energy(plate):
-        def ln_g(k, xi):
-            total = 0.0
-            for pol in Polarization:
-                total = total + ln_g_slab_in_medium(
-                    pol, medium, plate, plate_thickness, k, xi)
-            return total
-
-        def ln_g_zero(k):
-            total = 0.0
-            for pol in Polarization:
-                total = total + ln_g_slab_in_medium(
-                    pol, medium, plate, plate_thickness, k, 0.0,
-                    zero_mode=mats.zero_mode)
-            return total
-
-        return matsubara_energy(ln_g, ln_g_zero, mats, quad,
-                                1.0 / (2.0 * plate_thickness))
+        ln_g_sum, k_scale = _mode_sum((medium, plate, medium),
+                                      (plate_thickness,), mats.zero_mode)
+        return matsubara_energy(ln_g_sum, mats, quad, k_scale)
 
     e_a = slab_energy(plate_a)
     e_b = slab_energy(plate_b)

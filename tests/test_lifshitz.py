@@ -5,6 +5,7 @@ import pytest
 from scipy.constants import Boltzmann as k_B, c, hbar
 from scipy.special import zeta
 
+from casimir import lifshitz
 from casimir.lifshitz import (EnergyPerArea, MatsubaraConfig,
                               QuadratureConfig, energy_per_area_T,
                               energy_per_area_T0, matsubara_xi,
@@ -132,6 +133,17 @@ def test_pressure_matches_finite_difference():
 def test_pressure_sign_attractive():
     mats = MatsubaraConfig(300.0, n_max=100, zero_mode=DrudeLike())
     assert normal_pressure(halfspace_stack(GOLD, 3e-7), 3, mats) < 0.0
+
+
+def test_pressure_rejects_outer_index_before_integrating(monkeypatch):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("the Matsubara sum started")
+
+    monkeypatch.setattr(lifshitz, "matsubara_energy", no_integration)
+    mats = MatsubaraConfig(300.0, n_max=5)
+    for which in (1, 5):
+        with pytest.raises(ValueError, match="thickness index"):
+            normal_pressure(halfspace_stack(GOLD, 3e-7), which, mats)
 
 
 def test_truncation_report():

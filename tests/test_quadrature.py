@@ -93,9 +93,9 @@ def test_rows_match_one_row_integrals():
         alone, alone_panels, _ = semi_infinite_rows(
             lambda k, rows, r=r: _row_family(k, np.full_like(rows, r)), 1,
             rel_tol=1e-11)
-        # same panel decomposition; values agree to dot-product rounding
+        # same panel decomposition and, row by row, the same arithmetic
         assert panels[r] == alone_panels[0]
-        assert values[r] == pytest.approx(alone[0], rel=1e-14, abs=0.0)
+        assert values[r] == alone[0]
         assert values[r] == pytest.approx(2.0 / (1.0 + 0.25 * r) ** 3,
                                           rel=1e-10)
 
@@ -120,3 +120,26 @@ def test_row_budget_failure_is_recorded_not_raised():
         alone.value.last_estimate, rel=1e-13)
     assert failures[2].previous_estimate == pytest.approx(
         alone.value.previous_estimate, rel=1e-13)
+
+
+def test_rows_do_not_depend_on_their_batch():
+    # a row's integral is the same bit for bit whichever rows share its batch
+    rng = np.random.default_rng(1)
+    decay = rng.uniform(0.2, 5.0, size=200)
+    wave = rng.uniform(0.0, 3.0, size=200)
+
+    def family(first):
+        def f(k, rows):
+            r = first + rows[:, None]
+            return k * np.exp(-decay[r] * k) * (1.0 + np.sin(wave[r] * k) ** 2)
+        return f
+
+    one_row = None
+    for size in (1, 2, 7, 64, 200):
+        values = np.concatenate([
+            semi_infinite_rows(family(first), min(size, 200 - first),
+                               rel_tol=1e-10)[0]
+            for first in range(0, 200, size)])
+        if one_row is None:
+            one_row = values
+        np.testing.assert_array_equal(values, one_row, err_msg=f"size {size}")
