@@ -23,8 +23,8 @@ from .lifshitz import (EnergyPerArea, MatsubaraConfig, QuadratureConfig,
                        TruncationRow, energy_per_area_T, energy_per_area_T0,
                        k_integral, matsubara_energy, matsubara_xi,
                        normal_pressure, truncation_report)
-from .tangential import (SweepPoint, TangentialResult, drude_vs_plasma_sweep,
-                         tangential_force_general, tangential_force_reduced)
+from .tangential import (TangentialResult, tangential_force_general,
+                         tangential_force_reduced)
 from .torque import (BranchPointError, OverlapShape, TorqueGeometry,
                      area_derivative, edge_energy, edge_torque_ratio,
                      overlap, perimeter_derivative, theta0, torque,

@@ -22,17 +22,15 @@ import sys
 import numpy as np
 
 from .config import (ConfigError, _resolve_path, build_layer, build_matsubara,
-                     build_quadrature, build_stack, get, read_config,
-                     resolve_zero_mode)
+                     build_quadrature, build_stack, get, read_config)
 from .lifshitz import MatsubaraConfig, matsubara_xi, truncation_report
 from .materials import (DataFileError, Tabulated, fit_power_tail,
-                        load_optical_data, plasma_frequency_of)
+                        load_optical_data)
 from .quadrature import QuadratureError
-from .stack import DrudeLike, FromModel, PlasmaLike, StackSymmetryError
+from .stack import StackSymmetryError
 from .tangential import tangential_force_reduced
 from .torque import (TorqueGeometry, area_derivative, edge_torque_ratio,
-                     overlap, perimeter_derivative, theta0,
-                     torque_energy_density)
+                     overlap, theta0, torque_energy_density)
 
 # geometry ranges outside which boundary corrections may matter
 _MIN_WIDTH = 1e-3
@@ -111,14 +109,8 @@ def cmd_eps_table(args):
     return 0
 
 
-def _treatment_zero_mode(name, cfg, layer):
-    if name == "drude":
-        return DrudeLike()
-    if name == "model":
-        return FromModel()
-    if name == "plasma":
-        return resolve_zero_mode("plasma", cfg, [layer])
-    raise ConfigError(f"unknown treatment '{name}' (use drude, plasma or model)")
+def _ratio(numerator, denominator):
+    return numerator / denominator if denominator != 0.0 else math.nan
 
 
 def cmd_force_sweep(args):
@@ -135,13 +127,18 @@ def cmd_force_sweep(args):
     else:
         raw = get(cfg, "force", "treatments", str, "drude,plasma")
         treatments = [t.strip().lower() for t in raw.split(",") if t.strip()]
+    if not treatments:
+        raise ConfigError("[force] treatments is empty")
+    for t in treatments:
+        if t not in ("drude", "plasma", "model"):
+            raise ConfigError(f"unknown treatment '{t}' (use drude, plasma or model)")
 
     d_min = get(cfg, "force", "d_min_m", float)
     d_max = get(cfg, "force", "d_max_m", float)
     points = get(cfg, "force", "points", int)
     spacing = get(cfg, "force", "spacing", str, "log").lower()
-    if not 0.0 < d_min <= d_max:
-        raise ConfigError("[force] needs 0 < d_min_m <= d_max_m")
+    if not 0.0 < d_min <= d_max < math.inf:
+        raise ConfigError("[force] needs 0 < d_min_m <= d_max_m < inf")
     if spacing == "log":
         grid = np.geomspace(d_min, d_max, points)
     elif spacing == "linear":
@@ -149,15 +146,15 @@ def cmd_force_sweep(args):
     else:
         raise ConfigError(f"[force] unknown spacing '{spacing}'")
 
-    temperature = args.temperature_k if args.temperature_k is not None \
-        else get(cfg, "matsubara", "temperature_k", float, 300.0)
-    n_max = args.n_max if args.n_max is not None \
-        else get(cfg, "matsubara", "n_max", int, 500)
-    quad = build_quadrature(cfg, default_rel_tol=1e-7)
-
     targets = [(bounding_name, bounding)]
     if reference is not None:
         targets.append((reference_name, reference))
+    # one configuration per (material, treatment), built before any integral;
+    # a plasma treatment takes the plasma frequency of its own material
+    configs = {(name, t): (layer, build_matsubara(cfg, [layer], t, args.n_max,
+                                                  args.temperature_k)[0])
+               for name, layer in targets for t in treatments}
+    quad = build_quadrature(cfg, default_rel_tol=1e-7)
 
     columns = ["d_m"]
     for mat_name, _ in targets:
@@ -169,27 +166,24 @@ def cmd_force_sweep(args):
 
     rows = []
     for d in grid:
-        forces = {}
-        for mat_name, layer in targets:
-            for t in treatments:
-                mats = MatsubaraConfig(temperature, n_max=n_max,
-                                       zero_mode=_treatment_zero_mode(t, cfg, layer))
-                result = tangential_force_reduced(layer, gap, float(d), mats, quad)
-                forces[(mat_name, t)] = result.force_per_width
-        row = [float(d)]
-        for mat_name, _ in targets:
-            row += [forces[(mat_name, t)] for t in treatments]
+        forces = {key: tangential_force_reduced(layer, gap, float(d), mats,
+                                                quad).force_per_width
+                  for key, (layer, mats) in configs.items()}
+        row = [float(d)] + [forces[(mat_name, t)] for mat_name, _ in targets
+                            for t in treatments]
         if {"drude", "plasma"} <= set(treatments):
-            row.append(forces[(bounding_name, "plasma")] / forces[(bounding_name, "drude")])
+            row.append(_ratio(forces[(bounding_name, "plasma")],
+                              forces[(bounding_name, "drude")]))
         if reference is not None:
-            row += [forces[(bounding_name, t)] / forces[(reference_name, t)]
+            row += [_ratio(forces[(bounding_name, t)], forces[(reference_name, t)])
                     for t in treatments]
         rows.append(row)
 
+    _, mats = configs[(bounding_name, treatments[0])]
     metadata = [("material", bounding_name),
                 ("material_model", _material_label(bounding)),
                 ("gap", gap_name), ("treatments", ",".join(treatments)),
-                ("temperature_k", temperature), ("n_max", n_max),
+                ("temperature_k", mats.temperature), ("n_max", mats.n_max),
                 ("rel_tol", quad.rel_tol), ("spacing", spacing)]
     if reference is not None:
         metadata.insert(2, ("reference", reference_name))

@@ -73,6 +73,24 @@ def _require_positive(xi, what):
             "prescription")
 
 
+def _require_finite(owner, **params):
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{owner} {name} must be finite, got {value}")
+
+
+def _require_drude(owner, omega_p, gamma=0.0):
+    """Finite omega_p > 0 and gamma >= 0 whose xi -> 0 coefficient is finite."""
+    _require_finite(owner, omega_p=omega_p, gamma=gamma)
+    if not omega_p > 0.0:
+        raise ValueError(f"{owner} omega_p must be positive")
+    if gamma < 0.0:
+        raise ValueError(f"{owner} gamma must be non-negative")
+    if not math.isfinite(omega_p * omega_p / (gamma if gamma > 0.0 else 1.0)):
+        raise ValueError(f"{owner} xi -> 0 coefficient overflows "
+                         f"(omega_p = {omega_p:g}, gamma = {gamma:g})")
+
+
 def _constant_response(value, xi):
     """A frequency-independent response: the scalar, or one per array xi."""
     if np.ndim(xi) == 0:
@@ -101,6 +119,7 @@ class Constant:
     value: float
 
     def __post_init__(self):
+        _require_finite("constant permittivity", value=self.value)
         if not self.value > 0.0:
             raise ValueError(f"constant permittivity must be positive, got {self.value}")
 
@@ -122,12 +141,7 @@ class Drude:
     gamma: float
 
     def __post_init__(self):
-        if not self.omega_p > 0.0:
-            raise ValueError("Drude omega_p must be positive")
-        if self.gamma < 0.0:
-            raise ValueError("Drude gamma must be non-negative")
-        if self.gamma > 0.0 and not math.isfinite(self.omega_p ** 2 / self.gamma):
-            raise ValueError("Drude gamma is so small that omega_p**2/gamma overflows")
+        _require_drude("Drude", self.omega_p, self.gamma)
 
     def eps_imag_axis(self, xi):
         _require_positive(xi, "Drude permittivity diverges at xi = 0")
@@ -146,8 +160,7 @@ class Plasma:
     omega_p: float
 
     def __post_init__(self):
-        if not self.omega_p > 0.0:
-            raise ValueError("plasma omega_p must be positive")
+        _require_drude("plasma", self.omega_p)
 
     def eps_imag_axis(self, xi):
         _require_positive(xi, "plasma permittivity diverges at xi = 0")
@@ -165,6 +178,7 @@ class Permeability:
     value: float = 1.0
 
     def __post_init__(self):
+        _require_finite("permeability", value=self.value)
         if not self.value > 0.0:
             raise ValueError(f"permeability must be positive, got {self.value}")
 
@@ -198,6 +212,10 @@ class OpticalDataTable:
             raise DataFileError("optical data needs at least two samples")
         if e1.shape != e.shape or e2.shape != e.shape:
             raise DataFileError("energy and permittivity columns differ in length")
+        for name, column in (("energy", e), ("eps1", e1), ("eps2", e2)):
+            if not np.isfinite(column).all():
+                i = int(np.argmax(~np.isfinite(column)))
+                raise DataFileError(f"{name} must be finite; sample {i} is {column[i]:g}")
         steps = np.diff(e)
         if np.any(steps <= 0.0):
             i = int(np.argmax(steps <= 0.0))
@@ -320,10 +338,8 @@ class DrudeTail:
     join_energy_ev: float
 
     def __post_init__(self):
-        if not self.omega_p > 0.0:
-            raise ValueError("DrudeTail omega_p must be positive")
-        if self.gamma < 0.0:
-            raise ValueError("DrudeTail gamma must be non-negative")
+        _require_drude("DrudeTail", self.omega_p, self.gamma)
+        _require_finite("DrudeTail", join_energy_ev=self.join_energy_ev)
         if not self.join_energy_ev > 0.0:
             raise ValueError("DrudeTail join energy must be positive")
 
@@ -340,6 +356,8 @@ class PowerTail:
     exponent: float
 
     def __post_init__(self):
+        _require_finite("PowerTail", amplitude=self.amplitude,
+                        exponent=self.exponent)
         if self.amplitude < 0.0:
             raise ValueError("PowerTail amplitude must be non-negative")
         if self.amplitude > 0.0 and not self.exponent > 1.0:

@@ -13,15 +13,11 @@ plate alone in the gap medium. Positive values pull the plate inward.
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .lifshitz import (MatsubaraConfig, QuadratureConfig, _mode_sum,
                        energy_per_area_T, matsubara_energy)
-from .materials import plasma_frequency_of
-from .stack import (DrudeLike, PlasmaLike, require_tangential_symmetry,
-                    retracted_stack)
+from .stack import require_tangential_symmetry, retracted_stack
 # perfbench/tracing.py patches this name here; nothing in this module calls it
 from .stack import ln_g_two_interface  # noqa: F401
 
@@ -78,44 +74,3 @@ def tangential_force_reduced(bounding, gap, d4, mats, quad=QuadratureConfig()):
     energy = _two_interface_energy(bounding, gap, d4, mats, quad)
     return TangentialResult(-energy.value, energy.value, 0.0, 0.0, mats, quad)
 
-
-@dataclass(frozen=True)
-class SweepPoint:
-    d: float
-    force_drude: float
-    force_plasma: float
-    ratio: float
-
-
-def _sweep_point(args):
-    bounding, gap, d, temperature, n_max, quad = args
-    omega_p = plasma_frequency_of(bounding.eps)
-    if omega_p is None:
-        raise ValueError(
-            "the bounding material does not imply a plasma frequency; "
-            "a Drude, plasma or Drude-tailed tabulated model is required")
-    drude = MatsubaraConfig(temperature, n_max=n_max, zero_mode=DrudeLike())
-    plasma = MatsubaraConfig(temperature, n_max=n_max,
-                             zero_mode=PlasmaLike(omega_p))
-    f_d = tangential_force_reduced(bounding, gap, d, drude, quad).force_per_width
-    f_p = tangential_force_reduced(bounding, gap, d, plasma, quad).force_per_width
-    ratio = f_p / f_d if f_d != 0.0 else math.nan
-    return SweepPoint(d, f_d, f_p, ratio)
-
-
-def drude_vs_plasma_sweep(bounding, gap, d_grid, temperature, n_max=500,
-                          quad=None, workers=1):
-    """Reduced tangential force over separations under both zero-mode treatments.
-
-    The plasma frequency of the PlasmaLike treatment is taken from the
-    bounding material's model. Separations are processed independently
-    (optionally in parallel) and assembled in grid order, so the table is
-    deterministic for any worker count.
-    """
-    if quad is None:
-        quad = QuadratureConfig(rel_tol=1e-7)
-    jobs = [(bounding, gap, float(d), temperature, n_max, quad) for d in d_grid]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_point, jobs))
-    return [_sweep_point(job) for job in jobs]

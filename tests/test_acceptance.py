@@ -22,9 +22,9 @@ from casimir.lifshitz import (MatsubaraConfig, QuadratureConfig,
 from casimir.materials import (Drude, DrudeTail, Plasma, Tabulated, Vacuum,
                                drude_synthetic_table, ev_to_radps,
                                fit_power_tail)
-from casimir.stack import DrudeLike, FiveLayerStack, FromModel, Layer
-from casimir.tangential import (drude_vs_plasma_sweep,
-                                tangential_force_general,
+from casimir.stack import (DrudeLike, FiveLayerStack, FromModel, Layer,
+                           PlasmaLike)
+from casimir.tangential import (tangential_force_general,
                                 tangential_force_reduced)
 from casimir.torque import (TorqueGeometry, area_closed_form, area_derivative,
                             edge_torque_ratio, overlap, perimeter_closed_form,
@@ -177,13 +177,16 @@ def test_criterion_8_figure_shape_properties():
     with criterion(8, "prescription ordering, material ratios and torque "
                       "curve shape", budget_s=900):
         # plasma treatment never weaker than drude
-        pts = drude_vs_plasma_sweep(GOLD, VAC, np.geomspace(1e-7, 1e-6, 6),
-                                    300.0, n_max=300)
-        assert all(abs(p.force_plasma) >= abs(p.force_drude) for p in pts)
+        mats = MatsubaraConfig(300.0, n_max=300, zero_mode=DrudeLike())
+        plasma = MatsubaraConfig(300.0, n_max=300,
+                                 zero_mode=PlasmaLike(GOLD.eps.omega_p))
+        quad = QuadratureConfig(rel_tol=1e-7)
+        for d in np.geomspace(1e-7, 1e-6, 6):
+            f_d = tangential_force_reduced(GOLD, VAC, float(d), mats, quad)
+            f_p = tangential_force_reduced(GOLD, VAC, float(d), plasma, quad)
+            assert abs(f_p.force_per_width) >= abs(f_d.force_per_width)
 
         # aluminum/gold force ratio approaches 1 with distance
-        mats = MatsubaraConfig(300.0, n_max=300, zero_mode=DrudeLike())
-        quad = QuadratureConfig(rel_tol=1e-7)
         gaps = []
         for d in np.geomspace(1e-7, 1e-5, 5):
             f_al = tangential_force_reduced(ALUMINUM, VAC, float(d), mats,

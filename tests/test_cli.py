@@ -199,6 +199,9 @@ def test_force_sweep_columns_and_determinism(tmp_path):
     assert all(f > 0.0 for f in drude + plasma)
     assert all(r > 1.0 for r in ratio)
     assert all(p > d for p, d in zip(plasma, drude))
+    # the ratio of the unrounded forces, written to 9 digits
+    assert ratio == pytest.approx([p / d for p, d in zip(plasma, drude)],
+                                  rel=2e-8)
 
 
 def test_force_sweep_zero_mode_override(tmp_path):
@@ -229,6 +232,46 @@ def test_force_sweep_identical_media_zero(tmp_path):
     _, columns, rows = read_table(out)
     assert rows[0][columns.index("force_gold_drude_n_per_m")] == \
         "0.00000000e+00"
+
+
+def test_force_sweep_zero_drude_force_gives_nan_ratio(tmp_path):
+    # gold in a gold gap: both forces vanish, and so does the ratio's divisor
+    cfg = write_cfg(tmp_path, GOLD_SECTION + """
+        [force]
+        material = gold
+        gap = gold
+        d_min_m = 1e-7
+        d_max_m = 1e-7
+        points = 1
+
+        [matsubara]
+        n_max = 10
+    """)
+    out = tmp_path / "f.csv"
+    assert main(["force-sweep", "--config", cfg, "--out", str(out)]) == 0
+    _, columns, rows = read_table(out)
+    assert column(rows, columns, "force_gold_drude_n_per_m") == [0.0]
+    assert column(rows, columns, "force_gold_plasma_n_per_m") == [0.0]
+    assert rows[0][columns.index("ratio_gold_plasma_drude")] == "nan"
+
+
+def test_force_sweep_requires_plasma_frequency(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, """
+        [material.glass]
+        model = constant
+        epsilon = 5.0
+
+        [force]
+        material = glass
+        d_min_m = 1e-7
+        d_max_m = 1e-7
+        points = 1
+
+        [matsubara]
+        n_max = 10
+    """)
+    assert main(["force-sweep", "--config", cfg]) == 1
+    assert "no material implies a plasma frequency" in capsys.readouterr().err
 
 
 def test_force_sweep_ideal_mirror_distance_scaling(tmp_path):
@@ -283,6 +326,16 @@ def test_force_sweep_bad_grid(tmp_path, capsys):
     cfg = force_cfg(tmp_path, force_extra="spacing = cubic")
     assert main(["force-sweep", "--config", cfg]) == 1
     assert "unknown spacing" in capsys.readouterr().err
+    for d_max in ("5e-8", "inf", "nan"):
+        cfg = write_cfg(tmp_path, GOLD_SECTION + f"""
+        [force]
+        material = gold
+        d_min_m = 1e-7
+        d_max_m = {d_max}
+        points = 2
+        """)
+        assert main(["force-sweep", "--config", cfg]) == 1
+        assert "d_max_m < inf" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +503,18 @@ def test_validate_data_negative_absorption(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_validate_data_non_finite_value(tmp_path, capsys):
+    for bad in ("nan", "inf"):
+        (tmp_path / "bad.csv").write_text(
+            f"energy_ev,eps1,eps2\n1.0,1.0,0.1\n2.0,1.0,{bad}\n",
+            encoding="utf-8")
+        cfg = data_cfg(tmp_path, "bad.csv")
+        assert main(["validate-data", "--config", cfg]) == 1
+        output = capsys.readouterr().out
+        assert "FAIL" in output
+        assert "eps2 must be finite; sample 1" in output
+
+
 def test_validate_data_missing_file(tmp_path, capsys):
     cfg = data_cfg(tmp_path, "nope.csv")
     assert main(["validate-data", "--config", cfg]) == 1
@@ -480,10 +545,19 @@ def test_unknown_material(tmp_path, capsys):
     assert "material 'unobtainium'" in capsys.readouterr().err
 
 
-def test_unknown_treatment(tmp_path, capsys):
-    cfg = force_cfg(tmp_path, force_extra="treatments = banana")
+def test_unknown_treatment(tmp_path, capsys, monkeypatch):
+    def no_integrals(*args, **kwargs):
+        raise AssertionError("a force was computed")
+
+    # every name is checked before the first force is computed
+    monkeypatch.setattr(cli, "tangential_force_reduced", no_integrals)
+    for treatments in ("banana", "drude,banana"):
+        cfg = force_cfg(tmp_path, force_extra=f"treatments = {treatments}")
+        assert main(["force-sweep", "--config", cfg]) == 1
+        assert "unknown treatment 'banana'" in capsys.readouterr().err
+    cfg = force_cfg(tmp_path, force_extra="treatments = ,")
     assert main(["force-sweep", "--config", cfg]) == 1
-    assert "unknown treatment" in capsys.readouterr().err
+    assert "treatments is empty" in capsys.readouterr().err
 
 
 def test_ambiguous_plasma_zero_mode(tmp_path, capsys):
@@ -545,6 +619,24 @@ def test_non_finite_temperature_exit_code(tmp_path, capsys):
     """)
     assert main(["force-sweep", "--config", cfg]) == 1
     assert "temperature must be positive and finite" in capsys.readouterr().err
+
+
+def test_non_finite_material_parameter_exit_code(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, """
+        [material.gold]
+        model = drude
+        omega_p_ev = 9.0
+        gamma_ev = nan
+
+        [force]
+        material = gold
+        treatments = drude
+        d_min_m = 1e-7
+        d_max_m = 1e-7
+        points = 1
+    """)
+    assert main(["force-sweep", "--config", cfg]) == 1
+    assert "gamma must be finite" in capsys.readouterr().err
 
 
 def test_float_cells_have_nine_significant_digits(tmp_path):

@@ -138,6 +138,18 @@ def test_model_validation():
         Plasma(0.0)
     with pytest.raises(ValueError):
         Constant(0.0)
+    # non-finite parameters, which the positivity checks alone let through
+    for make in (lambda v: Drude(v, GAMMA), lambda v: Drude(W_P, v), Plasma,
+                 Constant, Permeability, lambda v: DrudeTail(v, GAMMA, 0.01),
+                 lambda v: DrudeTail(W_P, v, 0.01),
+                 lambda v: DrudeTail(W_P, GAMMA, v)):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                make(value)
+    with pytest.raises(ValueError, match="overflows"):
+        DrudeTail(W_P, 5e-324, 0.01)
+    with pytest.raises(ValueError, match="overflows"):
+        Plasma(1e200)
 
 
 def test_plasma_frequency_of():
@@ -281,6 +293,12 @@ def test_table_validation():
         OpticalDataTable(np.array([1.0, 2.0]), np.ones(2),
                          np.array([0.0, -0.1]))
     assert "sample 1" in str(info.value)
+    for bad in (math.nan, math.inf, -math.inf):
+        for col in range(3):
+            columns = [np.array([1.0, 2.0]), np.ones(2), np.ones(2)]
+            columns[col][1] = bad
+            with pytest.raises(DataFileError, match="must be finite; sample 1"):
+                OpticalDataTable(*columns)
 
 
 def test_load_optical_data_eps_header(tmp_path):
@@ -347,6 +365,10 @@ def test_tail_validation():
         DrudeTail(W_P, -1.0, 0.01)
     with pytest.raises(ValueError):
         PowerTail(1.0, 0.5)
+    with pytest.raises(ValueError, match="must be finite"):
+        PowerTail(math.nan, 3.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        PowerTail(1.0, math.inf)
     assert PowerTail(0.0, 0.5).amplitude == 0.0  # explicit zero tail is fine
 
 

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from casimir.materials import Constant, Drude, Permeability, Vacuum
 from casimir.stack import (DrudeLike, FromModel, Layer, PlasmaLike,
-                           Polarization, d_ln_g, ln_g)
+                           Polarization, _interfaces, d_ln_g, ln_g,
+                           reflection)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -30,6 +31,7 @@ layers = st.builds(Layer, permittivities, st.builds(Permeability,
 zero_modes = st.one_of(st.just(FromModel()), st.just(DrudeLike()),
                        st.builds(PlasmaLike, st.floats(1e14, 2e16)))
 frequencies = st.one_of(st.just(0.0), st.floats(1e12, 1e17))
+wavenumbers = st.lists(st.floats(1e5, 1e8), min_size=1, max_size=4)
 
 
 @st.composite
@@ -39,7 +41,7 @@ def systems(draw):
     pool = draw(st.lists(layers, min_size=1, max_size=3))
     stack = tuple(draw(st.sampled_from(pool)) for _ in range(n))
     thicknesses = tuple(draw(st.floats(1e-8, 1e-6)) for _ in range(n - 2))
-    k = np.array(draw(st.lists(st.floats(1e5, 1e8), min_size=1, max_size=4)))
+    k = np.array(draw(wavenumbers))
     return stack, thicknesses, k, draw(frequencies), draw(zero_modes)
 
 
@@ -63,6 +65,21 @@ def test_mirrored_stack_has_the_same_mode_function(system):
         direct = ln_g(pol, stack, thicknesses, k, xi, zero_mode)
         mirrored = ln_g(pol, stack[::-1], thicknesses[::-1], k, xi, zero_mode)
         np.testing.assert_allclose(mirrored, direct, rtol=1e-9, atol=1e-14)
+
+
+@PROPERTY
+@given(layers, layers, wavenumbers, frequencies, zero_modes)
+def test_swapping_the_layers_flips_the_sign_of_r(lower, upper, k, xi,
+                                                 zero_mode):
+    def r(pol, a, b):
+        if xi == 0.0:
+            # the one interface of a two-layer system under the zero mode
+            return _interfaces(pol, (a, b), np.array(k), xi, zero_mode)[1][0]
+        return reflection(pol, a, b, np.array(k), xi)
+
+    # the numerator is negated exactly and the denominator commutes
+    for pol in Polarization:
+        assert np.array_equal(r(pol, upper, lower), -r(pol, lower, upper))
 
 
 @PROPERTY
