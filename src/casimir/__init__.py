@@ -1,9 +1,11 @@
 """Finite-temperature Casimir energies, forces and torques in layered media.
 
-The package models five-layer planar stacks of isotropic magnetodielectric
-materials and evaluates interaction free energies, normal pressures, the
-tangential force on a partially inserted plate and the torque between
-crossed plates, all from mode functions on the imaginary frequency axis.
+The package models planar stacks ``Stack(layers, thicknesses)`` of any
+number N >= 3 of isotropic magnetodielectric layers (the paper's five-layer
+system is ``FiveLayerStack``) and evaluates interaction free energies,
+normal pressures, the tangential force on a partially inserted plate and
+the torque between crossed plates, all from one mode function ``ln_g`` on
+the imaginary frequency axis.
 """
 
 from .materials import (Constant, DataFileError, Drude, DrudeTail,
@@ -14,11 +16,10 @@ from .materials import (Constant, DataFileError, Drude, DrudeTail,
                         plasma_frequency_of, radps_to_ev)
 from .quadrature import QuadratureError
 from .stack import (DrudeLike, FiveLayerStack, FromModel, Layer, PlasmaLike,
-                    Polarization, StackSymmetryError, g_full,
-                    g_slab_in_medium, g_two_interface, kappa, ln_g_full,
-                    ln_g_slab_in_medium, ln_g_two_interface, reflection,
-                    reflection_zero_mode, require_tangential_symmetry,
-                    retracted_stack)
+                    Polarization, Stack, StackSymmetryError, d_ln_g, kappa,
+                    ln_g, ln_g_full, ln_g_slab_in_medium, ln_g_two_interface,
+                    reflection, reflection_zero_mode,
+                    require_tangential_symmetry, retracted_stack)
 from .lifshitz import (EnergyPerArea, MatsubaraConfig, QuadratureConfig,
                        TruncationRow, energy_per_area_T, energy_per_area_T0,
                        k_integral, matsubara_energy, matsubara_xi,

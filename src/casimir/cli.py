@@ -96,6 +96,9 @@ def cmd_eps_table(args):
         lo = get(cfg, "eps_table", "xi_min_rad_s", float)
         hi = get(cfg, "eps_table", "xi_max_rad_s", float)
         points = get(cfg, "eps_table", "points", int)
+        if not (0.0 < lo < math.inf and 0.0 < hi < math.inf and points >= 1):
+            raise ConfigError("[eps_table] needs 0 < xi_min_rad_s, "
+                              "xi_max_rad_s < inf and points >= 1")
         metadata += [("xi_min_rad_s", lo), ("xi_max_rad_s", hi), ("points", points)]
         columns = ["xi_rad_s", "eps"]
         grid_columns = [np.geomspace(lo, hi, points).tolist()]
@@ -139,6 +142,8 @@ def cmd_force_sweep(args):
     spacing = get(cfg, "force", "spacing", str, "log").lower()
     if not 0.0 < d_min <= d_max < math.inf:
         raise ConfigError("[force] needs 0 < d_min_m <= d_max_m < inf")
+    if points < 1:
+        raise ConfigError("[force] needs points >= 1")
     if spacing == "log":
         grid = np.geomspace(d_min, d_max, points)
     elif spacing == "linear":
@@ -204,6 +209,8 @@ def cmd_torque_sweep(args):
     d3 = get(cfg, "torque", "d3_m", float)
     thickness = get(cfg, "torque", "plate_thickness_m", float, 1e-6)
     points = get(cfg, "torque", "theta_points", int, 64)
+    if points < 1:
+        raise ConfigError("[torque] needs theta_points >= 1")
 
     if plate_l < _MIN_WIDTH:
         _warn(f"plate width {plate_l:g} m is below {_MIN_WIDTH:g} m; "
@@ -249,8 +256,9 @@ def cmd_torque_sweep(args):
 def cmd_convergence(args):
     cfg = read_config(args.config)
     stack = build_stack(cfg)
-    if min(stack.d2, stack.d4) > _MAX_GAP:
-        _warn(f"min(d2, d4) = {min(stack.d2, stack.d4):g} m exceeds "
+    d2, d3, d4 = stack.thicknesses
+    if min(d2, d4) > _MAX_GAP:
+        _warn(f"min(d2, d4) = {min(d2, d4):g} m exceeds "
               f"{_MAX_GAP:g} m; boundary corrections may not be negligible")
     raw = get(cfg, "convergence", "checkpoints", str, "100,500")
     checkpoints = [int(t) for t in raw.split(",") if t.strip()]
@@ -265,7 +273,7 @@ def cmd_convergence(args):
             for row in truncation_report(stack, mats, quad, checkpoints)]
     metadata = [("temperature_k", mats.temperature),
                 ("zero_mode", zero_mode_name), ("rel_tol", quad.rel_tol),
-                ("d2_m", stack.d2), ("d3_m", stack.d3), ("d4_m", stack.d4)]
+                ("d2_m", d2), ("d3_m", d3), ("d4_m", d4)]
     with _out_stream(args) as stream:
         _write_table(stream, "convergence", metadata,
                      ["n", "energy_j_m2", "rel_delta"], rows)

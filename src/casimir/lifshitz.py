@@ -21,7 +21,7 @@ from scipy.constants import Boltzmann as k_B, c, hbar
 
 from .quadrature import (_CHUNK, QuadratureError, semi_infinite_integral,
                          semi_infinite_rows)
-from .stack import FromModel, Polarization, _require_inner, d_ln_g, ln_g
+from .stack import FromModel, _require_inner, d_ln_g, ln_g
 # perfbench/tracing.py patches these names here; nothing in this module calls them
 from .stack import g_full_thickness_derivative, ln_g_full  # noqa: F401
 
@@ -180,36 +180,31 @@ def matsubara_energy(ln_g_sum, mats, quad, k_scale):
     return EnergyPerArea(math.fsum(terms), terms, panels, n_stop)
 
 
-def _mode_sum(layers, thicknesses, zero_mode=None, mode=ln_g):
-    """``(f, k_scale)`` of a layered system for :func:`matsubara_energy`.
+def _mode_sum(stack, zero_mode=None, mode=ln_g):
+    """``(f, k_scale)`` of a :class:`~casimir.stack.Stack` for
+    :func:`matsubara_energy`.
 
-    ``layers`` runs from one half-space to the other and ``thicknesses``
-    holds the widths of the layers in between. ``f(k, xi)`` is the sum over
-    polarizations of ``mode`` (ln G by default), with the zero mode taken
-    under ``zero_mode``.
+    ``f(k, xi)`` is the sum over polarizations of ``mode`` (ln G by
+    default), with the zero mode taken under ``zero_mode``.
     """
     def mode_sum(k, xi):
-        total = 0.0
-        for pol in Polarization:
-            total = total + mode(pol, layers, thicknesses, k, xi, zero_mode)
-        return total
+        return sum(mode(stack, k, xi, zero_mode).values())
     # Rescaling by the largest thickness keeps structure from every layer
     # visible: the slowest decay sits at u ~ 1 and faster ones at larger u,
     # which the geometrically growing blocks always reach. The reverse
     # choice would bury large-layer structure inside the first panel.
-    return mode_sum, 1.0 / (2.0 * max(thicknesses))
+    return mode_sum, 1.0 / (2.0 * max(stack.thicknesses))
 
 
 def energy_per_area_T(stack, mats, quad=QuadratureConfig()):
     """Finite-temperature interaction free energy per unit area in J/m^2."""
-    ln_g_sum, k_scale = _mode_sum(stack.layers, stack.inner_thicknesses,
-                                  mats.zero_mode)
+    ln_g_sum, k_scale = _mode_sum(stack, mats.zero_mode)
     return matsubara_energy(ln_g_sum, mats, quad, k_scale)
 
 
 def energy_per_area_T0(stack, quad=QuadratureConfig()):
     """Zero-temperature energy per unit area: integral over xi instead of a sum."""
-    ln_g_sum, k_scale = _mode_sum(stack.layers, stack.inner_thicknesses)
+    ln_g_sum, k_scale = _mode_sum(stack)
 
     def outer(xis):
         # every xi node of an outer panel is one row of the inner k pass
@@ -226,15 +221,15 @@ def energy_per_area_T0(stack, quad=QuadratureConfig()):
 
 
 def normal_pressure(stack, which, mats, quad=QuadratureConfig()):
-    """Normal pressure (N/m^2) conjugate to one inner thickness.
+    """Normal pressure (N/m^2) conjugate to the thickness d_which of an
+    inner layer, 2 <= which <= N - 1.
 
     Computed from the analytic thickness derivative of ln G, not finite
     differences: P = -d(E/A)/dd_which. Negative values mean attraction.
     """
-    _require_inner(which)
-    d_ln_g_sum, k_scale = _mode_sum(stack.layers, stack.inner_thicknesses,
-                                    mats.zero_mode,
-                                    functools.partial(d_ln_g, which=which - 1))
+    _require_inner(stack, which)
+    d_ln_g_sum, k_scale = _mode_sum(stack, mats.zero_mode,
+                                    functools.partial(d_ln_g, which=which))
     return -matsubara_energy(d_ln_g_sum, mats, quad, k_scale).value
 
 

@@ -67,7 +67,7 @@ def eps2_from_nk(n, k):
 
 
 def _require_positive(xi, what):
-    if (np.asarray(xi) <= 0.0).any():
+    if not (np.asarray(xi) > 0.0).all():
         raise ZeroFrequencyError(
             f"{what}; the zero-frequency term must come from a zero-mode "
             "prescription")

@@ -1,11 +1,13 @@
 """Planar layered stacks and their mode functions on the imaginary axis.
 
-A stack is a sequence of homogeneous magnetodielectric layers: two
-half-spaces around any number of inner layers of finite thickness. The
-paper's :class:`FiveLayerStack` has three inner layers d2, d3, d4; the
-two-interface system has one. For each polarization the mode function
-G(k, i*xi) collects every round trip the field can take between the
-interfaces; its logarithm integrates to the zero-point interaction energy.
+A :class:`Stack` is a sequence of N >= 3 homogeneous magnetodielectric
+layers: two half-spaces around N - 2 inner layers of finite thickness. The
+paper's five-layer system (:func:`FiveLayerStack`) has inner thicknesses
+d2, d3, d4; the two-interface system has one. For each polarization the
+mode function G(k, i*xi) collects every round trip the field can take
+between the interfaces; its logarithm integrates to the zero-point
+interaction energy. :func:`ln_g` and :func:`d_ln_g` evaluate each layer
+once per call and return both polarizations.
 
 All k-dependent functions accept scalar or ndarray transverse wavenumbers.
 The frequency xi is either a scalar, where xi == 0 selects the zero mode,
@@ -42,33 +44,46 @@ class Layer:
 
 
 @dataclass(frozen=True)
-class FiveLayerStack:
+class Stack:
+    """N >= 3 layers from the lower half-space to the upper one, and the
+    thicknesses (m) of the N - 2 inner layers in between.
+
+    Layers are numbered 1 to N, so layer j has thickness
+    ``thicknesses[j - 2]``: d2, d3, d4 for five layers.
+    """
+
     layers: tuple
-    d2: float
-    d3: float
-    d4: float
+    thicknesses: tuple
 
     def __post_init__(self):
-        if len(self.layers) != 5:
-            raise ValueError(f"a stack has exactly 5 layers, got {len(self.layers)}")
         object.__setattr__(self, "layers", tuple(self.layers))
-        for name in ("d2", "d3", "d4"):
-            d = getattr(self, name)
+        object.__setattr__(self, "thicknesses", tuple(self.thicknesses))
+        n = len(self.layers)
+        if n < 3 or len(self.thicknesses) != n - 2:
+            raise ValueError(f"a stack needs N >= 3 layers and N - 2 thicknesses, "
+                             f"got {n} and {len(self.thicknesses)}")
+        for j, d in enumerate(self.thicknesses, 2):
             if not (d > 0.0 and np.isfinite(d)):
-                raise ValueError(f"{name} must be positive and finite, got {d}")
+                raise ValueError(f"d{j} must be positive and finite, got {d}")
 
-    @property
-    def inner_thicknesses(self):
-        return self.d2, self.d3, self.d4
+
+def FiveLayerStack(layers, d2, d3, d4):  # noqa: N802 (reads as a type at call sites)
+    """The paper's five-layer :class:`Stack` with inner thicknesses d2, d3, d4."""
+    return Stack(layers, (d2, d3, d4))
 
 
 def require_tangential_symmetry(stack):
-    """The two inner gaps must be the same medium (eps2 = eps4, mu2 = mu4)."""
-    lo, hi = stack.layers[1], stack.layers[3]
+    """The stack has a middle layer, and the layers on either side of it are
+    the same medium (eps2 = eps4, mu2 = mu4 for five layers)."""
+    n = len(stack.layers)
+    if n % 2 == 0:
+        raise StackSymmetryError(f"a stack of {n} layers has no middle layer")
+    lo, hi = stack.layers[n // 2 - 1], stack.layers[n // 2 + 1]
+    names = f"layers {n // 2} and {n // 2 + 2}"
     if lo.eps != hi.eps:
-        raise StackSymmetryError("layers 2 and 4 must share one permittivity model")
+        raise StackSymmetryError(f"{names} must share one permittivity model")
     if lo.mu != hi.mu:
-        raise StackSymmetryError("layers 2 and 4 must share one permeability")
+        raise StackSymmetryError(f"{names} must share one permeability")
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +137,7 @@ def kappa(layer, k_par, xi):
             and np.any(np.asarray(k_par) == 0.0)):
         raise ZeroFrequencyError(
             "kappa is undefined at k = 0, xi = 0 for a diverging permittivity")
-    # kappa does not depend on the polarization
-    return _interfaces(Polarization.BETA, (layer,), k_par, xi, None)[0][0]
+    return _interfaces((layer,), k_par, xi, None)[0][0]
 
 
 def _r_pair(w_lo, k_lo, w_up, k_up):
@@ -138,7 +152,7 @@ def reflection(pol, lower, upper, k_par, xi):
     permeabilities, electric-type (BETA) with the two permittivities.
     Swapping the layers flips the sign.
     """
-    return _interfaces(pol, (lower, upper), k_par, xi, None)[1][0]
+    return _interfaces((lower, upper), k_par, xi, None)[1][pol][0]
 
 
 def reflection_zero_mode(pol, prescription, k_par):
@@ -151,8 +165,8 @@ def reflection_zero_mode(pol, prescription, k_par):
     if not isinstance(prescription, (DrudeLike, PlasmaLike)):
         raise TypeError(f"unsupported zero-mode prescription {prescription!r}")
     # the prescription replaces the xi -> 0 limit of any metal
-    r = _interfaces(pol, (Layer(Vacuum()), Layer(Plasma(1.0))), k_par, 0.0,
-                    prescription)[1][0]
+    r = _interfaces((Layer(Vacuum()), Layer(Plasma(1.0))), k_par, 0.0,
+                    prescription)[1][pol][0]
     return np.zeros_like(k_par, dtype=float) + r
 
 
@@ -191,43 +205,51 @@ def _reflection_zero(pol, lower_limit, upper_limit, k_lo, k_up):
     return _r_pair(lo_coeff, k_lo, up_coeff, k_up)
 
 
-def _interfaces(pol, layers, k_par, xi, zero_mode):
-    """Normal wavenumbers of ``layers`` and the reflections r_{j,j+1}.
+def _interfaces(layers, k_par, xi, zero_mode):
+    """Normal wavenumbers of ``layers`` and, per polarization, the
+    reflections r_{j,j+1}.
 
-    ``r[j]`` looks from layer j up into layer j+1. This is the one xi = 0
-    dispatch of the mode functions: at the scalar xi = 0 every layer takes
-    its limit under ``zero_mode`` (default: each model's own limit). Each
-    distinct layer object is evaluated once and each distinct interface
-    once; the reverse of an interface is its exact IEEE negation.
+    ``r[pol][j]`` looks from layer j up into layer j+1. This is the one
+    xi = 0 dispatch of the mode functions: at the scalar xi = 0 every layer
+    takes its limit under ``zero_mode`` (default: each model's own limit).
+    Each distinct layer object is evaluated once for both polarizations and
+    each distinct interface once per polarization; the reverse of an
+    interface is its exact IEEE negation.
     """
     zero = _is_zero_mode(xi)
     ids = [id(layer) for layer in layers]
-    kap, weight, refl = {}, {}, {}   # weight: eps or mu, or the xi = 0 limit
+    pairs = list(zip(ids, ids[1:]))
+    # weight: mu (ALPHA) or eps (BETA), or the xi = 0 limit for both
+    kap, weight = {}, {pol: {} for pol in Polarization}
     for i, layer in dict(zip(ids, layers)).items():
         if zero:
-            weight[i] = _zero_limit(layer, zero_mode or FromModel())
-            kap[i] = _kappa_zero(weight[i], k_par)
+            limit = _zero_limit(layer, zero_mode or FromModel())
+            kap[i] = _kappa_zero(limit, k_par)
+            weight[Polarization.ALPHA][i] = weight[Polarization.BETA][i] = limit
         else:
             eps = layer.eps.eps_imag_axis(xi)
             mu = layer.mu.mu_imag_axis(xi)
             kap[i] = np.sqrt(k_par ** 2 + eps * mu * (xi / c) ** 2)
-            weight[i] = mu if pol is Polarization.ALPHA else eps
-    for lo, up in dict.fromkeys(zip(ids, ids[1:])):
-        if (up, lo) in refl:
-            refl[lo, up] = -refl[up, lo]
-        elif zero:
-            refl[lo, up] = _reflection_zero(pol, weight[lo], weight[up],
-                                            kap[lo], kap[up])
-        else:
-            refl[lo, up] = _r_pair(weight[lo], kap[lo], weight[up], kap[up])
-    return [kap[i] for i in ids], [refl[pair] for pair in zip(ids, ids[1:])]
+            weight[Polarization.ALPHA][i], weight[Polarization.BETA][i] = mu, eps
+    refl = {}
+    for pol, w in weight.items():
+        r = {}
+        for lo, up in dict.fromkeys(pairs):
+            if (up, lo) in r:
+                r[lo, up] = -r[up, lo]
+            elif zero:
+                r[lo, up] = _reflection_zero(pol, w[lo], w[up], kap[lo], kap[up])
+            else:
+                r[lo, up] = _r_pair(w[lo], kap[lo], w[up], kap[up])
+        refl[pol] = [r[pair] for pair in pairs]
+    return [kap[i] for i in ids], refl
 
 
 # ---------------------------------------------------------------------------
 # mode functions
 #
-# Layers are numbered 0 (lower half-space) to N-1 (upper half-space); inner
-# layer j has thickness thicknesses[j-1] and gap factor
+# Here layers are indexed 0 (lower half-space) to N-1 (upper half-space);
+# inner layer j has thickness thicknesses[j-1] and gap factor
 # e_j = exp(-2*kappa_j*d_j). In the recursive product form of multilayer
 # Lifshitz theory (M. S. Tomas, Phys. Rev. A 66, 052103 (2002)),
 #
@@ -254,104 +276,83 @@ def _below(r, e):
     return down
 
 
-# G is positive for passive media, but a factor 1 - R*r*e can round to 0
-# (or just below) when unit reflections meet underflowing gap factors;
-# clamping R*r*e to the next float below 1 bounds that factor's ln at
-# about -36.7 there, which the k weight makes negligible.
-_LN_CLAMP = np.nextafter(-1.0, 0.0)
+def ln_g(stack, k_par, xi, zero_mode=None):
+    """``{pol: ln G}`` of a :class:`Stack`, accurate when G is close to 1.
 
-
-def ln_g(pol, layers, thicknesses, k_par, xi, zero_mode=None):
-    """log of the mode function of a layered system, accurate when G is close to 1.
-
-    ``layers`` runs from the lower half-space to the upper one and
-    ``thicknesses`` holds the widths of the layers in between. At xi = 0
-    the interface limits are taken under ``zero_mode`` (default: each
-    model's own limit).
+    G is positive for passive media, equal to 1 when every interface
+    vanishes, and below 1 for the attractive configurations this package
+    targets (cross terms can push it slightly above 1 in exotic mu/eps
+    orderings). At xi = 0 the interface limits are taken under
+    ``zero_mode`` (default: each model's own limit).
     """
-    kap, r = _interfaces(pol, layers, k_par, xi, zero_mode)
-    e = _gap_factors(kap, thicknesses)
-    total = 0.0
-    for j, down in enumerate(_below(r, e), 1):
-        total = total + np.log1p(np.maximum(-down * r[j] * e[j], _LN_CLAMP))
-    return total
+    kap, refl = _interfaces(stack.layers, k_par, xi, zero_mode)
+    e = _gap_factors(kap, stack.thicknesses)
+    out = {}
+    for pol, r in refl.items():
+        total = 0.0
+        for j, down in enumerate(_below(r, e), 1):
+            total = total + np.log1p(-down * r[j] * e[j])
+        out[pol] = total
+    return out
 
 
-def d_ln_g(pol, layers, thicknesses, k_par, xi, zero_mode=None, *, which):
-    """d ln G / d(thickness of ``layers[which]``), for an inner layer ``which``.
+def d_ln_g(stack, k_par, xi, zero_mode=None, *, which):
+    """``{pol: d ln G / d d_which}`` for an inner layer 2 <= which <= N - 1.
 
     G is 1 - x times factors free of that thickness, with x = R_down*R_up*e
     from the reflections of the layers below and above (R_up is R_down of
     the mirrored stack), so the derivative is 2*kappa*x / (1 - x).
     """
-    kap, r = _interfaces(pol, layers, k_par, xi, zero_mode)
-    e = _gap_factors(kap, thicknesses)
-    up = _below([-x for x in r[::-1]], e[::-1])[len(thicknesses) - which]
-    x = _below(r, e)[which - 1] * up * e[which]
-    return 2.0 * kap[which] * x / (1.0 - x)
+    kap, refl = _interfaces(stack.layers, k_par, xi, zero_mode)
+    e = _gap_factors(kap, stack.thicknesses)
+    j = which - 1  # index into layers
+    out = {}
+    for pol, r in refl.items():
+        up = _below([-x for x in r[::-1]], e[::-1])[len(stack.layers) - 2 - j]
+        x = _below(r, e)[j - 1] * up * e[j]
+        out[pol] = 2.0 * kap[j] * x / (1.0 - x)
+    return out
 
 
-def _require_inner(which):
-    if which not in (2, 3, 4):
-        raise ValueError(f"thickness index must be 2, 3 or 4, got {which}")
-
-
-def g_full(pol, stack, k_par, xi, zero_mode=None):
-    """Five-layer mode function at transverse wavenumber k and frequency i*xi.
-
-    Positive for passive media, equal to 1 when every interface vanishes,
-    and below 1 for the attractive configurations this package targets
-    (cross terms can push it slightly above 1 in exotic mu/eps orderings).
-    At xi = 0 the interface limits are taken under ``zero_mode`` (default:
-    each model's own limit).
-    """
-    return np.exp(ln_g_full(pol, stack, k_par, xi, zero_mode))
-
-
-def ln_g_full(pol, stack, k_par, xi, zero_mode=None):
-    """log of the five-layer mode function, accurate when G is close to 1."""
-    return ln_g(pol, stack.layers, stack.inner_thicknesses, k_par, xi, zero_mode)
-
-
-def g_full_thickness_derivative(pol, stack, which, k_par, xi, zero_mode=None):
-    """(G, dG/dd_which) for which in {2, 3, 4}."""
-    _require_inner(which)
-    g = g_full(pol, stack, k_par, xi, zero_mode)
-    return g, g * d_ln_g(pol, stack.layers, stack.inner_thicknesses, k_par, xi,
-                         zero_mode, which=which - 1)
-
-
-def g_two_interface(pol, bounding, gap, d, k_par, xi, zero_mode=None):
-    """Mode function of a gap layer of width d between identical half-spaces.
-
-    This is the exact d2, d3 -> infinity reduction of the five-layer form:
-    G = 1 - r**2 * exp(-2*kappa_gap*d) with r looking from the gap into
-    the bounding medium.
-    """
-    return np.exp(ln_g_two_interface(pol, bounding, gap, d, k_par, xi, zero_mode))
-
-
-def ln_g_two_interface(pol, bounding, gap, d, k_par, xi, zero_mode=None):
-    """log of the two-interface mode function, accurate when G is close to 1."""
-    return ln_g(pol, (bounding, gap, bounding), (d,), k_par, xi, zero_mode)
-
-
-def g_slab_in_medium(pol, medium, slab, d, k_par, xi, zero_mode=None):
-    """Mode function of an isolated slab of thickness d embedded in a medium.
-
-    Same algebraic form as the two-interface case with the roles swapped:
-    the decay runs through the slab and the reflection looks outward.
-    """
-    return g_two_interface(pol, medium, slab, d, k_par, xi, zero_mode=zero_mode)
-
-
-def ln_g_slab_in_medium(pol, medium, slab, d, k_par, xi, zero_mode=None):
-    """log of the isolated-slab mode function, accurate when G is close to 1."""
-    return ln_g_two_interface(pol, medium, slab, d, k_par, xi, zero_mode=zero_mode)
+def _require_inner(stack, which):
+    if which not in range(2, len(stack.layers)):
+        raise ValueError(f"thickness index must lie in 2 .. "
+                         f"{len(stack.layers) - 1}, got {which}")
 
 
 def retracted_stack(stack):
     """The stack with the middle layer replaced by the gap medium."""
-    gap = stack.layers[1]
-    layers = (stack.layers[0], gap, gap, gap, stack.layers[4])
-    return FiveLayerStack(layers, stack.d2, stack.d3, stack.d4)
+    m = len(stack.layers) // 2
+    gap = stack.layers[m - 1]
+    return Stack(stack.layers[:m - 1] + (gap,) * 3 + stack.layers[m + 2:],
+                 stack.thicknesses)
+
+
+# ---------------------------------------------------------------------------
+# one polarization of named systems: perfbench/tracing.py wraps these where
+# lifshitz, tangential and torque import them; the package calls ln_g
+
+
+def ln_g_full(pol, stack, k_par, xi, zero_mode=None):
+    """ln G of one polarization of a stack."""
+    return ln_g(stack, k_par, xi, zero_mode)[pol]
+
+
+def g_full_thickness_derivative(pol, stack, which, k_par, xi, zero_mode=None):
+    """(G, dG/dd_which) of one polarization, for 2 <= which <= N - 1."""
+    _require_inner(stack, which)
+    g = np.exp(ln_g_full(pol, stack, k_par, xi, zero_mode))
+    return g, g * d_ln_g(stack, k_par, xi, zero_mode, which=which)[pol]
+
+
+def ln_g_two_interface(pol, bounding, gap, d, k_par, xi, zero_mode=None):
+    """ln G of one polarization of a gap of width d between identical
+    half-spaces: G = 1 - r**2 * exp(-2*kappa_gap*d)."""
+    return ln_g_full(pol, Stack((bounding, gap, bounding), (d,)), k_par, xi,
+                     zero_mode)
+
+
+def ln_g_slab_in_medium(pol, medium, slab, d, k_par, xi, zero_mode=None):
+    """ln G of one polarization of a slab of thickness d in a medium: the
+    two-interface form with the decay through the slab."""
+    return ln_g_two_interface(pol, medium, slab, d, k_par, xi, zero_mode=zero_mode)

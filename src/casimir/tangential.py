@@ -1,7 +1,7 @@
 """Tangential force on a plate partially inserted between two slabs.
 
-The middle layer of a five-layer stack only partly overlaps the outer
-slabs; the lateral force per unit width pulling it further in is the
+The middle layer of a stack (the third of five) only partly overlaps the
+outer slabs; the lateral force per unit width pulling it further in is the
 difference between the inserted and the withdrawn free energies per area:
 
     F/W = -(E_full - E_retracted - E_slab)
@@ -13,12 +13,13 @@ plate alone in the gap medium. Positive values pull the plate inward.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .lifshitz import (MatsubaraConfig, QuadratureConfig, _mode_sum,
-                       energy_per_area_T, matsubara_energy)
-from .stack import require_tangential_symmetry, retracted_stack
-# perfbench/tracing.py patches this name here; nothing in this module calls it
+from .lifshitz import MatsubaraConfig, QuadratureConfig, energy_per_area_T
+from .stack import Stack, require_tangential_symmetry, retracted_stack
+# perfbench/tracing.py patches these names here; nothing in this module calls them
+from .lifshitz import matsubara_energy  # noqa: F401
 from .stack import ln_g_two_interface  # noqa: F401
 
 
@@ -38,25 +39,20 @@ class TangentialResult:
     quad: QuadratureConfig
 
 
-def _two_interface_energy(bounding, gap, d, mats, quad):
-    ln_g_sum, k_scale = _mode_sum((bounding, gap, bounding), (d,),
-                                  mats.zero_mode)
-    return matsubara_energy(ln_g_sum, mats, quad, k_scale)
-
-
 def tangential_force_general(stack, mats, quad=QuadratureConfig()):
-    """Tangential force per unit width (N/m) of a general five-layer stack.
+    """Tangential force per unit width (N/m) on the middle layer of a stack.
 
-    Requires the two gaps (layers 2 and 4) to be the same medium.
+    The stack has an odd number of layers, and the two gaps on either side
+    of the middle layer (layers 2 and 4 of five) must be the same medium.
     """
     require_tangential_symmetry(stack)
-    gap = stack.layers[1]
-    slab = stack.layers[2]
+    m = len(stack.layers) // 2
+    gap, slab = stack.layers[m - 1], stack.layers[m]
     e_full = energy_per_area_T(stack, mats, quad)
     e_retracted = energy_per_area_T(retracted_stack(stack), mats, quad)
-    # the slab term is the middle plate alone in the gap medium, which is
-    # the two-interface form with the decay through the slab
-    e_slab = _two_interface_energy(gap, slab, stack.d3, mats, quad)
+    # the slab term is the middle plate alone in the gap medium
+    e_slab = energy_per_area_T(Stack((gap, slab, gap),
+                                     (stack.thicknesses[m - 1],)), mats, quad)
     force = -(e_full.value - e_retracted.value - e_slab.value)
     return TangentialResult(force, e_full.value, e_retracted.value,
                             e_slab.value, mats, quad)
@@ -69,8 +65,9 @@ def tangential_force_reduced(bounding, gap, d4, mats, quad=QuadratureConfig()):
     two-interface system, so ideal mirrors give +pi^2*hbar*c/(720*d4^3)
     per unit width at low temperature.
     """
-    if not d4 > 0.0:
-        raise ValueError("d4 must be positive")
-    energy = _two_interface_energy(bounding, gap, d4, mats, quad)
+    if not 0.0 < d4 < math.inf:
+        raise ValueError(f"d4 must be positive and finite, got {d4}")
+    energy = energy_per_area_T(Stack((bounding, gap, bounding), (d4,)), mats,
+                               quad)
     return TangentialResult(-energy.value, energy.value, 0.0, 0.0, mats, quad)
 

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import c, hbar
 
-from .lifshitz import (QuadratureConfig, _mode_sum, energy_per_area_T,
-                       matsubara_energy)
-from .stack import FiveLayerStack
-# perfbench/tracing.py patches this name here; nothing in this module calls it
+from .lifshitz import QuadratureConfig, energy_per_area_T
+from .stack import Stack
+# perfbench/tracing.py patches these names here; nothing in this module calls them
+from .lifshitz import matsubara_energy  # noqa: F401
 from .stack import ln_g_slab_in_medium  # noqa: F401
 
 
@@ -205,18 +205,13 @@ def torque_energy_density(plate_a, plate_b, medium, d3, mats,
     ~1e-12, but dielectric plates are not (1 um plates of eps = 5 at
     d3 = 100 nm, 300 K differ from half-spaces by ~8e-4).
     """
-    stack = FiveLayerStack((medium, plate_a, medium, plate_b, medium),
-                           d2=plate_thickness, d3=d3, d4=plate_thickness)
-    e_full = energy_per_area_T(stack, mats, quad)
+    def energy(layers, thicknesses):
+        return energy_per_area_T(Stack(layers, thicknesses), mats, quad).value
 
-    def slab_energy(plate):
-        ln_g_sum, k_scale = _mode_sum((medium, plate, medium),
-                                      (plate_thickness,), mats.zero_mode)
-        return matsubara_energy(ln_g_sum, mats, quad, k_scale)
-
-    e_a = slab_energy(plate_a)
-    e_b = slab_energy(plate_b)
-    return e_full.value - e_a.value - e_b.value
+    t = plate_thickness
+    return (energy((medium, plate_a, medium, plate_b, medium), (t, d3, t))
+            - energy((medium, plate_a, medium), (t,))
+            - energy((medium, plate_b, medium), (t,)))
 
 
 def torque_energy(geom, plate_a, plate_b, medium, mats,

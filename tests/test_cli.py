@@ -153,6 +153,24 @@ def test_eps_table_temperature_override(tmp_path):
     assert ratio == pytest.approx(2.0, rel=1e-8)
 
 
+def test_eps_table_bad_grid(tmp_path, capsys):
+    for lo, hi, points in (("1e13", "1e17", "0"), ("nan", "1e17", "3"),
+                           ("1e13", "nan", "3"), ("1e13", "inf", "3"),
+                           ("0", "1e17", "3"), ("-1e13", "1e17", "3")):
+        cfg = write_cfg(tmp_path, GOLD_SECTION + f"""
+        [eps_table]
+        material = gold
+        grid = log
+        xi_min_rad_s = {lo}
+        xi_max_rad_s = {hi}
+        points = {points}
+        """)
+        out = tmp_path / "eps.csv"
+        assert main(["eps-table", "--config", cfg, "--out", str(out)]) == 1
+        assert "xi_max_rad_s < inf and points >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_eps_table_unknown_grid(tmp_path, capsys):
     cfg = write_cfg(tmp_path, """
         [eps_table]
@@ -336,6 +354,18 @@ def test_force_sweep_bad_grid(tmp_path, capsys):
         """)
         assert main(["force-sweep", "--config", cfg]) == 1
         assert "d_max_m < inf" in capsys.readouterr().err
+    for points in ("0", "-1"):
+        cfg = write_cfg(tmp_path, GOLD_SECTION + f"""
+        [force]
+        material = gold
+        d_min_m = 1e-7
+        d_max_m = 1e-6
+        points = {points}
+        """)
+        out = tmp_path / "force.csv"
+        assert main(["force-sweep", "--config", cfg, "--out", str(out)]) == 1
+        assert "[force] needs points >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +416,18 @@ def test_torque_sweep_output(tmp_path):
             assert ratio == pytest.approx(2.64e-5, rel=1e-6)
         else:
             assert 0.0 < ratio < 1.4e-5
+
+
+def test_torque_sweep_bad_grid(tmp_path, capsys):
+    cfg = torque_cfg(tmp_path)
+    text = open(cfg, encoding="utf-8").read()
+    for points in ("0", "-3"):
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(text.replace("theta_points = 8", f"theta_points = {points}"))
+        out = tmp_path / "torque.csv"
+        assert main(["torque-sweep", "--config", cfg, "--out", str(out)]) == 1
+        assert "theta_points >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_torque_sweep_narrow_plate_warning(tmp_path, capsys):

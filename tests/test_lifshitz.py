@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -10,9 +11,10 @@ from casimir.lifshitz import (EnergyPerArea, MatsubaraConfig,
                               QuadratureConfig, energy_per_area_T,
                               energy_per_area_T0, matsubara_xi,
                               normal_pressure, truncation_report)
-from casimir.materials import Drude, Plasma, Vacuum, ev_to_radps
+from casimir.materials import Constant, Drude, Plasma, Vacuum, ev_to_radps
 from casimir.quadrature import QuadratureError
-from casimir.stack import DrudeLike, FiveLayerStack, FromModel, Layer
+from casimir.stack import (DrudeLike, FiveLayerStack, FromModel, Layer, Stack,
+                           d_ln_g, ln_g)
 
 VAC = Layer(Vacuum())
 GOLD = Layer(Drude(ev_to_radps(9.0), ev_to_radps(0.035)))
@@ -144,6 +146,34 @@ def test_pressure_rejects_outer_index_before_integrating(monkeypatch):
     for which in (1, 5):
         with pytest.raises(ValueError, match="thickness index"):
             normal_pressure(halfspace_stack(GOLD, 3e-7), which, mats)
+
+
+class CountingPermittivity:
+    """A constant permittivity that counts its evaluations."""
+
+    def __init__(self, value):
+        self.value = value
+        self.calls = 0
+
+    def eps_imag_axis(self, xi):
+        self.calls += 1
+        return Constant(self.value).eps_imag_axis(xi)
+
+    def zero_limit(self):
+        return 0, self.value
+
+
+@pytest.mark.parametrize("mode", [ln_g, functools.partial(d_ln_g, which=3)],
+                         ids=["ln_g", "d_ln_g"])
+def test_one_evaluation_per_layer_per_node(mode):
+    # both polarizations come from one evaluation of each distinct layer
+    eps = [CountingPermittivity(value) for value in (2.0, 5.0, 11.0)]
+    outer, gap, plate = (Layer(e) for e in eps)
+    stack = Stack((outer, gap, plate, gap, outer), (1e-7, 2e-7, 1e-7))
+    mode_sum, _ = lifshitz._mode_sum(stack, mode=mode)
+    xi = matsubara_xi(np.arange(1, 4), 300.0)[:, None]
+    assert np.all(mode_sum(np.full((3, 22), 1e7), xi) != 0.0)
+    assert [e.calls for e in eps] == [1, 1, 1]
 
 
 def test_truncation_report():

@@ -119,7 +119,7 @@ def test_array_xi_equals_scalar_calls_bitwise(kind, model):
 @pytest.mark.parametrize("model", [Vacuum(), Constant(2.25), Drude(W_P, GAMMA),
                                    Plasma(W_P)])
 def test_array_xi_rejects_non_positive(model):
-    for bad in (0.0, -1e14):
+    for bad in (0.0, -1e14, np.nan):
         with pytest.raises(ZeroFrequencyError):
             model.eps_imag_axis(np.array([[1e14], [bad]]))
     with pytest.raises(ZeroFrequencyError):

@@ -19,8 +19,7 @@ from casimir.materials import (Constant, Drude, Permeability, Plasma, Vacuum,
                                ev_to_radps)
 from casimir.quadrature import QuadratureError, semi_infinite_integral
 from casimir.stack import (DrudeLike, FiveLayerStack, FromModel, Layer,
-                           Polarization, ln_g_full)
-from casimir.tangential import _two_interface_energy
+                           Stack, ln_g)
 
 GOLD = Layer(Drude(ev_to_radps(9.0), ev_to_radps(0.035)))
 VAC = Layer(Vacuum())
@@ -40,7 +39,7 @@ def _assert_padding(energy, n_max):
 
 def test_panels_gold_reduced_force():
     mats = MatsubaraConfig(T, n_max=500, zero_mode=DrudeLike())
-    energy = _two_interface_energy(GOLD, VAC, 1e-7, mats, QuadratureConfig())
+    energy = energy_per_area_T(Stack((GOLD, VAC, GOLD), (1e-7,)), mats)
     assert energy.panels == 1933
     assert energy.n_stop < 500
     _assert_padding(energy, 500)
@@ -48,8 +47,8 @@ def test_panels_gold_reduced_force():
 
 def test_panels_ideal_mirrors_10k():
     mats = MatsubaraConfig(10.0, n_max=3000, zero_mode=FromModel())
-    energy = _two_interface_energy(Layer(Plasma(1e20)), VAC, 1e-7, mats,
-                                   QuadratureConfig())
+    mirror = Layer(Plasma(1e20))
+    energy = energy_per_area_T(Stack((mirror, VAC, mirror), (1e-7,)), mats)
     assert energy.panels == 33713
     _assert_padding(energy, 3000)
 
@@ -173,7 +172,6 @@ def test_magnetic_stack_matches_term_by_term_sum():
     for n in range(1, energy.n_stop + 1):
         xi = matsubara_xi(n, T)
         ref = PREF * semi_infinite_integral(
-            lambda k: k * sum(ln_g_full(pol, stack, k, xi)
-                              for pol in Polarization),
+            lambda k: k * sum(ln_g(stack, k, xi).values()),
             scale=scale, rel_tol=quad.rel_tol, max_panels=quad.max_panels)
         assert energy.terms[n] == pytest.approx(ref, rel=1e-12)

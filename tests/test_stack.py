@@ -7,12 +7,11 @@ from scipy.constants import c
 from casimir.materials import (Constant, Drude, Permeability, Plasma, Vacuum,
                                ZeroFrequencyError, ev_to_radps)
 from casimir.stack import (DrudeLike, FiveLayerStack, FromModel, Layer,
-                           PlasmaLike, Polarization, StackSymmetryError,
-                           g_full, g_full_thickness_derivative,
-                           g_slab_in_medium, g_two_interface, kappa,
-                           ln_g_full, ln_g_two_interface, reflection,
-                           reflection_zero_mode, require_tangential_symmetry,
-                           retracted_stack)
+                           PlasmaLike, Polarization, Stack, StackSymmetryError,
+                           g_full_thickness_derivative, kappa, ln_g,
+                           ln_g_slab_in_medium, ln_g_two_interface,
+                           reflection, reflection_zero_mode,
+                           require_tangential_symmetry, retracted_stack)
 
 W_P = ev_to_radps(9.0)
 GAMMA = ev_to_radps(0.035)
@@ -29,6 +28,15 @@ def random_stack(rng):
                      Permeability(float(rng.uniform(0.5, 3.0))))
     ds = rng.uniform(5e-8, 5e-7, size=3)
     return FiveLayerStack(tuple(layer() for _ in range(5)), *map(float, ds))
+
+
+def g(stack, k, xi, zero_mode=None):
+    """The mode function G of each polarization."""
+    return {pol: np.exp(v) for pol, v in ln_g(stack, k, xi, zero_mode).items()}
+
+
+def two_interface(bounding, gap, d):
+    return Stack((bounding, gap, bounding), (d,))
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +129,8 @@ def test_reflection_zero_mode_values():
 
 def test_g_full_identical_layers():
     stack = FiveLayerStack((VAC,) * 5, 1e-7, 1e-7, 1e-7)
-    assert g_full(Polarization.BETA, stack, 1e6, 1e15) == 1.0
-    assert g_full(Polarization.ALPHA, stack, 1e6, 0.0) == 1.0
+    assert g(stack, 1e6, 1e15)[Polarization.BETA] == 1.0
+    assert g(stack, 1e6, 0.0)[Polarization.ALPHA] == 1.0
 
 
 def test_g_full_middle_plate_absent():
@@ -131,8 +139,8 @@ def test_g_full_middle_plate_absent():
     xi = 1e15
     for pol in Polarization:
         for k in (1e5, 1e6, 5e6):
-            a = g_full(pol, stack, k, xi)
-            b = g_two_interface(pol, MIRROR, VAC, 1.2e-6, k, xi)
+            a = g(stack, k, xi)[pol]
+            b = g(two_interface(MIRROR, VAC, 1.2e-6), k, xi)[pol]
             assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -142,7 +150,7 @@ def test_g_full_hand_recomposition():
         stack = random_stack(rng)
         k = float(rng.uniform(1e5, 1e7))
         xi = float(rng.uniform(1e13, 1e16))
-        d2, d3, d4 = stack.inner_thicknesses
+        d2, d3, d4 = stack.thicknesses
         for pol in Polarization:
             lay = stack.layers
             r = {}
@@ -159,7 +167,7 @@ def test_g_full_hand_recomposition():
                     - r[(3, -1)] * r[(4, +1)] * e[3] * e[4]
                     + r[(2, -1)] * r[(2, +1)] * r[(4, -1)] * r[(4, +1)] * e[2] * e[4]
                     - r[(2, -1)] * r[(4, +1)] * e[2] * e[3] * e[4])
-            assert g_full(pol, stack, k, xi) == pytest.approx(hand, rel=1e-14)
+            assert g(stack, k, xi)[pol] == pytest.approx(hand, rel=1e-14)
 
 
 def test_g_full_positive():
@@ -169,7 +177,7 @@ def test_g_full_positive():
         k = float(rng.uniform(1e4, 1e8))
         xi = float(rng.uniform(1e12, 1e16))
         for pol in Polarization:
-            assert g_full(pol, stack, k, xi) > 0.0
+            assert g(stack, k, xi)[pol] > 0.0
 
 
 def test_g_full_unit_interval_on_material_stacks():
@@ -184,17 +192,18 @@ def test_g_full_unit_interval_on_material_stacks():
         stack = FiveLayerStack(layers, *ds)
         k = float(rng.uniform(1e4, 1e8))
         xi = float(rng.uniform(1e12, 1e16))
-        for pol in Polarization:
-            g = g_full(pol, stack, k, xi)
-            assert 0.0 < g <= 1.0
+        for value in g(stack, k, xi).values():
+            assert 0.0 < value <= 1.0
 
 
 def test_ln_g_matches_log_of_g():
-    stack = FiveLayerStack((GOLD, VAC, GOLD, VAC, GOLD), 2e-7, 2e-7, 2e-7)
-    k, xi = 2e6, 8e14
+    # the two-interface closed form G = 1 - r**2 * exp(-2*kappa_gap*d)
+    d, k, xi = 2e-7, 2e6, 8e14
+    e = math.exp(-2.0 * kappa(VAC, k, xi) * d)
+    lng = ln_g(two_interface(GOLD, VAC, d), k, xi)
     for pol in Polarization:
-        assert ln_g_full(pol, stack, k, xi) == pytest.approx(
-            math.log(g_full(pol, stack, k, xi)), rel=1e-12)
+        r = reflection(pol, VAC, GOLD, k, xi)
+        assert lng[pol] == pytest.approx(math.log(1.0 - r * r * e), rel=1e-12)
 
 
 def test_ln_g_small_argument_precision():
@@ -202,13 +211,13 @@ def test_ln_g_small_argument_precision():
     stack = FiveLayerStack((GOLD, VAC, GOLD, VAC, GOLD), 1e-6, 1e-6, 1e-6)
     xi = 3e16
     k = 1e5
-    val = ln_g_full(Polarization.BETA, stack, k, xi)
+    val = ln_g(stack, k, xi)[Polarization.BETA]
     assert val != 0.0
     assert abs(val) < 1e-10
 
 
 def test_g_two_interface_identical():
-    assert g_two_interface(Polarization.BETA, VAC, VAC, 1e-7, 1e6, 1e15) == 1.0
+    assert g(two_interface(VAC, VAC, 1e-7), 1e6, 1e15)[Polarization.BETA] == 1.0
 
 
 def test_g_two_interface_half_decay():
@@ -217,8 +226,8 @@ def test_g_two_interface_half_decay():
     k = 2e6
     kap = math.sqrt(k ** 2 + (xi / c) ** 2)
     d = math.log(2.0) / (2.0 * kap)
-    g = g_two_interface(Polarization.BETA, MIRROR, VAC, d, k, xi)
-    assert g == pytest.approx(0.5, rel=1e-5)
+    value = g(two_interface(MIRROR, VAC, d), k, xi)[Polarization.BETA]
+    assert value == pytest.approx(0.5, rel=1e-5)
 
 
 def test_g_two_interface_matches_deep_stack():
@@ -227,23 +236,24 @@ def test_g_two_interface_matches_deep_stack():
     xi = XI1_300K
     for pol in Polarization:
         for k in (0.5 / d4, 1.0 / d4, 2.0 / d4):
-            a = g_full(pol, stack, k, xi)
-            b = g_two_interface(pol, GOLD, VAC, d4, k, xi)
+            a = g(stack, k, xi)[pol]
+            b = g(two_interface(GOLD, VAC, d4), k, xi)[pol]
             assert a == pytest.approx(b, rel=1e-10)
 
 
 def test_g_slab_role_swap():
     xi, k, d = XI1_300K, 1e7, 1e-7
+    lng = ln_g(two_interface(VAC, GOLD, d), k, xi)
     for pol in Polarization:
-        assert g_slab_in_medium(pol, VAC, GOLD, d, k, xi) == \
-            g_two_interface(pol, VAC, GOLD, d, k, xi)
+        assert ln_g_slab_in_medium(pol, VAC, GOLD, d, k, xi) == lng[pol]
+        assert ln_g_two_interface(pol, VAC, GOLD, d, k, xi) == lng[pol]
 
 
 def test_g_slab_deviation_decreasing_in_thickness():
     # the slab's effect 1 - G decays monotonically with its thickness
     xi = XI1_300K
     k = 1.0 / 1e-7
-    vals = [g_slab_in_medium(Polarization.BETA, VAC, GOLD, d, k, xi)
+    vals = [g(two_interface(VAC, GOLD, d), k, xi)[Polarization.BETA]
             for d in np.linspace(5e-8, 3e-7, 5)]
     assert all(0.0 < v < 1.0 for v in vals)
     deviations = [1.0 - v for v in vals]
@@ -254,13 +264,11 @@ def test_zero_mode_g_full():
     stack = FiveLayerStack((GOLD, VAC, GOLD, VAC, GOLD), 2e-7, 2e-7, 2e-7)
     k = 2e6
     # DrudeLike kills every alpha reflection at metal interfaces
-    assert g_full(Polarization.ALPHA, stack, k, 0.0, zero_mode=DrudeLike()) == 1.0
-    g_beta = g_full(Polarization.BETA, stack, k, 0.0, zero_mode=DrudeLike())
-    assert 0.0 < g_beta < 1.0
+    drude = g(stack, k, 0.0, zero_mode=DrudeLike())
+    assert drude[Polarization.ALPHA] == 1.0
+    assert 0.0 < drude[Polarization.BETA] < 1.0
     # PlasmaLike restores an alpha contribution
-    g_alpha_p = g_full(Polarization.ALPHA, stack, k, 0.0,
-                       zero_mode=PlasmaLike(W_P))
-    assert g_alpha_p < 1.0
+    assert g(stack, k, 0.0, zero_mode=PlasmaLike(W_P))[Polarization.ALPHA] < 1.0
 
 
 def test_thickness_derivative_matches_finite_difference():
@@ -268,15 +276,13 @@ def test_thickness_derivative_matches_finite_difference():
     k, xi = 3e6, XI1_300K
     h = 1e-11
     for pol in Polarization:
-        for which, d in zip((2, 3, 4), stack.inner_thicknesses):
+        for which in (2, 3, 4):
             _, dg = g_full_thickness_derivative(pol, stack, which, k, xi)
-            ds = dict(d2=stack.d2, d3=stack.d3, d4=stack.d4)
-            up = dict(ds)
-            dn = dict(ds)
-            up[f"d{which}"] += h
-            dn[f"d{which}"] -= h
-            fd = (g_full(pol, FiveLayerStack(stack.layers, **up), k, xi)
-                  - g_full(pol, FiveLayerStack(stack.layers, **dn), k, xi)) / (2 * h)
+            up, dn = list(stack.thicknesses), list(stack.thicknesses)
+            up[which - 2] += h
+            dn[which - 2] -= h
+            fd = (g(Stack(stack.layers, up), k, xi)[pol]
+                  - g(Stack(stack.layers, dn), k, xi)[pol]) / (2 * h)
             assert dg == pytest.approx(fd, rel=1e-6)
 
 
@@ -286,18 +292,20 @@ def test_thickness_derivative_zero_mode():
     h = 1e-11
     g0, dg = g_full_thickness_derivative(Polarization.BETA, stack, 4, k, 0.0,
                                          zero_mode=DrudeLike())
-    up = FiveLayerStack(stack.layers, stack.d2, stack.d3, stack.d4 + h)
-    dn = FiveLayerStack(stack.layers, stack.d2, stack.d3, stack.d4 - h)
-    fd = (g_full(Polarization.BETA, up, k, 0.0, zero_mode=DrudeLike())
-          - g_full(Polarization.BETA, dn, k, 0.0, zero_mode=DrudeLike())) / (2 * h)
+    d2, d3, d4 = stack.thicknesses
+    up = FiveLayerStack(stack.layers, d2, d3, d4 + h)
+    dn = FiveLayerStack(stack.layers, d2, d3=d3, d4=d4 - h)
+    fd = (g(up, k, 0.0, zero_mode=DrudeLike())[Polarization.BETA]
+          - g(dn, k, 0.0, zero_mode=DrudeLike())[Polarization.BETA]) / (2 * h)
     assert dg == pytest.approx(fd, rel=1e-6)
     assert 0.0 < g0 < 1.0
 
 
 def test_thickness_derivative_invalid_index():
     stack = FiveLayerStack((GOLD, VAC, GOLD, VAC, GOLD), 2e-7, 2e-7, 2e-7)
-    with pytest.raises(ValueError):
-        g_full_thickness_derivative(Polarization.BETA, stack, 1, 1e6, 1e15)
+    for which in (1, 5, 2.5):
+        with pytest.raises(ValueError, match="2 .. 4"):
+            g_full_thickness_derivative(Polarization.BETA, stack, which, 1e6, 1e15)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +319,14 @@ def test_stack_validation():
         FiveLayerStack((VAC,) * 5, 0.0, 1e-7, 1e-7)
     with pytest.raises(ValueError):
         FiveLayerStack((VAC,) * 5, 1e-7, math.inf, 1e-7)
+    for layers, thicknesses in (((VAC,) * 2, ()), ((VAC,) * 4, (1e-7,)),
+                                ((VAC,) * 6, (1e-7,) * 3)):
+        with pytest.raises(ValueError, match="N - 2 thicknesses"):
+            Stack(layers, thicknesses)
+    with pytest.raises(ValueError, match="d5 must be positive"):
+        Stack((VAC,) * 6, (1e-7, 1e-7, 1e-7, math.nan))
+    six = Stack([VAC] * 6, [1e-7] * 4)
+    assert six.layers == (VAC,) * 6 and six.thicknesses == (1e-7,) * 4
 
 
 def test_tangential_symmetry():
@@ -325,6 +341,8 @@ def test_tangential_symmetry():
         1e-7, 1e-7, 1e-7)
     with pytest.raises(StackSymmetryError):
         require_tangential_symmetry(bad_mu)
+    with pytest.raises(StackSymmetryError, match="no middle layer"):
+        require_tangential_symmetry(Stack((GOLD, VAC, VAC, GOLD), (1e-7,) * 2))
 
 
 def test_retracted_stack():
@@ -332,4 +350,7 @@ def test_retracted_stack():
     ret = retracted_stack(stack)
     assert ret.layers[2] == VAC
     assert ret.layers[0] == GOLD and ret.layers[4] == GOLD
-    assert ret.inner_thicknesses == stack.inner_thicknesses
+    assert ret.thicknesses == stack.thicknesses
+    seven = Stack((VAC, GOLD, MIRROR, GOLD, MIRROR, GOLD, VAC), (1e-7,) * 5)
+    assert retracted_stack(seven).layers == (VAC, GOLD, MIRROR, MIRROR,
+                                             MIRROR, GOLD, VAC)

@@ -1,7 +1,7 @@
 """Properties of the layered-stack mode functions that hold for any valid input.
 
 Random stacks of Drude, constant-permittivity and vacuum layers, each with a
-random permeability, with three or five layers, at xi > 0 and at xi = 0 under
+random permeability, with three to six layers, at xi > 0 and at xi = 0 under
 every zero-mode prescription. Layers are drawn from a small pool, so a stack
 may repeat a layer object (as the package's own stacks do) or hold equal but
 distinct ones.
@@ -12,9 +12,11 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from casimir.lifshitz import (MatsubaraConfig, QuadratureConfig,
+                              energy_per_area_T, normal_pressure)
 from casimir.materials import Constant, Drude, Permeability, Vacuum
 from casimir.stack import (DrudeLike, FromModel, Layer, PlasmaLike,
-                           Polarization, _interfaces, d_ln_g, ln_g,
+                           Polarization, Stack, _interfaces, d_ln_g, ln_g,
                            reflection)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
@@ -36,35 +38,44 @@ wavenumbers = st.lists(st.floats(1e5, 1e8), min_size=1, max_size=4)
 
 @st.composite
 def systems(draw):
-    """(layers, thicknesses, k, xi, zero mode) of a 3- or 5-layer stack."""
-    n = draw(st.sampled_from([3, 5]))
+    """(stack, k, xi, zero mode) of a random Stack of 3 to 6 layers."""
+    n = draw(st.sampled_from([3, 4, 5, 6]))
     pool = draw(st.lists(layers, min_size=1, max_size=3))
-    stack = tuple(draw(st.sampled_from(pool)) for _ in range(n))
-    thicknesses = tuple(draw(st.floats(1e-8, 1e-6)) for _ in range(n - 2))
+    stack = Stack(tuple(draw(st.sampled_from(pool)) for _ in range(n)),
+                  tuple(draw(st.floats(1e-8, 1e-6)) for _ in range(n - 2)))
     k = np.array(draw(wavenumbers))
-    return stack, thicknesses, k, draw(frequencies), draw(zero_modes)
+    return stack, k, draw(frequencies), draw(zero_modes)
+
+
+def _with_thickness(stack, which, step):
+    """The stack with d_which changed by ``step``."""
+    ds = list(stack.thicknesses)
+    ds[which - 2] += step
+    return Stack(stack.layers, ds)
 
 
 @PROPERTY
 @given(systems(), st.booleans())
 def test_uniform_stack_has_no_interaction(system, copies):
-    stack, thicknesses, k, xi, zero_mode = system
+    stack, k, xi, zero_mode = system
     # one layer object throughout, or equal copies evaluated separately
-    uniform = tuple(Layer(stack[0].eps, stack[0].mu) if copies else stack[0]
-                    for _ in stack)
-    for pol in Polarization:
-        values = ln_g(pol, uniform, thicknesses, k, xi, zero_mode)
+    first = stack.layers[0]
+    uniform = Stack(tuple(Layer(first.eps, first.mu) if copies else first
+                          for _ in stack.layers), stack.thicknesses)
+    for values in ln_g(uniform, k, xi, zero_mode).values():
         assert np.all(values == 0.0)
 
 
 @PROPERTY
 @given(systems())
 def test_mirrored_stack_has_the_same_mode_function(system):
-    stack, thicknesses, k, xi, zero_mode = system
+    stack, k, xi, zero_mode = system
+    direct = ln_g(stack, k, xi, zero_mode)
+    mirrored = ln_g(Stack(stack.layers[::-1], stack.thicknesses[::-1]), k, xi,
+                    zero_mode)
     for pol in Polarization:
-        direct = ln_g(pol, stack, thicknesses, k, xi, zero_mode)
-        mirrored = ln_g(pol, stack[::-1], thicknesses[::-1], k, xi, zero_mode)
-        np.testing.assert_allclose(mirrored, direct, rtol=1e-9, atol=1e-14)
+        np.testing.assert_allclose(mirrored[pol], direct[pol], rtol=1e-9,
+                                   atol=1e-14)
 
 
 @PROPERTY
@@ -74,7 +85,7 @@ def test_swapping_the_layers_flips_the_sign_of_r(lower, upper, k, xi,
     def r(pol, a, b):
         if xi == 0.0:
             # the one interface of a two-layer system under the zero mode
-            return _interfaces(pol, (a, b), np.array(k), xi, zero_mode)[1][0]
+            return _interfaces((a, b), np.array(k), xi, zero_mode)[1][pol][0]
         return reflection(pol, a, b, np.array(k), xi)
 
     # the numerator is negated exactly and the denominator commutes
@@ -85,27 +96,46 @@ def test_swapping_the_layers_flips_the_sign_of_r(lower, upper, k, xi,
 @PROPERTY
 @given(systems())
 def test_ln_g_is_finite(system):
-    stack, thicknesses, k, xi, zero_mode = system
-    for pol in Polarization:
-        assert np.all(np.isfinite(ln_g(pol, stack, thicknesses, k, xi,
-                                       zero_mode)))
+    # G > 0: every factor 1 - R*r*e of the product is positive, unclamped
+    stack, k, xi, zero_mode = system
+    for values in ln_g(stack, k, xi, zero_mode).values():
+        assert np.all(np.isfinite(values))
 
 
 @PROPERTY
 @given(systems(), st.data())
 def test_thickness_derivative_matches_central_difference(system, data):
-    stack, thicknesses, k, xi, zero_mode = system
-    which = data.draw(st.integers(1, len(thicknesses)))
-    h = 1e-6 * thicknesses[which - 1]
+    stack, k, xi, zero_mode = system
+    which = data.draw(st.integers(2, len(stack.layers) - 1))
+    h = 1e-6 * stack.thicknesses[which - 2]
 
     def shifted(step):
-        ds = list(thicknesses)
-        ds[which - 1] += step
-        return ln_g(pol, stack, tuple(ds), k, xi, zero_mode)
+        return ln_g(_with_thickness(stack, which, step), k, xi, zero_mode)
 
+    exact = d_ln_g(stack, k, xi, zero_mode, which=which)
     for pol in Polarization:
-        exact = d_ln_g(pol, stack, thicknesses, k, xi, zero_mode, which=which)
-        fd = (shifted(h) - shifted(-h)) / (2.0 * h)
+        fd = (shifted(h)[pol] - shifted(-h)[pol]) / (2.0 * h)
         # O(h**2) truncation plus the rounding of ln G, about eps*|ln G| / h
-        noise = np.finfo(float).eps * np.abs(shifted(0.0)) / h
-        assert np.all(np.abs(fd - exact) <= 1e-5 * np.abs(exact) + 16.0 * noise)
+        noise = np.finfo(float).eps * np.abs(shifted(0.0)[pol]) / h
+        assert np.all(np.abs(fd - exact[pol])
+                      <= 1e-5 * np.abs(exact[pol]) + 16.0 * noise)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(systems(), st.data())
+def test_normal_pressure_is_minus_the_energy_derivative(system, data):
+    stack, _, _, zero_mode = system
+    which = data.draw(st.integers(2, len(stack.layers) - 1))
+    d = stack.thicknesses[which - 2]
+    h = 1e-4 * d
+    mats = MatsubaraConfig(300.0, n_max=4, zero_mode=zero_mode)
+    quad = QuadratureConfig(rel_tol=1e-10)
+
+    def energy(step):
+        return energy_per_area_T(_with_thickness(stack, which, step), mats,
+                                 quad).value
+
+    fd = -(energy(h) - energy(-h)) / (2.0 * h)
+    exact = normal_pressure(stack, which, mats, quad)
+    # O(h**2) truncation, plus the quadrature error of E over h
+    assert abs(fd - exact) <= 1e-5 * (abs(exact) + abs(energy(0.0)) / d)

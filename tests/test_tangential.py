@@ -9,7 +9,7 @@ from casimir.materials import (Constant, Drude, DrudeTail, Plasma, Tabulated,
                                Vacuum, drude_synthetic_table, ev_to_radps,
                                fit_power_tail)
 from casimir.stack import (DrudeLike, FiveLayerStack, FromModel, Layer,
-                           PlasmaLike, StackSymmetryError)
+                           PlasmaLike, Stack, StackSymmetryError)
 from casimir.tangential import (tangential_force_general,
                                 tangential_force_reduced)
 
@@ -49,8 +49,9 @@ def test_reduced_identical_media():
 
 
 def test_reduced_validation():
-    with pytest.raises(ValueError):
-        tangential_force_reduced(GOLD, VAC, 0.0, MatsubaraConfig(300.0, 10))
+    for d4 in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="d4 must be positive and finite"):
+            tangential_force_reduced(GOLD, VAC, d4, MatsubaraConfig(300.0, 10))
 
 
 def test_result_component_invariant():
@@ -82,6 +83,17 @@ def test_general_without_outer_slabs_is_zero():
     res = tangential_force_general(stack, mats)
     assert res.energy_retracted == 0.0
     assert res.force_per_width == pytest.approx(0.0, abs=1e-9 * abs(res.energy_slab))
+
+
+def test_general_on_a_seven_layer_stack():
+    # gold layers against the gold half-spaces reflect nothing, so the
+    # seven-layer stack is the five-layer one written with two more layers
+    mats = MatsubaraConfig(300.0, n_max=80, zero_mode=DrudeLike())
+    five = FiveLayerStack((GOLD, VAC, GOLD, VAC, GOLD), 2e-7, 1e-7, 1.5e-7)
+    seven = Stack((GOLD, GOLD, VAC, GOLD, VAC, GOLD, GOLD),
+                  (1e-7, 2e-7, 1e-7, 1.5e-7, 1e-7))
+    assert tangential_force_general(seven, mats) == \
+        tangential_force_general(five, mats)
 
 
 def test_general_matches_reduced_in_deep_limit():
