@@ -21,8 +21,8 @@ import sys
 
 import numpy as np
 
-from .config import (ConfigError, _resolve_path, build_layer, build_matsubara,
-                     build_quadrature, build_stack, get, read_config)
+from .config import (ConfigError, build_layer, build_matsubara, build_quadrature,
+                     build_stack, get, matsubara_grid, read_config)
 from .lifshitz import MatsubaraConfig, matsubara_xi, truncation_report
 from .materials import (DataFileError, Tabulated, fit_power_tail,
                         load_optical_data)
@@ -86,8 +86,7 @@ def cmd_eps_table(args):
     metadata = [("material", name), ("model", _material_label(layer)),
                 ("grid", grid)]
     if grid == "matsubara":
-        mats, _ = build_matsubara(cfg, [layer], args.zero_mode, args.n_max,
-                                  args.temperature_k)
+        mats = matsubara_grid(cfg, args.n_max, args.temperature_k)
         metadata += [("temperature_k", mats.temperature), ("n_max", mats.n_max)]
         columns = ["n", "xi_rad_s", "eps"]
         ns = np.arange(1, mats.n_max + 1)
@@ -282,7 +281,7 @@ def cmd_convergence(args):
 
 def cmd_validate_data(args):
     cfg = read_config(args.config)
-    path = _resolve_path(cfg, get(cfg, "data", "path", str))
+    path = cfg.resolve(get(cfg, "data", "path", str))
     lines = []
     failed = False
     try:

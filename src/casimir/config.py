@@ -25,38 +25,47 @@ class ConfigError(ValueError):
 _REQUIRED = object()
 
 
+class RunConfig(configparser.ConfigParser):
+    """One INI file's sections; ``resolve`` reads relative paths from its directory."""
+
+    def __init__(self, path):
+        super().__init__(interpolation=None)
+        self.base_dir = os.path.dirname(os.path.abspath(path))
+        self.read(path, encoding="utf-8")
+
+    def resolve(self, path):
+        return os.path.join(self.base_dir, path)
+
+
 def read_config(path):
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    cfg = configparser.ConfigParser(interpolation=None)
     try:
-        cfg.read(path, encoding="utf-8")
+        return RunConfig(path)
     except configparser.Error as err:
         raise ConfigError(f"{path}: {err}") from err
-    cfg._base_dir = os.path.dirname(os.path.abspath(path))
-    return cfg
+
+
+def _checked(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with its ValueError raised as a ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 def get(cfg, section, key, cast=str, default=_REQUIRED):
-    if not cfg.has_section(section):
-        if default is _REQUIRED:
-            raise ConfigError(f"missing config section [{section}]")
-        return default
     if not cfg.has_option(section, key):
-        if default is _REQUIRED:
-            raise ConfigError(f"missing key '{key}' in section [{section}]")
-        return default
+        if default is not _REQUIRED:
+            return default
+        if not cfg.has_section(section):
+            raise ConfigError(f"missing config section [{section}]")
+        raise ConfigError(f"missing key '{key}' in section [{section}]")
     raw = cfg.get(section, key).strip()
     try:
         return cast(raw)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {err}") from err
-
-
-def _resolve_path(cfg, path):
-    if os.path.isabs(path):
-        return path
-    return os.path.join(getattr(cfg, "_base_dir", "."), path)
 
 
 def build_layer(cfg, name):
@@ -78,21 +87,18 @@ def build_layer(cfg, name):
     if model == "plasma":
         return Layer(Plasma(ev_to_radps(get(cfg, section, "omega_p_ev", float))), mu)
     if model == "tabulated":
-        path = _resolve_path(cfg, get(cfg, section, "data_path", str))
+        path = cfg.resolve(get(cfg, section, "data_path", str))
         table = load_optical_data(path, source_label=os.path.basename(path))
         merge_path = get(cfg, section, "merge_data_path", str, None)
         if merge_path is not None:
             cutoff = get(cfg, section, "merge_below_ev", float)
-            other = load_optical_data(_resolve_path(cfg, merge_path),
+            other = load_optical_data(cfg.resolve(merge_path),
                                       source_label=os.path.basename(merge_path))
             table = table.replace_below(other, cutoff)
         omega_p_ev = get(cfg, section, "omega_p_ev", float, None)
-        low_tail = None
-        if omega_p_ev is not None:
-            join = get(cfg, section, "join_energy_ev", float, table.e_min_ev)
-            low_tail = DrudeTail(ev_to_radps(omega_p_ev),
-                                 ev_to_radps(get(cfg, section, "gamma_ev", float)),
-                                 join)
+        low_tail = None if omega_p_ev is None else DrudeTail(
+            ev_to_radps(omega_p_ev), ev_to_radps(get(cfg, section, "gamma_ev", float)),
+            get(cfg, section, "join_energy_ev", float, table.e_min_ev))
         return Layer(Tabulated(table, low_tail, fit_power_tail(table)), mu)
     raise ConfigError(f"[{section}] unknown model '{model}'")
 
@@ -100,13 +106,8 @@ def build_layer(cfg, name):
 def build_stack(cfg):
     layers = tuple(build_layer(cfg, get(cfg, "stack", f"layer{i}", str))
                    for i in range(1, 6))
-    try:
-        return FiveLayerStack(layers,
-                              d2=get(cfg, "stack", "d2_m", float),
-                              d3=get(cfg, "stack", "d3_m", float),
-                              d4=get(cfg, "stack", "d4_m", float))
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    return _checked(FiveLayerStack, layers,
+                    *(get(cfg, "stack", f"d{i}_m", float) for i in (2, 3, 4)))
 
 
 def resolve_zero_mode(name, cfg, candidate_layers):
@@ -121,8 +122,7 @@ def resolve_zero_mode(name, cfg, candidate_layers):
     omega_p_ev = get(cfg, "matsubara", "omega_p_ev", float, None)
     if omega_p_ev is not None:
         return PlasmaLike(ev_to_radps(omega_p_ev))
-    implied = {plasma_frequency_of(layer.eps) for layer in candidate_layers}
-    implied.discard(None)
+    implied = {plasma_frequency_of(layer.eps) for layer in candidate_layers} - {None}
     if len(implied) == 1:
         return PlasmaLike(implied.pop())
     if not implied:
@@ -132,25 +132,25 @@ def resolve_zero_mode(name, cfg, candidate_layers):
                       "different plasma frequencies; set omega_p_ev explicitly")
 
 
-def build_matsubara(cfg, candidate_layers, zero_mode_override=None,
-                    n_max_override=None, temperature_override=None):
+def matsubara_grid(cfg, n_max_override=None, temperature_override=None):
+    """[matsubara] temperature and n_max, checked; its zero mode is unread."""
     temperature = temperature_override if temperature_override is not None \
         else get(cfg, "matsubara", "temperature_k", float, 300.0)
     n_max = n_max_override if n_max_override is not None \
         else get(cfg, "matsubara", "n_max", int, 500)
+    return _checked(MatsubaraConfig, temperature, n_max=n_max)
+
+
+def build_matsubara(cfg, candidate_layers, zero_mode_override=None,
+                    n_max_override=None, temperature_override=None):
+    grid = matsubara_grid(cfg, n_max_override, temperature_override)
     name = zero_mode_override if zero_mode_override is not None \
         else get(cfg, "matsubara", "zero_mode", str, "drude")
     zero_mode = resolve_zero_mode(name, cfg, candidate_layers)
-    try:
-        return MatsubaraConfig(temperature, n_max=n_max, zero_mode=zero_mode), name.lower()
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    return MatsubaraConfig(grid.temperature, grid.n_max, zero_mode), name.lower()
 
 
 def build_quadrature(cfg, default_rel_tol=1e-9):
-    try:
-        return QuadratureConfig(
-            rel_tol=get(cfg, "quadrature", "rel_tol", float, default_rel_tol),
-            max_panels=get(cfg, "quadrature", "max_panels", int, 512))
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    return _checked(QuadratureConfig,
+                    rel_tol=get(cfg, "quadrature", "rel_tol", float, default_rel_tol),
+                    max_panels=get(cfg, "quadrature", "max_panels", int, 512))

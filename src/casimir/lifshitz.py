@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import Boltzmann as k_B, c, hbar
 
+from .constants import c, hbar, k_B
 from .quadrature import (_CHUNK, QuadratureError, semi_infinite_integral,
                          semi_infinite_rows)
 from .stack import FromModel, _require_inner, d_ln_g, ln_g

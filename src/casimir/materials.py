@@ -18,8 +18,8 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c, e as _ELEMENTARY_CHARGE, hbar
 
+from .constants import e as _ELEMENTARY_CHARGE, hbar
 # adaptive_integral stays a name here: perfbench/tracing.py patches it
 from .quadrature import (_CHUNK, _GL15_W, _GL7_W, _NODES, _NOISE_FLOOR,
                          QuadratureError, _adaptive_rows, adaptive_integral)
@@ -411,8 +411,11 @@ def _drude_tail_integral(omega_p, gamma, w_hi, xi):
                 + math.atan(w_hi / g) / (2.0 * g ** 3))
 
 
-def _power_tail_integral(tail, w_max, xi, rel_tol, max_panels):
-    """int_{w_max}^inf w*eps''_tail(w) / (w**2 + xi**2) dw, one row per xi."""
+def _power_tail_integral(tail, w_max, xi, rel_tol):
+    """int_{w_max}^inf w*eps''_tail(w) / (w**2 + xi**2) dw, one row per xi.
+
+    Each row may bisect into at most 512 panels, the engine's default budget.
+    """
     out = np.zeros(xi.size)
     if tail is None or tail.amplitude == 0.0:
         return out
@@ -423,7 +426,7 @@ def _power_tail_integral(tail, w_max, xi, rel_tol, max_panels):
             return (amp * w_max ** 2 * t ** (p - 1.0)
                     / (w_max ** 2 + (col[rows] * t) ** 2))
         out[start:start + _CHUNK], _, failures = _adaptive_rows(
-            f, 0.0, 1.0, np.arange(col.size), rel_tol, max_panels, _NOISE_FLOOR)
+            f, 0.0, 1.0, np.arange(col.size), rel_tol, 512, _NOISE_FLOOR)
         if failures:
             raise failures[min(failures)]
     return out
@@ -469,7 +472,7 @@ def _data_band_integral(table, xi, rel_tol, max_rounds=24):
         f"Kramers-Kronig data-band integral did not converge to rel_tol={rel_tol:g}")
 
 
-def kk_transform(table, low_tail, high_tail, xi, rel_tol=1e-6, max_panels=512):
+def kk_transform(table, low_tail, high_tail, xi, rel_tol=1e-6):
     """Permittivity on the imaginary axis from tabulated absorption data.
 
     eps(i*xi) = 1 + (2/pi) * int_0^inf w * eps''(w) / (w**2 + xi**2) dw,
@@ -492,7 +495,7 @@ def kk_transform(table, low_tail, high_tail, xi, rel_tol=1e-6, max_panels=512):
     if low_tail is not None:
         lo = min(lo, ev_to_radps(low_tail.join_energy_ev))
     tails = _power_tail_integral(high_tail, table.omegas[-1], xis.ravel(),
-                                 rel_tol, max_panels)
+                                 rel_tol)
     out = []
     for x, tail in zip(xis.ravel().tolist(), tails.tolist()):
         total = 0.0 if low_tail is None else _drude_tail_integral(
@@ -508,16 +511,14 @@ class Tabulated:
     Evaluations are cached per xi value, so Matsubara sweeps touching the
     same frequency grid pay the transform cost once per material.
     ``eps_imag_axis`` takes a scalar or an array of frequencies and
-    transforms all of its cache misses in one :func:`kk_transform` call.
+    transforms all of its cache misses in one :func:`kk_transform` call,
+    at that function's default tolerance.
     """
 
-    def __init__(self, table, low_tail=None, high_tail=None,
-                 rel_tol=1e-6, max_panels=512):
+    def __init__(self, table, low_tail=None, high_tail=None):
         self.table = table
         self.low_tail = low_tail
         self.high_tail = high_tail
-        self.rel_tol = rel_tol
-        self.max_panels = max_panels
         self._cache = {}
 
     def eps_imag_axis(self, xi):
@@ -525,8 +526,7 @@ class Tabulated:
         missing = list(dict.fromkeys(x for x in keys if x not in self._cache))
         if missing:
             values = kk_transform(self.table, self.low_tail, self.high_tail,
-                                  np.array(missing), rel_tol=self.rel_tol,
-                                  max_panels=self.max_panels)
+                                  np.array(missing))
             self._cache.update(zip(missing, values.tolist()))
         if np.ndim(xi) == 0:
             return self._cache[keys[0]]
@@ -540,8 +540,7 @@ class Tabulated:
     @functools.cached_property
     def _static_eps(self):
         # eps(0) without the low tail: a full transform, so computed once
-        return kk_transform(self.table, None, self.high_tail, 0.0,
-                            rel_tol=self.rel_tol, max_panels=self.max_panels)
+        return kk_transform(self.table, None, self.high_tail, 0.0)
 
     def __eq__(self, other):
         if not isinstance(other, Tabulated):

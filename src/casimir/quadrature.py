@@ -1,12 +1,12 @@
 """Deterministic adaptive Gauss-Legendre quadrature.
 
-All integrals in this package run through one row-batched engine so that
-results are reproducible bit for bit: panel subdivision depends only on the
-integrand values, never on timing or iteration order. The engine integrates
-R independent integrands (rows, such as one per Matsubara frequency) in
-lockstep. Each step makes one vectorized integrand call on a
-(live rows, points) array, and every row follows exactly the panel sequence
-of a scalar worst-panel-first bisection. ``adaptive_integral`` and
+The k- and frequency integrals and the KK power tail share one row-batched
+engine; the KK data band bisects in ``materials`` and its Drude tail is a
+closed form. Subdivision depends only on integrand values, never on timing
+or order, so results are reproducible bit for bit. R integrands (rows, say
+one per Matsubara frequency) run in lockstep: each step makes one vectorized
+call on a (live rows, points) array, and every row follows exactly the panel
+sequence of a scalar worst-panel-first bisection. ``adaptive_integral`` and
 ``semi_infinite_integral`` are its one-row case.
 """
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.constants import c
 
+from .constants import c
 from .materials import Permeability, Plasma, Vacuum, ZeroFrequencyError
 
 

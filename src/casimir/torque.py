@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c, hbar
 
+from .constants import c, hbar
 from .lifshitz import QuadratureConfig, energy_per_area_T
 from .stack import Stack
 # perfbench/tracing.py patches these names here; nothing in this module calls them

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import subprocess
 import sys
@@ -179,6 +180,29 @@ def test_eps_table_unknown_grid(tmp_path, capsys):
     """)
     assert main(["eps-table", "--config", cfg]) == 1
     assert "unknown grid" in capsys.readouterr().err
+
+
+def test_eps_table_does_not_resolve_the_zero_mode(tmp_path):
+    # the table holds n >= 1 only; plasma with no plasma frequency in sight
+    # would be a config error for a sum, but the table never needs it
+    cfg = write_cfg(tmp_path, """
+        [material.glass]
+        model = constant
+        epsilon = 2.25
+
+        [eps_table]
+        material = glass
+        grid = matsubara
+
+        [matsubara]
+        n_max = 3
+        zero_mode = plasma
+    """)
+    out, drude = tmp_path / "eps.csv", tmp_path / "drude.csv"
+    assert main(["eps-table", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["eps-table", "--config", cfg, "--out", str(drude),
+                 "--zero-mode", "drude"]) == 0
+    assert out.read_bytes() == drude.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -689,6 +713,23 @@ def test_float_cells_have_nine_significant_digits(tmp_path):
     for row in rows:
         for cell in row:
             assert FLOAT_CELL.match(cell), cell
+
+
+def test_force_sweep_without_scipy(tmp_path):
+    # scipy is a test oracle only: a fresh interpreter that cannot import it
+    # still imports the CLI and writes the same table
+    cfg = force_cfg(tmp_path)
+    out, reference = tmp_path / "f.csv", tmp_path / "reference.csv"
+    assert main(["force-sweep", "--config", cfg, "--out", str(reference)]) == 0
+    script = ("import sys; sys.modules['scipy'] = None; import casimir.cli; "
+              "sys.exit(casimir.cli.main(sys.argv[1:]))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script, "force-sweep",
+                           "--config", cfg, "--out", str(out)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == reference.read_bytes()
 
 
 def test_module_entry_point(tmp_path):
