@@ -134,6 +134,12 @@ def cmd_force_sweep(args):
     for t in treatments:
         if t not in ("drude", "plasma", "model"):
             raise ConfigError(f"unknown treatment '{t}' (use drude, plasma or model)")
+    if len(set(treatments)) < len(treatments):
+        raise ConfigError(f"[force] treatments lists a treatment twice: "
+                          f"{','.join(treatments)}")
+    if reference_name == bounding_name:
+        raise ConfigError(f"[force] reference '{reference_name}' is the "
+                          "material itself")
 
     d_min = get(cfg, "force", "d_min_m", float)
     d_max = get(cfg, "force", "d_max_m", float)
@@ -153,11 +159,13 @@ def cmd_force_sweep(args):
     targets = [(bounding_name, bounding)]
     if reference is not None:
         targets.append((reference_name, reference))
-    # one configuration per (material, treatment), built before any integral;
-    # a plasma treatment takes the plasma frequency of its own material
-    configs = {(name, t): (layer, build_matsubara(cfg, [layer], t, args.n_max,
-                                                  args.temperature_k)[0])
-               for name, layer in targets for t in treatments}
+    # one configuration per (material, treatment), grouped by material and
+    # built before any integral; a plasma treatment takes the plasma
+    # frequency of its own material
+    configs = {name: tuple(build_matsubara(cfg, [layer], t, args.n_max,
+                                           args.temperature_k)[0]
+                           for t in treatments)
+               for name, layer in targets}
     quad = build_quadrature(cfg, default_rel_tol=1e-7)
 
     columns = ["d_m"]
@@ -170,9 +178,13 @@ def cmd_force_sweep(args):
 
     rows = []
     for d in grid:
-        forces = {key: tangential_force_reduced(layer, gap, float(d), mats,
-                                                quad).force_per_width
-                  for key, (layer, mats) in configs.items()}
+        # all treatments of a material share one pass over the terms n >= 1
+        forces = {}
+        for mat_name, layer in targets:
+            results = tangential_force_reduced(layer, gap, float(d),
+                                               configs[mat_name], quad)
+            forces.update(((mat_name, t), r.force_per_width)
+                          for t, r in zip(treatments, results))
         row = [float(d)] + [forces[(mat_name, t)] for mat_name, _ in targets
                             for t in treatments]
         if {"drude", "plasma"} <= set(treatments):
@@ -183,7 +195,7 @@ def cmd_force_sweep(args):
                     for t in treatments]
         rows.append(row)
 
-    _, mats = configs[(bounding_name, treatments[0])]
+    mats = configs[bounding_name][0]
     metadata = [("material", bounding_name),
                 ("material_model", _material_label(bounding)),
                 ("gap", gap_name), ("treatments", ",".join(treatments)),

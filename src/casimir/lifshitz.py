@@ -6,6 +6,12 @@ term at half weight; at T = 0 the sum becomes an integral over xi. Every
 frequency term is a semi-infinite integral over the transverse wavenumber
 of k * sum_pol ln G.
 
+The zero-mode prescriptions (Drude, plasma, model) differ only in the
+n = 0 term, so a tuple of configs that share temperature and n_max is
+summed in one pass: each config gets its own n = 0 integral, the terms
+n >= 1 are integrated once and each config takes them up to its own early
+stop. Every result equals the one of a separate call bit for bit.
+
 Sign convention: attractive configurations have negative energy per area
 and negative normal pressure.
 """
@@ -138,56 +144,97 @@ def _ascending_terms(ln_g_sum, mats, quad, k_scale):
     """
     for start in range(1, mats.n_max + 1, _CHUNK):
         ns = np.arange(start, min(start + _CHUNK, mats.n_max + 1))
-        values, panels, failures = _k_rows(lambda k, xi: k * ln_g_sum(k, xi),
-                                           matsubara_xi(ns, mats.temperature),
-                                           quad, k_scale)
+        values, panels, failures = _k_rows(
+            lambda k, xi: k * ln_g_sum(k, xi, None),
+            matsubara_xi(ns, mats.temperature), quad, k_scale)
         for row, n in enumerate(ns.tolist()):
             yield n, float(values[row]), int(panels[row]), failures.get(row)
+
+
+def _shared_pass(mats):
+    """``mats`` as a tuple of configs that share temperature and n_max."""
+    configs = mats if isinstance(mats, tuple) else (mats,)
+    if not configs:
+        raise ValueError("a Matsubara pass needs at least one config")
+    first = configs[0]
+    for cfg in configs[1:]:
+        if (cfg.temperature, cfg.n_max) != (first.temperature, first.n_max):
+            raise ValueError("configs of one Matsubara pass must share "
+                             f"temperature and n_max, got {first} and {cfg}")
+    return configs
+
+
+class _RunningSum:
+    """One config's terms and panels, up to its own early stop."""
+
+    def __init__(self, term0, panels):
+        self.terms = [term0]
+        self.panels = panels
+        self.largest = abs(term0)
+        self.dead = 0
+
+    def add(self, term, panels):
+        """Append a term; False once the sum has stopped."""
+        self.terms.append(term)
+        self.panels += panels
+        self.largest = max(self.largest, abs(term))
+        # terms decay exponentially in n; once several in a row are below
+        # double precision relative to the largest, the rest are padding
+        self.dead = self.dead + 1 if abs(term) <= 1e-15 * self.largest else 0
+        return self.dead < 3
+
+    def energy(self, n_max):
+        n_stop = len(self.terms) - 1
+        terms = self.terms + [0.0] * (n_max - n_stop)
+        return EnergyPerArea(math.fsum(terms), terms, self.panels, n_stop)
 
 
 def matsubara_energy(ln_g_sum, mats, quad, k_scale):
     """Finite-temperature free energy per area of a generic mode function.
 
-    ``ln_g_sum(k, xi)`` returns sum_pol ln G(k, i*xi). It receives k of
-    shape (rows, points) with xi of shape (rows, 1) for the frequencies
-    n >= 1, and the scalar xi = 0.0 for the zero mode. Terms are
-    accumulated in ascending n and summed with compensation, so the result
-    is bitwise stable for a fixed panel decomposition.
+    ``ln_g_sum(k, xi, zero_mode)`` returns sum_pol ln G(k, i*xi). It
+    receives k of shape (rows, points) with xi of shape (rows, 1) and
+    ``zero_mode=None`` for the frequencies n >= 1, and the scalar xi = 0.0
+    with a config's ``zero_mode`` for the zero mode. Terms are accumulated
+    in ascending n and summed with compensation, so the result is bitwise
+    stable for a fixed panel decomposition.
+
+    ``mats`` is one :class:`MatsubaraConfig` or a tuple of configs that
+    share temperature and n_max, which gives a tuple of results in its
+    order. The rows n >= 1 are drawn once, up to the last config's early
+    stop, so every result equals the one of a separate call bit for bit.
     """
-    pref = k_B * mats.temperature / (2.0 * math.pi)
-    i0, used, failures = _k_rows(lambda k, xi: k * ln_g_sum(k, 0.0), [0.0],
-                                 quad, k_scale)
-    if failures:
-        raise _tagged(failures[0], 0) from failures[0]
-    terms = [0.5 * pref * float(i0[0])]
-    panels = int(used[0])
-    largest = abs(terms[0])
-    dead = 0
-    n_stop = 0
-    for n_stop, i_n, used, failure in _ascending_terms(ln_g_sum, mats, quad,
-                                                       k_scale):
+    configs = _shared_pass(mats)
+    pref = k_B * configs[0].temperature / (2.0 * math.pi)
+    sums = []
+    for cfg in configs:
+        i0, used, failures = _k_rows(
+            lambda k, xi: k * ln_g_sum(k, 0.0, cfg.zero_mode), [0.0], quad,
+            k_scale)
+        if failures:
+            raise _tagged(failures[0], 0) from failures[0]
+        sums.append(_RunningSum(0.5 * pref * float(i0[0]), int(used[0])))
+    live = sums
+    for n, i_n, used, failure in _ascending_terms(ln_g_sum, configs[0], quad,
+                                                  k_scale):
+        # a row is only drawn while some config still needs it
         if failure is not None:
-            raise _tagged(failure, n_stop) from failure
-        terms.append(pref * i_n)
-        panels += used
-        largest = max(largest, abs(terms[-1]))
-        # terms decay exponentially in n; once several in a row are below
-        # double precision relative to the largest, the rest are padding
-        dead = dead + 1 if abs(terms[-1]) <= 1e-15 * largest else 0
-        if dead >= 3:
+            raise _tagged(failure, n) from failure
+        live = [s for s in live if s.add(pref * i_n, used)]
+        if not live:
             break
-    terms.extend([0.0] * (mats.n_max - n_stop))
-    return EnergyPerArea(math.fsum(terms), terms, panels, n_stop)
+    energies = tuple(s.energy(configs[0].n_max) for s in sums)
+    return energies if isinstance(mats, tuple) else energies[0]
 
 
-def _mode_sum(stack, zero_mode=None, mode=ln_g):
+def _mode_sum(stack, mode=ln_g):
     """``(f, k_scale)`` of a :class:`~casimir.stack.Stack` for
     :func:`matsubara_energy`.
 
-    ``f(k, xi)`` is the sum over polarizations of ``mode`` (ln G by
-    default), with the zero mode taken under ``zero_mode``.
+    ``f(k, xi, zero_mode=None)`` is the sum over polarizations of ``mode``
+    (ln G by default), with the zero mode taken under ``zero_mode``.
     """
-    def mode_sum(k, xi):
+    def mode_sum(k, xi, zero_mode=None):
         return sum(mode(stack, k, xi, zero_mode).values())
     # Rescaling by the largest thickness keeps structure from every layer
     # visible: the slowest decay sits at u ~ 1 and faster ones at larger u,
@@ -197,8 +244,13 @@ def _mode_sum(stack, zero_mode=None, mode=ln_g):
 
 
 def energy_per_area_T(stack, mats, quad=QuadratureConfig()):
-    """Finite-temperature interaction free energy per unit area in J/m^2."""
-    ln_g_sum, k_scale = _mode_sum(stack, mats.zero_mode)
+    """Finite-temperature interaction free energy per unit area in J/m^2.
+
+    ``mats`` is one :class:`MatsubaraConfig`, or a tuple of configs that
+    differ only in ``zero_mode``, which gives a tuple of energies from one
+    pass over the terms n >= 1 (see :func:`matsubara_energy`).
+    """
+    ln_g_sum, k_scale = _mode_sum(stack)
     return matsubara_energy(ln_g_sum, mats, quad, k_scale)
 
 
@@ -228,8 +280,8 @@ def normal_pressure(stack, which, mats, quad=QuadratureConfig()):
     differences: P = -d(E/A)/dd_which. Negative values mean attraction.
     """
     _require_inner(stack, which)
-    d_ln_g_sum, k_scale = _mode_sum(stack, mats.zero_mode,
-                                    functools.partial(d_ln_g, which=which))
+    d_ln_g_sum, k_scale = _mode_sum(stack, functools.partial(d_ln_g,
+                                                             which=which))
     return -matsubara_energy(d_ln_g_sum, mats, quad, k_scale).value
 
 

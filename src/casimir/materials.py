@@ -66,8 +66,16 @@ def eps2_from_nk(n, k):
 # shape that equals the scalar calls element by element, bit for bit.
 
 
+def _require_finite_xi(xi):
+    bad = xi[~np.isfinite(xi)]
+    if bad.size:
+        raise ValueError(f"non-finite xi = {bad.flat[0]} (rad/s)")
+
+
 def _require_positive(xi, what):
-    if not (np.asarray(xi) > 0.0).all():
+    xi = np.asarray(xi)
+    if not ((xi > 0.0) & (xi < math.inf)).all():
+        _require_finite_xi(xi)
         raise ZeroFrequencyError(
             f"{what}; the zero-frequency term must come from a zero-mode "
             "prescription")
@@ -484,6 +492,7 @@ def kk_transform(table, low_tail, high_tail, xi, rel_tol=1e-6):
     shape, with the power tail of all elements integrated as batched rows.
     """
     xis = np.asarray(xi, dtype=float)
+    _require_finite_xi(xis)
     if (xis < 0.0).any():
         raise ValueError("xi must be non-negative")
     if (xis == 0.0).any() and low_tail is not None:

@@ -63,11 +63,15 @@ def tangential_force_reduced(bounding, gap, d4, mats, quad=QuadratureConfig()):
 
     Equals minus the finite-temperature energy per area of the
     two-interface system, so ideal mirrors give +pi^2*hbar*c/(720*d4^3)
-    per unit width at low temperature.
+    per unit width at low temperature. A tuple of configs that differ only
+    in ``zero_mode`` (say Drude and plasma) gives a tuple of results, each
+    with its own config, from one pass over the terms n >= 1.
     """
     if not 0.0 < d4 < math.inf:
         raise ValueError(f"d4 must be positive and finite, got {d4}")
-    energy = energy_per_area_T(Stack((bounding, gap, bounding), (d4,)), mats,
-                               quad)
-    return TangentialResult(-energy.value, energy.value, 0.0, 0.0, mats, quad)
-
+    configs = mats if isinstance(mats, tuple) else (mats,)
+    energies = energy_per_area_T(Stack((bounding, gap, bounding), (d4,)),
+                                 configs, quad)
+    results = tuple(TangentialResult(-e.value, e.value, 0.0, 0.0, m, quad)
+                    for e, m in zip(energies, configs))
+    return results if isinstance(mats, tuple) else results[0]

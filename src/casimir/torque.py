@@ -209,9 +209,12 @@ def torque_energy_density(plate_a, plate_b, medium, d3, mats,
         return energy_per_area_T(Stack(layers, thicknesses), mats, quad).value
 
     t = plate_thickness
-    return (energy((medium, plate_a, medium, plate_b, medium), (t, d3, t))
-            - energy((medium, plate_a, medium), (t,))
-            - energy((medium, plate_b, medium), (t,)))
+    full = energy((medium, plate_a, medium, plate_b, medium), (t, d3, t))
+    slab_a = energy((medium, plate_a, medium), (t,))
+    # equal plates share one isolated-plate sum
+    slab_b = slab_a if plate_b == plate_a else energy((medium, plate_b, medium),
+                                                      (t,))
+    return (full - slab_a) - slab_b
 
 
 def torque_energy(geom, plate_a, plate_b, medium, mats,

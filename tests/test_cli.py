@@ -626,6 +626,68 @@ def test_unknown_treatment(tmp_path, capsys, monkeypatch):
     assert "treatments is empty" in capsys.readouterr().err
 
 
+def test_force_sweep_rejects_duplicate_columns(tmp_path, capsys, monkeypatch):
+    def no_integrals(*args, **kwargs):
+        raise AssertionError("a force was computed")
+
+    # a repeated treatment, or a reference that is the material itself,
+    # would write the same column name twice
+    monkeypatch.setattr(cli, "tangential_force_reduced", no_integrals)
+    cfg = force_cfg(tmp_path, force_extra="treatments = drude,plasma,Drude")
+    assert main(["force-sweep", "--config", cfg]) == 1
+    assert "lists a treatment twice" in capsys.readouterr().err
+    cfg = force_cfg(tmp_path, force_extra="treatments = drude\n"
+                                          "        reference = gold")
+    assert main(["force-sweep", "--config", cfg]) == 1
+    assert "reference 'gold' is the material itself" in capsys.readouterr().err
+
+
+def _force_columns(path):
+    """{column name: cells} of the force columns of a force-sweep table."""
+    _, columns, rows = read_table(path)
+    return {name: [row[i] for row in rows] for i, name in enumerate(columns)
+            if name.startswith("force_")}
+
+
+def test_force_sweep_shared_pass_equals_separate_runs(tmp_path):
+    # drude, plasma and model share one Matsubara pass per material and
+    # separation; each column must equal a run of its treatment alone
+    drude_csv(tmp_path / "gold.csv", 9.0, 0.035)
+    cfg = write_cfg(tmp_path, GOLD_SECTION + """
+        [material.gold_data]
+        model = tabulated
+        data_path = gold.csv
+        omega_p_ev = 9.0
+        gamma_ev = 0.035
+        join_energy_ev = 0.01
+
+        [force]
+        material = gold
+        reference = gold_data
+        treatments = drude,plasma,model
+        d_min_m = 1e-7
+        d_max_m = 1e-6
+        points = 3
+
+        [matsubara]
+        temperature_k = 300
+        n_max = 80
+    """)
+    together = tmp_path / "all.csv"
+    assert main(["force-sweep", "--config", cfg, "--out", str(together)]) == 0
+    shared = _force_columns(together)
+    assert len(shared) == 6
+    for t in ("drude", "plasma", "model"):
+        alone = tmp_path / f"{t}.csv"
+        assert main(["force-sweep", "--config", cfg, "--out", str(alone),
+                     "--zero-mode", t]) == 0
+        columns = _force_columns(alone)
+        assert list(columns) == [f"force_gold_{t}_n_per_m",
+                                 f"force_gold_data_{t}_n_per_m"]
+        for name, cells in columns.items():
+            assert shared[name] == cells
+
+
 def test_ambiguous_plasma_zero_mode(tmp_path, capsys):
     cfg = write_cfg(tmp_path, GOLD_SECTION + """
         [material.aluminum]

@@ -119,11 +119,29 @@ def test_array_xi_equals_scalar_calls_bitwise(kind, model):
 @pytest.mark.parametrize("model", [Vacuum(), Constant(2.25), Drude(W_P, GAMMA),
                                    Plasma(W_P)])
 def test_array_xi_rejects_non_positive(model):
-    for bad in (0.0, -1e14, np.nan):
+    for bad in (0.0, -1e14):
         with pytest.raises(ZeroFrequencyError):
             model.eps_imag_axis(np.array([[1e14], [bad]]))
+    # a NaN is named as such, not reported as the zero frequency
+    with pytest.raises(ValueError, match="non-finite xi = nan") as info:
+        model.eps_imag_axis(np.array([[1e14], [np.nan]]))
+    assert not isinstance(info.value, ZeroFrequencyError)
     with pytest.raises(ZeroFrequencyError):
         Permeability(1.5).mu_imag_axis(np.array([1e14, 0.0]))
+
+
+def test_non_finite_xi_is_named():
+    tab, low, high = _gold_kk()
+    tabulated = Tabulated(tab, low_tail=low, high_tail=high)
+    for model in (Drude(W_P, GAMMA), tabulated):
+        for bad in ([np.nan], np.array([1e15, np.inf]), np.nan):
+            with pytest.raises(ValueError, match="non-finite xi") as info:
+                model.eps_imag_axis(bad)
+            assert not isinstance(info.value, ZeroFrequencyError)
+    with pytest.raises(ValueError, match="non-finite xi = nan"):
+        kk_transform(tab, None, high, np.array([1e15, np.nan]))
+    # nothing was cached for the rejected frequencies
+    assert tabulated.eps_imag_axis(1e15) == kk_transform(tab, low, high, 1e15)
 
 
 def test_model_validation():

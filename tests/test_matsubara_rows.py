@@ -12,14 +12,18 @@ import numpy as np
 import pytest
 from scipy.constants import Boltzmann as k_B
 
+from casimir import lifshitz
 from casimir.lifshitz import (MatsubaraConfig, QuadratureConfig,
                               energy_per_area_T, matsubara_energy,
                               matsubara_xi)
-from casimir.materials import (Constant, Drude, Permeability, Plasma, Vacuum,
-                               ev_to_radps)
+from casimir.materials import (Constant, Drude, DrudeTail, Permeability,
+                               Plasma, Tabulated, Vacuum,
+                               drude_synthetic_table, ev_to_radps,
+                               fit_power_tail)
 from casimir.quadrature import QuadratureError, semi_infinite_integral
 from casimir.stack import (DrudeLike, FiveLayerStack, FromModel, Layer,
-                           Stack, ln_g)
+                           PlasmaLike, Stack, ln_g)
+from casimir.tangential import tangential_force_reduced
 
 GOLD = Layer(Drude(ev_to_radps(9.0), ev_to_radps(0.035)))
 VAC = Layer(Vacuum())
@@ -78,7 +82,7 @@ def _synthetic(amplitude, kinked=()):
     """ln_g_sum with term amplitudes A(n); rows in ``kinked`` get a kink
     that no 16-panel budget resolves to rel_tol = 1e-9."""
 
-    def ln_g_sum(k, xi):
+    def ln_g_sum(k, xi, zero_mode=None):
         if np.ndim(xi) == 0:   # the zero mode
             return _zero(k)
         n = np.rint(xi / XI1)
@@ -175,3 +179,149 @@ def test_magnetic_stack_matches_term_by_term_sum():
             lambda k: k * sum(ln_g(stack, k, xi).values()),
             scale=scale, rel_tol=quad.rel_tol, max_panels=quad.max_panels)
         assert energy.terms[n] == pytest.approx(ref, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one pass for several zero-mode treatments: the terms n >= 1 are shared
+
+WP = ev_to_radps(9.0)
+MAGNETIC = Layer(Constant(3.0), Permeability(4.0))
+
+
+def _treatments(n_max):
+    return tuple(MatsubaraConfig(T, n_max=n_max, zero_mode=zero_mode)
+                 for zero_mode in (DrudeLike(), PlasmaLike(WP), FromModel()))
+
+
+def _tabulated_gold():
+    tab = drude_synthetic_table(9.0, 0.035, 0.01, 100.0, per_decade=60)
+    return Layer(Tabulated(tab, low_tail=DrudeTail(WP, ev_to_radps(0.035),
+                                                   0.01),
+                           high_tail=fit_power_tail(tab)))
+
+
+@pytest.mark.parametrize("stack, n_max", [
+    (Stack((GOLD, VAC, GOLD), (1e-7,)), 300),
+    (Stack((_tabulated_gold(), VAC, _tabulated_gold()), (1e-7,)), 300),
+    (FiveLayerStack((MAGNETIC, VAC, GOLD, VAC, MAGNETIC), 1e-7, 1e-7, 1e-7),
+     40),
+], ids=["analytic_gold", "tabulated_gold", "magnetic_stack"])
+def test_shared_pass_equals_separate_calls(stack, n_max):
+    configs = _treatments(n_max)
+    together = energy_per_area_T(stack, configs)
+    assert isinstance(together, tuple) and len(together) == 3
+    for mats, energy in zip(configs, together):
+        alone = energy_per_area_T(stack, mats)
+        assert energy.value == alone.value
+        assert energy.terms == alone.terms
+        assert energy.panels == alone.panels
+        assert energy.n_stop == alone.n_stop
+    # the plasma n = 0 term differs from the Drude one, nothing else does
+    drude, plasma, _ = together
+    assert plasma.terms[0] != drude.terms[0]
+    assert plasma.terms[1:] == drude.terms[1:]
+
+
+def test_one_element_tuple_is_the_single_call():
+    stack = Stack((GOLD, VAC, GOLD), (3e-7,))
+    mats = _treatments(100)[0]
+    (energy,) = energy_per_area_T(stack, (mats,))
+    assert energy == energy_per_area_T(stack, mats)
+
+
+def test_tangential_results_carry_their_own_config():
+    configs = _treatments(200)
+    quad = QuadratureConfig(rel_tol=1e-7)
+    together = tangential_force_reduced(GOLD, VAC, 2e-7, configs, quad)
+    assert [r.mats for r in together] == list(configs)
+    for mats, result in zip(configs, together):
+        assert result == tangential_force_reduced(GOLD, VAC, 2e-7, mats, quad)
+
+
+def _row_counter(monkeypatch):
+    """Rows per ``semi_infinite_rows`` call made by ``lifshitz``."""
+    sizes = []
+    rows = lifshitz.semi_infinite_rows
+
+    def counted(f, n_rows, *args, **kwargs):
+        sizes.append(n_rows)
+        return rows(f, n_rows, *args, **kwargs)
+
+    monkeypatch.setattr(lifshitz, "semi_infinite_rows", counted)
+    return sizes
+
+
+def test_shared_pass_integrates_the_rows_once(monkeypatch):
+    sizes = _row_counter(monkeypatch)
+    stack = Stack((GOLD, VAC, GOLD), (1e-7,))
+    drude, plasma, _ = _treatments(500)
+    alone = energy_per_area_T(stack, drude)
+    one = list(sizes)
+    sizes.clear()
+    energy_per_area_T(stack, (drude, plasma))
+    # one single-row n = 0 integral per config, then the chunks n >= 1 of
+    # the one-config call, up to the chunk that holds its stop
+    assert one[0] == 1 and sizes[:2] == [1, 1]
+    assert sizes[2:] == one[1:]
+    assert sum(one[1:]) == 64 * math.ceil(alone.n_stop / 64)
+
+
+def test_mismatched_configs_raise_before_any_integral(monkeypatch):
+    def no_integrals(*args, **kwargs):
+        raise AssertionError("an integral ran")
+
+    monkeypatch.setattr(lifshitz, "semi_infinite_rows", no_integrals)
+    stack = Stack((GOLD, VAC, GOLD), (1e-7,))
+    base = MatsubaraConfig(T, n_max=50, zero_mode=DrudeLike())
+    for other in (MatsubaraConfig(310.0, n_max=50, zero_mode=PlasmaLike(WP)),
+                  MatsubaraConfig(T, n_max=60, zero_mode=PlasmaLike(WP))):
+        with pytest.raises(ValueError, match="share temperature and n_max"):
+            energy_per_area_T(stack, (base, other))
+        with pytest.raises(ValueError, match="share temperature and n_max"):
+            tangential_force_reduced(GOLD, VAC, 1e-7, (other, base))
+    with pytest.raises(ValueError, match="at least one config"):
+        energy_per_area_T(stack, ())
+
+
+# Term 0 is -A0 * pref / 2. With A0 = 2e6 the largest term is 1e6 * pref
+# and exp(-n) falls below 1e-15 of it from n = 21, so the sum stops at 23;
+# with A0 = 1 it stops at 38, as in test_early_stop_lands_inside_a_chunk.
+_ZERO_AMPLITUDE = {DrudeLike(): 2e6, FromModel(): 1.0}
+
+
+def _two_stops(kinked=()):
+    ln_g_sum = _synthetic(_decaying, kinked)
+
+    def with_zero_modes(k, xi, zero_mode=None):
+        if np.ndim(xi) == 0:
+            return _ZERO_AMPLITUDE[zero_mode] * ln_g_sum(k, xi)
+        return ln_g_sum(k, xi)
+
+    return with_zero_modes
+
+
+def test_configs_with_different_stops(monkeypatch):
+    early = MatsubaraConfig(T, n_max=100, zero_mode=DrudeLike())
+    late = MatsubaraConfig(T, n_max=100, zero_mode=FromModel())
+    both = matsubara_energy(_two_stops(), (early, late), QUAD, 1.0)
+    assert [e.n_stop for e in both] == [23, 38]
+    for mats, energy in zip((early, late), both):
+        assert energy == matsubara_energy(_two_stops(), mats, QUAD, 1.0)
+        _assert_padding(energy, 100)
+    assert both[0].terms[1:24] == both[1].terms[1:24]
+    # both stops lie in the first chunk: the pair integrates it once
+    sizes = _row_counter(monkeypatch)
+    matsubara_energy(_two_stops(), (early, late), QUAD, 1.0)
+    assert sizes == [1, 1, 64]
+
+
+def test_failing_row_between_the_stops_raises_for_the_later_config():
+    early = MatsubaraConfig(T, n_max=100, zero_mode=DrudeLike())
+    late = MatsubaraConfig(T, n_max=100, zero_mode=FromModel())
+    kinked = _two_stops(kinked=(30,))
+    clean = matsubara_energy(_two_stops(), early, QUAD, 1.0)
+    assert matsubara_energy(kinked, early, QUAD, 1.0) == clean
+    for mats in (late, (early, late), (late, early)):
+        with pytest.raises(QuadratureError) as info:
+            matsubara_energy(kinked, mats, QUAD, 1.0)
+        assert info.value.matsubara_n == 30

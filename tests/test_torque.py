@@ -1,3 +1,4 @@
+import importlib
 import math
 from dataclasses import replace
 
@@ -5,11 +6,11 @@ import pytest
 from scipy.constants import c, hbar
 from scipy.integrate import quad
 
-from casimir.lifshitz import MatsubaraConfig
+from casimir.lifshitz import MatsubaraConfig, energy_per_area_T
 from casimir.materials import (DrudeTail, Drude, Plasma, Tabulated, Vacuum,
                                drude_synthetic_table, ev_to_radps,
                                fit_power_tail, plasma_frequency_of)
-from casimir.stack import DrudeLike, Layer, PlasmaLike
+from casimir.stack import DrudeLike, Layer, PlasmaLike, Stack
 from casimir.torque import (BranchPointError, TorqueGeometry, area_closed_form,
                             area_derivative, edge_energy, edge_torque_ratio,
                             overlap, perimeter_closed_form,
@@ -19,6 +20,8 @@ from casimir.torque import (BranchPointError, TorqueGeometry, area_closed_form,
 VAC = Layer(Vacuum())
 GOLD = Layer(Drude(ev_to_radps(9.0), ev_to_radps(0.035)))
 MIRROR = Layer(Plasma(1e20))
+# the module, which the package namespace shadows with its torque function
+torque_module = importlib.import_module("casimir.torque")
 
 K, L, H, D3 = 2e-3, 1e-3, 3e-3, 1e-7
 
@@ -186,6 +189,34 @@ def test_density_independent_of_plate_thickness():
     thin = torque_energy_density(GOLD, GOLD, VAC, D3, mats,
                                  plate_thickness=3e-7)
     assert thin == pytest.approx(thick, rel=1e-4)
+
+
+def test_equal_plates_share_the_isolated_plate_sum(monkeypatch):
+    mats = MatsubaraConfig(300.0, n_max=60, zero_mode=DrudeLike())
+    t = 1e-6
+
+    def energy(*layers):
+        thicknesses = (t, D3, t) if len(layers) == 5 else (t,)
+        return energy_per_area_T(Stack(layers, thicknesses), mats).value
+
+    # the three-sum difference, subtracted in the same order
+    expected = ((energy(VAC, GOLD, VAC, GOLD, VAC) - energy(VAC, GOLD, VAC))
+                - energy(VAC, GOLD, VAC))
+    stacks = []
+    sums = torque_module.energy_per_area_T
+
+    def counted(stack, *args):
+        stacks.append(stack)
+        return sums(stack, *args)
+
+    monkeypatch.setattr(torque_module, "energy_per_area_T", counted)
+    twin = Layer(Drude(ev_to_radps(9.0), ev_to_radps(0.035)))
+    assert torque_energy_density(GOLD, twin, VAC, D3, mats) == expected
+    assert len(stacks) == 2
+    stacks.clear()
+    silver = Layer(Drude(ev_to_radps(9.0), ev_to_radps(0.021)))
+    torque_energy_density(GOLD, silver, VAC, D3, mats)
+    assert [s.layers[1] for s in stacks] == [GOLD, GOLD, silver]
 
 
 def test_energy_ratio_is_area_ratio():
