@@ -176,22 +176,24 @@ def cmd_force_sweep(args):
     if reference is not None:
         columns += [f"ratio_{bounding_name}_{reference_name}_{t}" for t in treatments]
 
+    # one call per material: the separations are rows of the same passes,
+    # and all treatments share the terms n >= 1
+    separations = tuple(grid.tolist())
+    forces = {}   # (material, treatment) -> one force per separation
+    for mat_name, layer in targets:
+        results = tangential_force_reduced(layer, gap, separations,
+                                           configs[mat_name], quad)
+        for j, t in enumerate(treatments):
+            forces[(mat_name, t)] = [r[j].force_per_width for r in results]
     rows = []
-    for d in grid:
-        # all treatments of a material share one pass over the terms n >= 1
-        forces = {}
-        for mat_name, layer in targets:
-            results = tangential_force_reduced(layer, gap, float(d),
-                                               configs[mat_name], quad)
-            forces.update(((mat_name, t), r.force_per_width)
-                          for t, r in zip(treatments, results))
-        row = [float(d)] + [forces[(mat_name, t)] for mat_name, _ in targets
-                            for t in treatments]
+    for i, d in enumerate(separations):
+        force = {key: values[i] for key, values in forces.items()}
+        row = [d] + list(force.values())
         if {"drude", "plasma"} <= set(treatments):
-            row.append(_ratio(forces[(bounding_name, "plasma")],
-                              forces[(bounding_name, "drude")]))
+            row.append(_ratio(force[(bounding_name, "plasma")],
+                              force[(bounding_name, "drude")]))
         if reference is not None:
-            row += [_ratio(forces[(bounding_name, t)], forces[(reference_name, t)])
+            row += [_ratio(force[(bounding_name, t)], force[(reference_name, t)])
                     for t in treatments]
         rows.append(row)
 

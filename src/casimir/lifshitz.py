@@ -10,7 +10,11 @@ The zero-mode prescriptions (Drude, plasma, model) differ only in the
 n = 0 term, so a tuple of configs that share temperature and n_max is
 summed in one pass: each config gets its own n = 0 integral, the terms
 n >= 1 are integrated once and each config takes them up to its own early
-stop. Every result equals the one of a separate call bit for bit.
+stop. Stacks that share their layers and differ only in thicknesses (the
+separations of a force sweep) are summed in the same passes too: each
+stack is one more row of every k-quadrature pass, rescaled on its own
+k-scale, and drops out once all of its configs have stopped. Every result
+equals the one of a separate call bit for bit.
 
 Sign convention: attractive configurations have negative energy per area
 and negative normal pressure.
@@ -25,9 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import c, hbar, k_B
-from .quadrature import (_CHUNK, QuadratureError, semi_infinite_integral,
-                         semi_infinite_rows)
-from .stack import FromModel, _require_inner, d_ln_g, ln_g
+from .quadrature import (_CHUNK, _MAX_ROWS, QuadratureError,
+                         semi_infinite_integral, semi_infinite_rows)
+from .stack import FromModel, Stack, _require_inner, d_ln_g, ln_g
 # perfbench/tracing.py patches these names here; nothing in this module calls them
 from .stack import g_full_thickness_derivative, ln_g_full  # noqa: F401
 
@@ -127,28 +131,13 @@ def _k_rows(f, xi, quad, scale):
                               max_panels=quad.max_panels)
 
 
-def _tagged(err, n):
+def _tagged(err, n, system):
     tagged = QuadratureError(
         f"{err} (while integrating Matsubara index n={n})",
         last_estimate=err.last_estimate,
         previous_estimate=err.previous_estimate)
-    tagged.matsubara_n = n
+    tagged.matsubara_n, tagged.system = n, system
     return tagged
-
-
-def _ascending_terms(ln_g_sum, mats, quad, k_scale):
-    """Yield (n, k-integral, panels, failure or None) for n = 1 .. n_max.
-
-    Indices are integrated in chunks of ``_CHUNK`` rows; a chunk is only
-    computed once the consumer asks for its first index.
-    """
-    for start in range(1, mats.n_max + 1, _CHUNK):
-        ns = np.arange(start, min(start + _CHUNK, mats.n_max + 1))
-        values, panels, failures = _k_rows(
-            lambda k, xi: k * ln_g_sum(k, xi, None),
-            matsubara_xi(ns, mats.temperature), quad, k_scale)
-        for row, n in enumerate(ns.tolist()):
-            yield n, float(values[row]), int(panels[row]), failures.get(row)
 
 
 def _shared_pass(mats):
@@ -162,6 +151,12 @@ def _shared_pass(mats):
             raise ValueError("configs of one Matsubara pass must share "
                              f"temperature and n_max, got {first} and {cfg}")
     return configs
+
+
+def _one_config(mats, caller):
+    if not isinstance(mats, MatsubaraConfig):
+        raise TypeError(f"{caller} takes one MatsubaraConfig, "
+                        f"got {type(mats).__name__}")
 
 
 class _RunningSum:
@@ -189,6 +184,56 @@ class _RunningSum:
         return EnergyPerArea(math.fsum(terms), terms, self.panels, n_stop)
 
 
+def _lockstep(mode, configs, quad, scales, systems):
+    """``[[_RunningSum per config] per system]`` of the ``systems`` (indices
+    into ``scales``), each row of a pass one (system, index) pair.
+
+    Each config takes one n = 0 pass with one row per system; the indices
+    n >= 1 follow in chunks of ``_CHUNK``, each chunk one pass over the
+    systems that still have a config before its early stop.
+    """
+    mats = configs[0]
+    pref = k_B * mats.temperature / (2.0 * math.pi)
+
+    def k_pass(xi, zero_mode, system):
+        column = system[:, None]
+        values, panels, failures = semi_infinite_rows(
+            lambda k, rows: k * mode(k, xi if np.ndim(xi) == 0 else xi[rows],
+                                     zero_mode, column[rows]),
+            system.size, scale=scales[system], rel_tol=quad.rel_tol,
+            max_panels=quad.max_panels)
+        return values.tolist(), panels.tolist(), failures
+
+    sums = {s: [] for s in systems.tolist()}
+    for cfg in configs:
+        values, panels, failures = k_pass(0.0, cfg.zero_mode, systems)
+        if failures:
+            row = min(failures)
+            raise _tagged(failures[row], 0, int(systems[row])) from failures[row]
+        for s, i0, used in zip(sums, values, panels):
+            sums[s].append(_RunningSum(0.5 * pref * i0, used))
+    live = {s: list(running) for s, running in sums.items()}
+    for start in range(1, mats.n_max + 1, _CHUNK):
+        # a chunk is only integrated for the systems that still need it
+        active = [s for s, running in live.items() if running]
+        if not active:
+            break
+        ns = np.arange(start, min(start + _CHUNK, mats.n_max + 1))
+        xi = np.tile(matsubara_xi(ns, mats.temperature), len(active))[:, None]
+        values, panels, failures = k_pass(xi, None,
+                                          np.repeat(active, ns.size))
+        for i, s in enumerate(active):
+            for j, n in enumerate(ns.tolist()):
+                row = i * ns.size + j
+                if row in failures:
+                    raise _tagged(failures[row], n, s) from failures[row]
+                live[s] = [r for r in live[s]
+                           if r.add(pref * values[row], panels[row])]
+                if not live[s]:
+                    break
+    return list(sums.values())
+
+
 def matsubara_energy(ln_g_sum, mats, quad, k_scale):
     """Finite-temperature free energy per area of a generic mode function.
 
@@ -201,46 +246,67 @@ def matsubara_energy(ln_g_sum, mats, quad, k_scale):
 
     ``mats`` is one :class:`MatsubaraConfig` or a tuple of configs that
     share temperature and n_max, which gives a tuple of results in its
-    order. The rows n >= 1 are drawn once, up to the last config's early
-    stop, so every result equals the one of a separate call bit for bit.
+    order. ``k_scale`` is the k-scale of one system, or a tuple of the
+    k-scales of several systems (say, one stack per separation), which
+    gives a tuple over the systems. Then ``ln_g_sum(k, xi, zero_mode,
+    system)`` also receives the (rows, 1) column of system indices of the
+    rows of k. All systems and configs run in the same row-batched passes,
+    at most ``_MAX_ROWS`` rows each; every (system, config) keeps its own
+    early stop, and its result equals the one of a separate call bit for
+    bit. A failing row raises :class:`QuadratureError` tagged with its
+    ``matsubara_n`` and the index of its ``system`` (0 for one k-scale).
     """
     configs = _shared_pass(mats)
-    pref = k_B * configs[0].temperature / (2.0 * math.pi)
-    sums = []
-    for cfg in configs:
-        i0, used, failures = _k_rows(
-            lambda k, xi: k * ln_g_sum(k, 0.0, cfg.zero_mode), [0.0], quad,
-            k_scale)
-        if failures:
-            raise _tagged(failures[0], 0) from failures[0]
-        sums.append(_RunningSum(0.5 * pref * float(i0[0]), int(used[0])))
-    live = sums
-    for n, i_n, used, failure in _ascending_terms(ln_g_sum, configs[0], quad,
-                                                  k_scale):
-        # a row is only drawn while some config still needs it
-        if failure is not None:
-            raise _tagged(failure, n) from failure
-        live = [s for s in live if s.add(pref * i_n, used)]
-        if not live:
-            break
-    energies = tuple(s.energy(configs[0].n_max) for s in sums)
-    return energies if isinstance(mats, tuple) else energies[0]
+    if isinstance(k_scale, tuple):
+        mode = ln_g_sum
+    else:
+        def mode(k, xi, zero_mode, system):
+            return ln_g_sum(k, xi, zero_mode)
+    scales = np.array(k_scale if isinstance(k_scale, tuple) else (k_scale,),
+                      dtype=float)
+    if not scales.size:
+        raise ValueError("a Matsubara pass needs at least one system")
+    per_pass = max(1, _MAX_ROWS // _CHUNK)
+    results = []
+    for start in range(0, scales.size, per_pass):
+        systems = np.arange(start, min(start + per_pass, scales.size))
+        for running in _lockstep(mode, configs, quad, scales, systems):
+            energies = tuple(r.energy(configs[0].n_max) for r in running)
+            results.append(energies if isinstance(mats, tuple) else energies[0])
+    return tuple(results) if isinstance(k_scale, tuple) else results[0]
 
 
 def _mode_sum(stack, mode=ln_g):
-    """``(f, k_scale)`` of a :class:`~casimir.stack.Stack` for
-    :func:`matsubara_energy`.
+    """``(f, k_scale)`` of a :class:`~casimir.stack.Stack`, or of a tuple of
+    stacks that share their layers, for :func:`matsubara_energy`.
 
-    ``f(k, xi, zero_mode=None)`` is the sum over polarizations of ``mode``
-    (ln G by default), with the zero mode taken under ``zero_mode``.
+    ``f(k, xi, zero_mode=None, system=None)`` is the sum over polarizations
+    of ``mode`` (ln G by default), with the zero mode taken under
+    ``zero_mode``. For a tuple, ``k_scale`` has one entry per stack and
+    ``system`` picks the stack of each row of k: the thicknesses become
+    (rows, 1) columns that broadcast against k like xi.
     """
-    def mode_sum(k, xi, zero_mode=None):
-        return sum(mode(stack, k, xi, zero_mode).values())
+    stacks = stack if isinstance(stack, tuple) else (stack,)
+    if not stacks:
+        raise ValueError("a Matsubara pass needs at least one stack")
+    layers = stacks[0].layers
+    for other in stacks[1:]:
+        if other.layers != layers:
+            raise ValueError("stacks of one Matsubara pass must share their "
+                             "layers and differ only in thicknesses")
+    # (inner layer, stack, 1): indexing the stack axis gives row columns
+    thickness = np.array([s.thicknesses for s in stacks], dtype=float).T[..., None]
+
+    def mode_sum(k, xi, zero_mode=None, system=None):
+        rows = stacks[0] if system is None else Stack(
+            layers, thickness[:, system[:, 0]])
+        return sum(mode(rows, k, xi, zero_mode).values())
     # Rescaling by the largest thickness keeps structure from every layer
     # visible: the slowest decay sits at u ~ 1 and faster ones at larger u,
     # which the geometrically growing blocks always reach. The reverse
     # choice would bury large-layer structure inside the first panel.
-    return mode_sum, 1.0 / (2.0 * max(stack.thicknesses))
+    scales = tuple(1.0 / (2.0 * max(s.thicknesses)) for s in stacks)
+    return mode_sum, scales if isinstance(stack, tuple) else scales[0]
 
 
 def energy_per_area_T(stack, mats, quad=QuadratureConfig()):
@@ -248,7 +314,10 @@ def energy_per_area_T(stack, mats, quad=QuadratureConfig()):
 
     ``mats`` is one :class:`MatsubaraConfig`, or a tuple of configs that
     differ only in ``zero_mode``, which gives a tuple of energies from one
-    pass over the terms n >= 1 (see :func:`matsubara_energy`).
+    pass over the terms n >= 1. ``stack`` is one stack, or a tuple of
+    stacks that share their layers and differ only in thicknesses, which
+    gives a tuple over the stacks (of tuples, for a tuple of configs): the
+    stacks are rows of the same passes (see :func:`matsubara_energy`).
     """
     ln_g_sum, k_scale = _mode_sum(stack)
     return matsubara_energy(ln_g_sum, mats, quad, k_scale)
@@ -278,7 +347,9 @@ def normal_pressure(stack, which, mats, quad=QuadratureConfig()):
 
     Computed from the analytic thickness derivative of ln G, not finite
     differences: P = -d(E/A)/dd_which. Negative values mean attraction.
+    ``mats`` is one :class:`MatsubaraConfig`.
     """
+    _one_config(mats, "normal_pressure")
     _require_inner(stack, which)
     d_ln_g_sum, k_scale = _mode_sum(stack, functools.partial(d_ln_g,
                                                              which=which))
@@ -296,8 +367,10 @@ def truncation_report(stack, mats, quad, checkpoints):
     """Partial free energies at increasing n_max cutoffs from a single pass.
 
     Returns one row per checkpoint with the partial sum through that index
-    and its relative change against the previous checkpoint.
+    and its relative change against the previous checkpoint. ``mats`` is
+    one :class:`MatsubaraConfig`.
     """
+    _one_config(mats, "truncation_report")
     checkpoints = [int(n) for n in checkpoints]
     if not checkpoints or sorted(checkpoints) != checkpoints:
         raise ValueError("checkpoints must be a non-empty ascending list")

@@ -100,10 +100,16 @@ def _require_drude(owner, omega_p, gamma=0.0):
 
 
 def _constant_response(value, xi):
-    """A frequency-independent response: the scalar, or one per array xi."""
+    """A frequency-independent response: the scalar, or one per array xi.
+
+    A scalar xi = 0 is the static limit, where the zero-mode limits read the
+    permeability; any other xi, scalar or array, must be positive and finite.
+    """
+    if np.ndim(xi) == 0 and xi == 0.0:
+        return value
+    _require_positive(xi, "frequencies must be positive")
     if np.ndim(xi) == 0:
         return value
-    _require_positive(xi, "array frequencies must be positive")
     out = np.empty(np.shape(xi))
     out.fill(value)
     return out

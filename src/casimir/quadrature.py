@@ -24,6 +24,9 @@ _ONE_ROW = np.arange(1)
 # Rows per batched pass (Matsubara indices n >= 1, Kramers-Kronig
 # frequencies): bounds the (rows, points) working set of one lockstep pass.
 _CHUNK = 64
+# Rows of one lockstep pass over several systems (the separations of a
+# force sweep): a chunk of indices for each of at most ten systems.
+_MAX_ROWS = 10 * _CHUNK
 
 
 class QuadratureError(RuntimeError):
@@ -152,18 +155,24 @@ def semi_infinite_rows(f, n_rows, scale=1.0, rel_tol=1e-9, max_panels=512,
     ``f(x, rows)`` returns the integrands of the row indices ``rows`` at
     nodes ``x``: one row of nodes per index, shape (len(rows), points), or
     a single row (1, points) shared by all of them, in which case the
-    result must broadcast to (len(rows), points). The axis is rescaled to
-    u = x / scale and covered by geometrically growing blocks shared by all
-    rows; a row stops once two consecutive blocks contribute below its
+    result must broadcast to (len(rows), points). Row i is rescaled to
+    u = x / scale_i, where ``scale`` is one value for all rows or one per
+    row, and every row is covered by the same geometrically growing blocks
+    in u; a row stops once two consecutive blocks contribute below its
     running relative tolerance. Returns ``(integrals, panels, failures)``:
     per-row integrals and panel counts, and ``{row: QuadratureError}`` for
     the rows that did not converge. A failed row's integral is meaningless.
     """
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
+    scale = np.asarray(scale, dtype=float)
+    if scale.ndim and scale.shape != (n_rows,):
+        raise ValueError(f"scale must be one value or one per row, got shape "
+                         f"{scale.shape} for {n_rows} rows")
+    if not np.all((scale > 0.0) & np.isfinite(scale)):
+        raise ValueError("scale must be positive and finite")
 
     def g(u, rows):
-        return scale * np.asarray(f(u * scale, rows), dtype=float)
+        s = scale[rows, None] if scale.ndim else scale
+        return s * np.asarray(f(u * s, rows), dtype=float)
 
     total = np.zeros(n_rows)
     panels = np.zeros(n_rows, dtype=int)

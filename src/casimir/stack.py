@@ -12,7 +12,9 @@ once per call and return both polarizations.
 All k-dependent functions accept scalar or ndarray transverse wavenumbers.
 The frequency xi is either a scalar, where xi == 0 selects the zero mode,
 or an ndarray of frequencies > 0 that broadcasts against k (one row per
-Matsubara frequency in the batched sums).
+Matsubara frequency in the batched sums). Inner thicknesses broadcast the
+same way: a stack whose thicknesses are (rows, 1) columns holds one stack
+per row, as the batched sums over several separations use it.
 """
 
 from __future__ import annotations
@@ -49,7 +51,9 @@ class Stack:
     thicknesses (m) of the N - 2 inner layers in between.
 
     Layers are numbered 1 to N, so layer j has thickness
-    ``thicknesses[j - 2]``: d2, d3, d4 for five layers.
+    ``thicknesses[j - 2]``: d2, d3, d4 for five layers. A thickness is a
+    float, or a (rows, 1) column that broadcasts against k in
+    :func:`ln_g` and :func:`d_ln_g` (one stack per row).
     """
 
     layers: tuple
@@ -63,7 +67,7 @@ class Stack:
             raise ValueError(f"a stack needs N >= 3 layers and N - 2 thicknesses, "
                              f"got {n} and {len(self.thicknesses)}")
         for j, d in enumerate(self.thicknesses, 2):
-            if not (d > 0.0 and np.isfinite(d)):
+            if not np.all((d > 0.0) & np.isfinite(d)):
                 raise ValueError(f"d{j} must be positive and finite, got {d}")
 
 

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .lifshitz import MatsubaraConfig, QuadratureConfig, energy_per_area_T
+from .quadrature import QuadratureError
 from .stack import Stack, require_tangential_symmetry, retracted_stack
 # perfbench/tracing.py patches these names here; nothing in this module calls them
 from .lifshitz import matsubara_energy  # noqa: F401
@@ -65,13 +66,31 @@ def tangential_force_reduced(bounding, gap, d4, mats, quad=QuadratureConfig()):
     two-interface system, so ideal mirrors give +pi^2*hbar*c/(720*d4^3)
     per unit width at low temperature. A tuple of configs that differ only
     in ``zero_mode`` (say Drude and plasma) gives a tuple of results, each
-    with its own config, from one pass over the terms n >= 1.
+    with its own config, from one pass over the terms n >= 1. A tuple of
+    separations d4 gives a tuple over them: every separation is one more
+    row of the same k-quadrature passes, on its own k-scale, and each
+    result equals the one of a scalar d4 bit for bit. A failing row raises
+    :class:`QuadratureError` with its ``matsubara_n`` and ``separation``.
     """
-    if not 0.0 < d4 < math.inf:
-        raise ValueError(f"d4 must be positive and finite, got {d4}")
+    separations = d4 if isinstance(d4, tuple) else (d4,)
+    for d in separations:
+        if not 0.0 < d < math.inf:
+            raise ValueError(f"d4 must be positive and finite, got {d}")
     configs = mats if isinstance(mats, tuple) else (mats,)
-    energies = energy_per_area_T(Stack((bounding, gap, bounding), (d4,)),
-                                 configs, quad)
-    results = tuple(TangentialResult(-e.value, e.value, 0.0, 0.0, m, quad)
-                    for e, m in zip(energies, configs))
-    return results if isinstance(mats, tuple) else results[0]
+    stacks = tuple(Stack((bounding, gap, bounding), (d,)) for d in separations)
+    try:
+        energies = energy_per_area_T(stacks, configs, quad)
+    except QuadratureError as err:
+        if not hasattr(err, "system"):   # not a row of the Matsubara sum
+            raise
+        d = separations[err.system]
+        tagged = QuadratureError(f"{err} at d4 = {d!r} m", err.last_estimate,
+                                 err.previous_estimate)
+        tagged.matsubara_n, tagged.separation = err.matsubara_n, d
+        raise tagged from err
+    results = []
+    for per_config in energies:
+        row = tuple(TangentialResult(-e.value, e.value, 0.0, 0.0, m, quad)
+                    for e, m in zip(per_config, configs))
+        results.append(row if isinstance(mats, tuple) else row[0])
+    return tuple(results) if isinstance(d4, tuple) else results[0]

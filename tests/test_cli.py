@@ -688,6 +688,48 @@ def test_force_sweep_shared_pass_equals_separate_runs(tmp_path):
             assert shared[name] == cells
 
 
+def test_force_sweep_separations_in_one_call(tmp_path, monkeypatch):
+    # the whole grid of a material is one call; the table must be the one
+    # built from one call per separation, byte for byte
+    drude_csv(tmp_path / "gold.csv", 9.0, 0.035)
+    cfg = write_cfg(tmp_path, GOLD_SECTION + """
+        [material.gold_data]
+        model = tabulated
+        data_path = gold.csv
+        omega_p_ev = 9.0
+        gamma_ev = 0.035
+        join_energy_ev = 0.01
+
+        [force]
+        material = gold
+        reference = gold_data
+        d_min_m = 1e-7
+        d_max_m = 1e-6
+        points = 4
+
+        [matsubara]
+        temperature_k = 300
+        n_max = 300
+    """)
+    batched = cli.tangential_force_reduced
+    grids = []
+
+    def one_call(bounding, gap, d4, mats, quad):
+        grids.append(d4)
+        return batched(bounding, gap, d4, mats, quad)
+
+    def per_separation(bounding, gap, d4, mats, quad):
+        return tuple(batched(bounding, gap, d, mats, quad) for d in d4)
+
+    together, apart = tmp_path / "together.csv", tmp_path / "apart.csv"
+    monkeypatch.setattr(cli, "tangential_force_reduced", one_call)
+    assert main(["force-sweep", "--config", cfg, "--out", str(together)]) == 0
+    assert len(grids) == 2 and all(len(grid) == 4 for grid in grids)
+    monkeypatch.setattr(cli, "tangential_force_reduced", per_separation)
+    assert main(["force-sweep", "--config", cfg, "--out", str(apart)]) == 0
+    assert together.read_bytes() == apart.read_bytes()
+
+
 def test_ambiguous_plasma_zero_mode(tmp_path, capsys):
     cfg = write_cfg(tmp_path, GOLD_SECTION + """
         [material.aluminum]

@@ -235,3 +235,17 @@ def test_determinism():
     a = energy_per_area_T(stack, mats).value
     b = energy_per_area_T(stack, mats).value
     assert a == b
+
+
+def test_single_config_observables_reject_a_tuple(monkeypatch):
+    def no_integrals(*args, **kwargs):
+        raise AssertionError("an integral ran")
+
+    monkeypatch.setattr(lifshitz, "semi_infinite_rows", no_integrals)
+    stack = halfspace_stack(GOLD, 1e-7)
+    pair = (MatsubaraConfig(300.0, n_max=50, zero_mode=DrudeLike()),
+            MatsubaraConfig(300.0, n_max=50, zero_mode=FromModel()))
+    with pytest.raises(TypeError, match="one MatsubaraConfig, got tuple"):
+        normal_pressure(stack, 3, pair)
+    with pytest.raises(TypeError, match="one MatsubaraConfig, got tuple"):
+        truncation_report(stack, pair, QuadratureConfig(), [10, 50])

@@ -469,3 +469,21 @@ def test_tabulated_caching_and_equality():
     assert a.eps_imag_axis(xi) is a.eps_imag_axis(xi) or \
         a.eps_imag_axis(xi) == a.eps_imag_axis(xi)
     assert plasma_frequency_of(a) == W_P
+
+
+@pytest.mark.parametrize("evaluate, value", [
+    (Vacuum().eps_imag_axis, 1.0),
+    (Constant(2.25).eps_imag_axis, 2.25),
+    (Permeability(1.5).mu_imag_axis, 1.5),
+], ids=["vacuum", "constant", "permeability"])
+def test_constant_models_check_a_scalar_xi(evaluate, value):
+    # a scalar xi is checked as an array element is
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite xi") as info:
+            evaluate(bad)
+        assert not isinstance(info.value, ZeroFrequencyError)
+    with pytest.raises(ZeroFrequencyError, match="frequencies must be positive"):
+        evaluate(-1.0)
+    # xi = 0 is the static limit the zero-mode prescriptions read
+    assert evaluate(0.0) == value
+    assert evaluate(1e14) == value

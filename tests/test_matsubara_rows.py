@@ -325,3 +325,127 @@ def test_failing_row_between_the_stops_raises_for_the_later_config():
         with pytest.raises(QuadratureError) as info:
             matsubara_energy(kinked, mats, QUAD, 1.0)
         assert info.value.matsubara_n == 30
+
+
+# ---------------------------------------------------------------------------
+# one pass for several separations: each stack is a row of the same passes
+
+SEPARATIONS = (1e-7, 3e-7, 1e-6)
+
+
+@pytest.mark.parametrize("layers, n_max", [
+    ((GOLD, VAC, GOLD), 300),
+    ((_tabulated_gold(), VAC, _tabulated_gold()), 300),
+    ((MAGNETIC, VAC, GOLD), 60),
+], ids=["analytic_gold", "tabulated_gold", "magnetic_stack"])
+def test_stacks_in_one_pass_equal_separate_calls(layers, n_max):
+    configs = _treatments(n_max)
+    stacks = tuple(Stack(layers, (d,)) for d in SEPARATIONS)
+    together = energy_per_area_T(stacks, configs)
+    assert isinstance(together, tuple) and len(together) == len(stacks)
+    for stack, energies in zip(stacks, together):
+        assert len(energies) == len(configs)
+        for mats, energy in zip(configs, energies):
+            alone = energy_per_area_T(stack, mats)
+            assert energy.value == alone.value
+            assert energy.terms == alone.terms
+            assert energy.panels == alone.panels
+            assert energy.n_stop == alone.n_stop
+    # a single config gives one energy per stack
+    drude = energy_per_area_T(stacks, configs[0])
+    assert drude == tuple(e[0] for e in together)
+
+
+def test_tangential_separations_equal_scalar_calls():
+    configs = _treatments(200)[:2]
+    quad = QuadratureConfig(rel_tol=1e-7)
+    together = tangential_force_reduced(GOLD, VAC, SEPARATIONS, configs, quad)
+    assert len(together) == len(SEPARATIONS)
+    for d, results in zip(SEPARATIONS, together):
+        assert results == tangential_force_reduced(GOLD, VAC, d, configs, quad)
+    single = tangential_force_reduced(GOLD, VAC, SEPARATIONS, configs[0], quad)
+    assert single == tuple(results[0] for results in together)
+
+
+def _n_stops(stacks, configs):
+    """Last index any config of each stack needs, from separate calls."""
+    return [max(energy_per_area_T(stack, mats).n_stop for mats in configs)
+            for stack in stacks]
+
+
+def test_separations_share_the_row_passes(monkeypatch):
+    configs = _treatments(500)[:2]
+    stacks = tuple(Stack((GOLD, VAC, GOLD), (d,)) for d in SEPARATIONS)
+    stops = _n_stops(stacks, configs)
+    sizes = _row_counter(monkeypatch)
+    energy_per_area_T(stacks, configs)
+    # one n = 0 pass per config with one row per stack, then chunks of 64
+    # indices for every stack still short of its last needed index
+    chunks = [64 * sum(stop >= start for stop in stops)
+              for start in range(1, max(stops) + 1, 64)]
+    assert sizes == [len(stacks)] * len(configs) + chunks
+    assert chunks[0] == 64 * len(stacks) and chunks[-1] == 64
+
+
+def test_sweep_longer_than_the_row_cap_splits_into_passes(monkeypatch):
+    configs = _treatments(200)[:2]
+    separations = (1e-7, 1.5e-7, 2.5e-7, 4e-7, 7e-7)
+    stacks = tuple(Stack((GOLD, VAC, GOLD), (d,)) for d in separations)
+    alone = [energy_per_area_T(stack, configs) for stack in stacks]
+    monkeypatch.setattr(lifshitz, "_MAX_ROWS", 2 * 64)
+    sizes = _row_counter(monkeypatch)
+    assert energy_per_area_T(stacks, configs) == tuple(alone)
+    assert max(sizes) == 2 * 64
+    # the n = 0 passes: two stacks, two stacks, then the last one
+    assert [s for s in sizes if s < 64] == [2, 2, 2, 2, 1, 1]
+
+
+def test_bad_separations_or_layers_raise_before_any_integral(monkeypatch):
+    def no_integrals(*args, **kwargs):
+        raise AssertionError("an integral ran")
+
+    monkeypatch.setattr(lifshitz, "semi_infinite_rows", no_integrals)
+    mats = _treatments(50)[0]
+    for bad in (0.0, -1e-7, math.inf, math.nan):
+        with pytest.raises(ValueError, match="d4 must be positive and finite"):
+            tangential_force_reduced(GOLD, VAC, (1e-7, bad), mats)
+    other = (Stack((GOLD, VAC, GOLD), (1e-7,)), Stack((VAC, GOLD, VAC), (1e-7,)))
+    with pytest.raises(ValueError, match="share their layers"):
+        energy_per_area_T(other, mats)
+    with pytest.raises(ValueError, match="at least one stack"):
+        energy_per_area_T((), mats)
+
+
+def test_failing_row_names_its_system():
+    # system 1 gets a kink at n = 10 that the 16-panel budget cannot resolve
+    ln_g_sum = _synthetic(_decaying)
+    kinked = _synthetic(_decaying, kinked=(10,))
+
+    def two_systems(k, xi, zero_mode, system):
+        return np.where(system == 1, kinked(k, xi, zero_mode),
+                        ln_g_sum(k, xi, zero_mode))
+
+    mats = MatsubaraConfig(T, n_max=100)
+    with pytest.raises(QuadratureError) as info:
+        matsubara_energy(two_systems, mats, QUAD, (1.0, 1.0))
+    assert (info.value.matsubara_n, info.value.system) == (10, 1)
+    assert "n=10" in str(info.value)
+    with pytest.raises(QuadratureError) as alone:
+        matsubara_energy(kinked, mats, QUAD, 1.0)
+    assert info.value.last_estimate == alone.value.last_estimate
+
+
+def test_failing_separation_is_named():
+    # on this budget the plasma zero mode of 1 um fails and 3 um does not
+    mats = MatsubaraConfig(T, n_max=60, zero_mode=PlasmaLike(WP))
+    quad = QuadratureConfig(rel_tol=1e-9, max_panels=22)
+    tangential_force_reduced(GOLD, VAC, 3e-6, mats, quad)
+    with pytest.raises(QuadratureError) as alone:
+        tangential_force_reduced(GOLD, VAC, 1e-6, mats, quad)
+    with pytest.raises(QuadratureError) as info:
+        tangential_force_reduced(GOLD, VAC, (3e-6, 1e-6), mats, quad)
+    err = info.value
+    assert (err.matsubara_n, err.separation) == (0, 1e-6)
+    assert "n=0" in str(err) and "d4 = 1e-06 m" in str(err)
+    assert err.last_estimate == alone.value.last_estimate
+    assert alone.value.separation == 1e-6

@@ -143,3 +143,32 @@ def test_rows_do_not_depend_on_their_batch():
         if one_row is None:
             one_row = values
         np.testing.assert_array_equal(values, one_row, err_msg=f"size {size}")
+
+
+def test_one_scale_per_row_equals_scalar_calls():
+    # row i decays on its own length d_i and is rescaled by 1 / (2 d_i)
+    d = np.array([1e-7, 3e-7, 1e-6])
+
+    def f(k, rows):
+        return k * np.exp(-2.0 * k * d[rows, None])
+
+    total, panels, failures = semi_infinite_rows(f, d.size,
+                                                 scale=1.0 / (2.0 * d))
+    assert not failures
+    for i, di in enumerate(d):
+        alone, used, _ = semi_infinite_rows(
+            lambda k, rows: k * np.exp(-2.0 * k * di), 1, scale=1.0 / (2.0 * di))
+        assert total[i] == alone[0] and panels[i] == used[0]
+
+
+def test_row_scales_are_checked():
+    def f(k, rows):
+        return np.exp(-k)
+
+    with pytest.raises(ValueError, match="one per row"):
+        semi_infinite_rows(f, 3, scale=np.ones(2))
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            semi_infinite_rows(f, 2, scale=np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="positive and finite"):
+            semi_infinite_rows(f, 2, scale=bad)
