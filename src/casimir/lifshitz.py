@@ -298,7 +298,8 @@ def _mode_sum(stack, mode=ln_g):
     thickness = np.array([s.thicknesses for s in stacks], dtype=float).T[..., None]
 
     def mode_sum(k, xi, zero_mode=None, system=None):
-        rows = stacks[0] if system is None else Stack(
+        # the member stacks were checked when they were built
+        rows = stacks[0] if system is None else Stack._unchecked(
             layers, thickness[:, system[:, 0]])
         return sum(mode(rows, k, xi, zero_mode).values())
     # Rescaling by the largest thickness keeps structure from every layer

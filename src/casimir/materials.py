@@ -252,7 +252,8 @@ class OpticalDataTable:
 
     @functools.cached_property
     def _kk_band(self):
-        """Round-0 panels of :func:`_data_band_integral`, one per segment."""
+        """Round-0 panels of :func:`_data_band_integral`, one per segment,
+        in the layout of :func:`_band_panels`."""
         w, e2 = self.omegas, np.maximum(self.eps2, _LOG_FLOOR)
         return _band_panels(w[:-1], w[1:], w[:-1], e2[:-1],
                             np.diff(np.log(e2)) / np.diff(np.log(w)))
@@ -409,6 +410,10 @@ def drude_synthetic_table(omega_p_ev, gamma_ev, e_min_ev, e_max_ev,
 # ---------------------------------------------------------------------------
 # Kramers-Kronig transform to the imaginary axis
 
+# Bytes of the one (xi, panel, node) block that round 0 of the data band
+# reuses for every chunk of xi: it bounds the chunk as _CHUNK bounds rows.
+_BAND_SCRATCH = 256 * 1024
+
 
 def _drude_tail_integral(omega_p, gamma, w_hi, xi):
     """Closed form of int_0^w_hi w*eps''_drude(w) / (w**2 + xi**2) dw."""
@@ -442,48 +447,95 @@ def _power_tail_integral(tail, w_max, xi, rel_tol):
         out[start:start + _CHUNK], _, failures = _adaptive_rows(
             f, 0.0, 1.0, np.arange(col.size), rel_tol, 512, _NOISE_FLOOR)
         if failures:
-            raise failures[min(failures)]
+            row, error = min(failures.items())
+            raise QuadratureError(
+                f"Kramers-Kronig power tail at xi = {col[row, 0]:g} rad/s: {error}",
+                error.last_estimate, error.previous_estimate) from error
     return out
 
 
 def _band_panels(a, b, w_ref, e_ref, s):
-    """Panel arrays, then half widths, x**2 and x*eps''(x) at the Gauss nodes x."""
+    """Panel arrays, half widths, then x**2 and x*eps''(x) at the Gauss nodes
+    x: (panel, node) blocks of the 15-point rule, then of the 7-point rule."""
     half = 0.5 * (b - a)
-    x = 0.5 * (a + b)[:, None] + half[:, None] * _NODES[None, :]
-    return (a, b, w_ref, e_ref, s, half, x ** 2,
-            e_ref[:, None] * (x / w_ref[:, None]) ** s[:, None] * x)
+    blocks = []
+    for nodes in (_NODES[:15], _NODES[15:]):
+        x = 0.5 * (a + b)[:, None] + half[:, None] * nodes[None, :]
+        blocks += [x ** 2, e_ref[:, None] * (x / w_ref[:, None]) ** s[:, None] * x]
+    return (a, b, w_ref, e_ref, s, half, *blocks)
+
+
+def _band_round(panels, xi2, rel_tol, scratch):
+    """Totals, panel errors, tolerances and converged flags of one round of
+    the paired rules, one row per xi**2; integrands are built in ``scratch``."""
+    half, blocks = panels[5], panels[6:]
+    rules = []
+    for x2, num, weights in zip(blocks[::2], blocks[1::2], (_GL15_W, _GL7_W)):
+        y = scratch[:xi2.size * x2.size].reshape((xi2.size,) + x2.shape)
+        np.add(x2, xi2[:, None, None], out=y)
+        np.divide(num, y, out=y)
+        rules.append(y @ weights)
+        rules[-1] *= half
+    i15, err = rules
+    np.abs(np.subtract(i15, err, out=err), out=err)
+    total = np.add.reduce(i15, axis=-1)
+    tol = rel_tol * np.maximum(np.abs(total), _LOG_FLOOR)
+    return total, err, tol, np.add.reduce(err, axis=-1) <= tol
+
+
+def _band_bisect(panels, total, err, tol, xi, rel_tol, max_rounds):
+    """Rounds 1, 2, ... of the data band for one xi that failed round 0."""
+    previous = None
+    for _ in range(max_rounds - 1):
+        # bisect every panel whose error exceeds its share of the budget
+        a, b, w_ref, e_ref, s = panels[:5]
+        split = err > tol / max(err.size, 1)
+        keep = ~split
+        mid = 0.5 * (a[split] + b[split])
+        panels = _band_panels(
+            np.concatenate([a[keep], a[split], mid]),
+            np.concatenate([b[keep], mid, b[split]]),
+            *(np.concatenate([v[keep], v[split], v[split]])
+              for v in (w_ref, e_ref, s)))
+        previous = total
+        total, err, tol, done = (v[0] for v in _band_round(
+            panels, np.array([xi ** 2]), rel_tol, np.empty(panels[6].size)))
+        if done:
+            return total
+    raise QuadratureError(
+        f"Kramers-Kronig data-band integral at xi = {xi:g} rad/s did not "
+        f"converge to rel_tol={rel_tol:g} in {max_rounds} rounds",
+        last_estimate=total, previous_estimate=previous)
 
 
 def _data_band_integral(table, xi, rel_tol, max_rounds=24):
-    """int over the tabulated range of w*eps''(w) / (w**2 + xi**2) dw.
+    """int over the tabulated range of w*eps''(w) / (w**2 + xi**2) dw, for a
+    scalar or 1-d array xi.
 
     eps'' is interpolated log-log between samples, so each sample segment
     carries an analytic power law; segments are integrated with paired
     15/7-point Gauss rules, bisecting (with the segment's own power law)
     until the summed error estimate meets the tolerance. Round 0, one panel
-    per segment, starts from the table's cached xi-independent integrand.
+    per segment on the table's cached integrand, runs for a chunk of xi at
+    once; only the xi it leaves unconverged bisect, one at a time. Each xi
+    gets its one-xi result bit for bit.
     """
-    a, b, w_ref, e_ref, s, half, x2, num = table._kk_band
-    for _ in range(max_rounds):
-        y = num / (x2 + xi ** 2)
-        i15 = half * (y[:, :15] @ _GL15_W)
-        i7 = half * (y[:, 15:] @ _GL7_W)
-        err = np.abs(i15 - i7)
-        total = float(np.sum(i15))
-        tol = rel_tol * max(abs(total), _LOG_FLOOR)
-        if float(np.sum(err)) <= tol:
-            return total
-        # bisect every panel whose error exceeds its share of the budget
-        split = err > tol / max(err.size, 1)
-        keep = ~split
-        mid = 0.5 * (a[split] + b[split])
-        a, b, w_ref, e_ref, s, half, x2, num = _band_panels(
-            np.concatenate([a[keep], a[split], mid]),
-            np.concatenate([b[keep], mid, b[split]]),
-            *(np.concatenate([v[keep], v[split], v[split]])
-              for v in (w_ref, e_ref, s)))
-    raise QuadratureError(
-        f"Kramers-Kronig data-band integral did not converge to rel_tol={rel_tol:g}")
+    xis = np.atleast_1d(np.asarray(xi, dtype=float)).tolist()
+    # Python's float power (libm pow), as the one-xi code squared xi:
+    # numpy's square rounds ~0.1% of arguments the other way
+    xi2 = np.array([x ** 2 for x in xis])
+    band = table._kk_band
+    chunk = max(1, _BAND_SCRATCH // band[6].nbytes)
+    scratch = np.empty(min(chunk, len(xis)) * band[6].size)
+    out = np.empty(len(xis))
+    for start in range(0, len(xis), chunk):
+        rows = slice(start, start + chunk)
+        out[rows], err, tol, done = _band_round(band, xi2[rows], rel_tol, scratch)
+        for r in np.flatnonzero(~done).tolist():
+            i = start + r
+            out[i] = _band_bisect(band, out[i], err[r], tol[r], xis[i],
+                                  rel_tol, max_rounds)
+    return float(out[0]) if np.ndim(xi) == 0 else out
 
 
 def kk_transform(table, low_tail, high_tail, xi, rel_tol=1e-6):
@@ -495,7 +547,9 @@ def kk_transform(table, low_tail, high_tail, xi, rel_tol=1e-6):
     above it. Either tail may be None (treated as zero absorption).
 
     ``xi`` is a scalar or an array; an array gives the scalar results in its
-    shape, with the power tail of all elements integrated as batched rows.
+    shape, bit for bit. The power tail of all elements is integrated as
+    batched rows, and round 0 of the data band runs for many xi at once;
+    only the xi whose round 0 misses the tolerance bisect, one at a time.
     """
     xis = np.asarray(xi, dtype=float)
     _require_finite_xi(xis)
@@ -506,18 +560,16 @@ def kk_transform(table, low_tail, high_tail, xi, rel_tol=1e-6):
             "tabulated permittivity with a Drude low-frequency tail diverges "
             "at xi = 0; the zero-frequency term must come from a zero-mode "
             "prescription")
-    lo = table.omegas[0]
+    flat, low = xis.ravel(), 0.0
     if low_tail is not None:
-        lo = min(lo, ev_to_radps(low_tail.join_energy_ev))
-    tails = _power_tail_integral(high_tail, table.omegas[-1], xis.ravel(),
-                                 rel_tol)
-    out = []
-    for x, tail in zip(xis.ravel().tolist(), tails.tolist()):
-        total = 0.0 if low_tail is None else _drude_tail_integral(
-            low_tail.omega_p, low_tail.gamma, lo, x)
-        total += _data_band_integral(table, x, rel_tol)
-        out.append(1.0 + (2.0 / math.pi) * (total + tail))
-    return out[0] if xis.ndim == 0 else np.reshape(out, xis.shape)
+        lo = min(table.omegas[0], ev_to_radps(low_tail.join_energy_ev))
+        # scalar math.atan per xi: np.arctan rounds some arguments otherwise
+        low = np.array([_drude_tail_integral(low_tail.omega_p, low_tail.gamma,
+                                             lo, x) for x in flat.tolist()])
+    tails = _power_tail_integral(high_tail, table.omegas[-1], flat, rel_tol)
+    total = low + _data_band_integral(table, flat, rel_tol)
+    out = 1.0 + (2.0 / math.pi) * (total + tails)
+    return float(out[0]) if xis.ndim == 0 else out.reshape(xis.shape)
 
 
 class Tabulated:
@@ -527,7 +579,8 @@ class Tabulated:
     same frequency grid pay the transform cost once per material.
     ``eps_imag_axis`` takes a scalar or an array of frequencies and
     transforms all of its cache misses in one :func:`kk_transform` call,
-    at that function's default tolerance.
+    at that function's default tolerance, so they share the batched round 0
+    of the data band.
     """
 
     def __init__(self, table, low_tail=None, high_tail=None):

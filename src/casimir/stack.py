@@ -70,6 +70,13 @@ class Stack:
             if not np.all((d > 0.0) & np.isfinite(d)):
                 raise ValueError(f"d{j} must be positive and finite, got {d}")
 
+    @classmethod
+    def _unchecked(cls, layers, thicknesses):
+        """A stack of members that were already checked, built without checks."""
+        stack = object.__new__(cls)
+        stack.__dict__.update(layers=layers, thicknesses=tuple(thicknesses))
+        return stack
+
 
 def FiveLayerStack(layers, d2, d3, d4):  # noqa: N802 (reads as a type at call sites)
     """The paper's five-layer :class:`Stack` with inner thicknesses d2, d3, d4."""

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from casimir.materials import (Constant, DataFileError, Drude, DrudeTail,
                                eps2_from_nk, ev_to_radps, fit_power_tail,
                                kk_transform, load_optical_data,
                                plasma_frequency_of, radps_to_ev)
+from casimir.quadrature import QuadratureError
 
 W_P = ev_to_radps(9.0)
 GAMMA = ev_to_radps(0.035)
@@ -180,9 +182,10 @@ def test_plasma_frequency_of():
 # ---------------------------------------------------------------------------
 # Kramers-Kronig over many xi at once
 #
-# The data band runs the scalar arithmetic per xi and the quadrature reduces
-# each power-tail row on its own, so batched and scalar calls agree bit for
-# bit.
+# Round 0 of the data band runs for a chunk of xi at once, with each
+# element's one-xi arithmetic, and the quadrature reduces each power-tail
+# row on its own, so batched and scalar calls agree bit for bit. The tests
+# compare against the one-xi algorithm written out in _band_reference.
 
 
 def _gold_kk():
@@ -202,6 +205,32 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _band_reference(table, xi, rel_tol, max_rounds=24):
+    """The data band of one xi written out: round 0 on the sample segments,
+    then bisection of every panel over its share of the error budget."""
+    w, e2 = table.omegas, np.maximum(table.eps2, 1e-300)
+    a, b, w_ref, e_ref = w[:-1], w[1:], w[:-1], e2[:-1]
+    s = np.diff(np.log(e2)) / np.diff(np.log(w))
+    for _ in range(max_rounds):
+        half = 0.5 * (b - a)
+        x = 0.5 * (a + b)[:, None] + half[:, None] * materials._NODES[None, :]
+        y = (e_ref[:, None] * (x / w_ref[:, None]) ** s[:, None] * x
+             / (x ** 2 + float(xi) ** 2))
+        i15 = half * (y[:, :15] @ materials._GL15_W)
+        err = np.abs(i15 - half * (y[:, 15:] @ materials._GL7_W))
+        total = float(np.sum(i15))
+        tol = rel_tol * max(abs(total), 1e-300)
+        if float(np.sum(err)) <= tol:
+            return total
+        split = err > tol / err.size
+        mid = 0.5 * (a[split] + b[split])
+        a, b = (np.concatenate([a[~split], a[split], mid]),
+                np.concatenate([b[~split], mid, b[split]]))
+        w_ref, e_ref, s = (np.concatenate([v[~split], v[split], v[split]])
+                           for v in (w_ref, e_ref, s))
+    raise AssertionError("reference band did not converge")
+
+
 def test_kk_array_equals_scalar_calls():
     tab, low, high = _gold_kk()
     # three power-tail chunks, xi = gamma (degenerate low tail) and duplicates
@@ -211,6 +240,14 @@ def test_kk_array_equals_scalar_calls():
     scalar = np.array([kk_transform(tab, low, high, float(x)) for x in xi])
     assert batched.shape == xi.shape
     np.testing.assert_array_equal(batched, scalar)
+    # and both equal the transform assembled from its per-xi parts
+    lo, hi = tab.omegas[[0, -1]]
+    tails = materials._power_tail_integral(high, hi, xi, 1e-6)
+    parts = [1.0 + (2.0 / math.pi) * (
+        materials._drude_tail_integral(low.omega_p, low.gamma, lo, x)
+        + _band_reference(tab, x, 1e-6) + tail)
+        for x, tail in zip(xi.tolist(), tails.tolist())]
+    np.testing.assert_array_equal(batched, parts)
     column = kk_transform(tab, low, high, xi[:, None])
     assert column.shape == (xi.size, 1)
     np.testing.assert_array_equal(column[:, 0], scalar)
@@ -243,6 +280,71 @@ def test_kk_array_row_with_band_refinement(monkeypatch):
     batched = kk_transform(tab, None, high, xi, rel_tol=1e-9)
     assert len(refinements) >= xi.size
     np.testing.assert_array_equal(batched, scalar)
+
+
+def _kk_spectrum_tables():
+    """The two table shapes of the kk-spectrum benchmark: one gold table at
+    100 samples per decade, and the same with an n,k table merged below
+    4.2 eV."""
+    tab = drude_synthetic_table(9.0, 0.035, 0.01, 100.0, per_decade=100)
+    low = drude_synthetic_table(9.0, 0.035, 0.01, 5.0, per_decade=60)
+    mod = np.hypot(low.eps1, low.eps2)
+    n, k = np.sqrt(0.5 * (mod + low.eps1)), np.sqrt(0.5 * (mod - low.eps1))
+    nk = OpticalDataTable(low.energies_ev, n ** 2 - k ** 2, eps2_from_nk(n, k))
+    return {"single": tab, "merged": tab.replace_below(nk, 4.2)}
+
+
+@pytest.mark.parametrize("name", ["single", "merged"])
+def test_kk_batched_band_equals_per_xi_reference(name):
+    tab = _kk_spectrum_tables()[name]
+    chunk = max(1, materials._BAND_SCRATCH // (8 * 15 * (tab.omegas.size - 1)))
+    assert 1 < chunk < 2000
+    for size in (1, chunk - 1, chunk, chunk + 1, 2000):
+        xi = (ev_to_radps(np.geomspace(0.01, 100.0, size)) if name == "single"
+              else 2.4677902545e14 * np.arange(1, size + 1))  # Matsubara, 300 K
+        batched = materials._data_band_integral(tab, xi, 1e-6)
+        assert batched.shape == (size,)
+        reference = [_band_reference(tab, x, 1e-6) for x in xi.tolist()]
+        np.testing.assert_array_equal(batched, reference)
+
+
+def test_kk_chunk_mixing_round_0_and_bisection(monkeypatch):
+    # five samples over four decades: at rel_tol = 1e-3 round 0 meets the
+    # tolerance at high xi only; every xi fits in one chunk
+    tab = drude_synthetic_table(9.0, 0.035, 0.01, 100.0, per_decade=1)
+    xi = ev_to_radps(np.geomspace(1e-4, 1e5, 40))
+    bisected = _counting(monkeypatch, "_band_bisect")
+    batched = materials._data_band_integral(tab, xi, 1e-3)
+    assert 0 < len(bisected) < xi.size
+    np.testing.assert_array_equal(
+        batched, [_band_reference(tab, x, 1e-3) for x in xi.tolist()])
+
+
+def test_kk_band_failure_names_xi_and_estimates():
+    # five samples over four decades cannot meet 1e-9 in one or two rounds
+    tab = drude_synthetic_table(9.0, 0.035, 0.01, 100.0, per_decade=1)
+    xi = ev_to_radps(np.array([1.0, 2.0]))
+    converged = _band_reference(tab, xi[0], 1e-9)
+    named = re.escape(f"at xi = {xi[0]:g} rad/s")
+    with pytest.raises(QuadratureError, match=named + ".* in 1 rounds") as info:
+        materials._data_band_integral(tab, xi, 1e-9, max_rounds=1)
+    round0 = info.value.last_estimate
+    assert info.value.previous_estimate is None
+    with pytest.raises(QuadratureError, match="in 2 rounds") as info:
+        materials._data_band_integral(tab, xi, 1e-9, max_rounds=2)
+    assert info.value.previous_estimate == round0
+    assert (abs(info.value.last_estimate - converged)
+            < abs(round0 - converged))
+
+
+def test_kk_power_tail_failure_names_xi():
+    tab, low, high = _gold_kk()
+    xi = ev_to_radps(np.array([1.0, 2.0]))
+    named = re.escape(f"power tail at xi = {xi[0]:g} rad/s")
+    with pytest.raises(QuadratureError, match=named) as info:
+        kk_transform(tab, low, high, xi, rel_tol=1e-30)
+    assert math.isfinite(info.value.last_estimate)
+    assert isinstance(info.value.__cause__, QuadratureError)
 
 
 def test_kk_array_rejects_non_positive():

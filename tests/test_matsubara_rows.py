@@ -356,6 +356,25 @@ def test_stacks_in_one_pass_equal_separate_calls(layers, n_max):
     assert drude == tuple(e[0] for e in together)
 
 
+def test_stack_pass_builds_its_row_stacks_unchecked(monkeypatch):
+    # the member stacks are checked once, when built; the row stacks of
+    # every integrand call reuse them without running Stack's checks again
+    configs = _treatments(200)[:2]
+    stacks = tuple(Stack((GOLD, VAC, GOLD), (d,)) for d in SEPARATIONS)
+    alone = [energy_per_area_T(stack, configs) for stack in stacks]
+    checks = []
+    original = Stack.__post_init__
+    monkeypatch.setattr(Stack, "__post_init__",
+                        lambda self: checks.append(1) or original(self))
+    together = energy_per_area_T(stacks, configs)
+    assert checks == []
+    assert together == tuple(alone)
+    # public construction keeps every check
+    with pytest.raises(ValueError, match="d2 must be positive"):
+        Stack((GOLD, VAC, GOLD), (np.array([[1e-7], [-1e-7]]),))
+    assert len(checks) == 1
+
+
 def test_tangential_separations_equal_scalar_calls():
     configs = _treatments(200)[:2]
     quad = QuadratureConfig(rel_tol=1e-7)
