@@ -10,11 +10,11 @@ The zero-mode prescriptions (Drude, plasma, model) differ only in the
 n = 0 term, so a tuple of configs that share temperature and n_max is
 summed in one pass: each config gets its own n = 0 integral, the terms
 n >= 1 are integrated once and each config takes them up to its own early
-stop. Stacks that share their layers and differ only in thicknesses (the
-separations of a force sweep) are summed in the same passes too: each
-stack is one more row of every k-quadrature pass, rescaled on its own
-k-scale, and drops out once all of its configs have stopped. Every result
-equals the one of a separate call bit for bit.
+stop. A tuple of stacks (the separations of a force sweep, or the full,
+retracted and slab stacks of a difference observable) is summed in the
+same passes too: each stack is one more row of every k-quadrature pass,
+rescaled on its own k-scale, and drops out once all of its configs have
+stopped. Every result equals the one of a separate call bit for bit.
 
 Sign convention: attractive configurations have negative energy per area
 and negative normal pressure.
@@ -23,6 +23,7 @@ and negative normal pressure.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -100,14 +101,6 @@ class EnergyPerArea:
     panels: int = 0
     n_stop: int | None = None
 
-    def partial_sums(self):
-        out = []
-        acc = []
-        for t in self.terms:
-            acc.append(t)
-            out.append(math.fsum(acc))
-        return out
-
 
 def k_integral(f, quad, scale=1.0):
     """Semi-infinite integral of a vectorized integrand over k in [0, inf).
@@ -119,16 +112,17 @@ def k_integral(f, quad, scale=1.0):
                                   max_panels=quad.max_panels)
 
 
-def _k_rows(f, xi, quad, scale):
-    """k-integrals of ``f(k, xi)`` for every frequency in ``xi``, one row each.
-
-    Returns the integrals, panel counts and ``{row: QuadratureError}`` of
-    :func:`semi_infinite_rows`; ``f`` sees ``xi`` as a column matching k.
-    """
-    xi = np.asarray(xi, dtype=float)[:, None]
-    return semi_infinite_rows(lambda k, rows: f(k, xi[rows]), len(xi),
-                              scale=scale, rel_tol=quad.rel_tol,
-                              max_panels=quad.max_panels)
+def _k_pass(mode, xi, zero_mode, system, scales, quad):
+    """:func:`semi_infinite_rows` of ``k * mode`` for the rows ``system``
+    (indices into ``scales``), each on the k-scale of its system. ``mode(k,
+    xi, zero_mode, system)`` receives ``xi`` (one value, or a (rows, 1)
+    column) and the (rows, 1) column of system indices of the rows of k."""
+    column = system[:, None]
+    return semi_infinite_rows(
+        lambda k, rows: k * mode(k, xi if np.ndim(xi) == 0 else xi[rows],
+                                 zero_mode, column[rows]),
+        system.size, scale=scales[system], rel_tol=quad.rel_tol,
+        max_panels=quad.max_panels)
 
 
 def _tagged(err, n, system):
@@ -185,32 +179,24 @@ class _RunningSum:
 
 
 def _lockstep(mode, configs, quad, scales, systems):
-    """``[[_RunningSum per config] per system]`` of the ``systems`` (indices
-    into ``scales``), each row of a pass one (system, index) pair.
+    """``[[_RunningSum per config] per system]`` of the ascending ``systems``
+    (indices into ``scales``), each row of a pass one (system, index) pair.
 
     Each config takes one n = 0 pass with one row per system; the indices
     n >= 1 follow in chunks of ``_CHUNK``, each chunk one pass over the
-    systems that still have a config before its early stop.
+    systems that still have a config before its early stop. The rows of
+    every pass are sorted by system.
     """
     mats = configs[0]
     pref = k_B * mats.temperature / (2.0 * math.pi)
-
-    def k_pass(xi, zero_mode, system):
-        column = system[:, None]
-        values, panels, failures = semi_infinite_rows(
-            lambda k, rows: k * mode(k, xi if np.ndim(xi) == 0 else xi[rows],
-                                     zero_mode, column[rows]),
-            system.size, scale=scales[system], rel_tol=quad.rel_tol,
-            max_panels=quad.max_panels)
-        return values.tolist(), panels.tolist(), failures
-
     sums = {s: [] for s in systems.tolist()}
     for cfg in configs:
-        values, panels, failures = k_pass(0.0, cfg.zero_mode, systems)
+        values, panels, failures = _k_pass(mode, 0.0, cfg.zero_mode, systems,
+                                           scales, quad)
         if failures:
             row = min(failures)
             raise _tagged(failures[row], 0, int(systems[row])) from failures[row]
-        for s, i0, used in zip(sums, values, panels):
+        for s, i0, used in zip(sums, values.tolist(), panels.tolist()):
             sums[s].append(_RunningSum(0.5 * pref * i0, used))
     live = {s: list(running) for s, running in sums.items()}
     for start in range(1, mats.n_max + 1, _CHUNK):
@@ -220,8 +206,10 @@ def _lockstep(mode, configs, quad, scales, systems):
             break
         ns = np.arange(start, min(start + _CHUNK, mats.n_max + 1))
         xi = np.tile(matsubara_xi(ns, mats.temperature), len(active))[:, None]
-        values, panels, failures = k_pass(xi, None,
-                                          np.repeat(active, ns.size))
+        values, panels, failures = _k_pass(mode, xi, None,
+                                           np.repeat(active, ns.size),
+                                           scales, quad)
+        values, panels = values.tolist(), panels.tolist()
         for i, s in enumerate(active):
             for j, n in enumerate(ns.tolist()):
                 row = i * ns.size + j
@@ -247,14 +235,15 @@ def matsubara_energy(ln_g_sum, mats, quad, k_scale):
     ``mats`` is one :class:`MatsubaraConfig` or a tuple of configs that
     share temperature and n_max, which gives a tuple of results in its
     order. ``k_scale`` is the k-scale of one system, or a tuple of the
-    k-scales of several systems (say, one stack per separation), which
-    gives a tuple over the systems. Then ``ln_g_sum(k, xi, zero_mode,
-    system)`` also receives the (rows, 1) column of system indices of the
-    rows of k. All systems and configs run in the same row-batched passes,
-    at most ``_MAX_ROWS`` rows each; every (system, config) keeps its own
-    early stop, and its result equals the one of a separate call bit for
-    bit. A failing row raises :class:`QuadratureError` tagged with its
-    ``matsubara_n`` and the index of its ``system`` (0 for one k-scale).
+    k-scales of several systems (say, one stack per separation, or the
+    stacks of a difference of energies), which gives a tuple over the
+    systems. Then ``ln_g_sum(k, xi, zero_mode, system)`` also receives the
+    (rows, 1) column of system indices of the rows of k. All systems and
+    configs run in the same row-batched passes, at most ``_MAX_ROWS`` rows
+    each; every (system, config) keeps its own early stop, and its result
+    equals the one of a separate call bit for bit. A failing row raises
+    :class:`QuadratureError` tagged with its ``matsubara_n`` and the index
+    of its ``system`` (0 for one k-scale).
     """
     configs = _shared_pass(mats)
     if isinstance(k_scale, tuple):
@@ -278,30 +267,41 @@ def matsubara_energy(ln_g_sum, mats, quad, k_scale):
 
 def _mode_sum(stack, mode=ln_g):
     """``(f, k_scale)`` of a :class:`~casimir.stack.Stack`, or of a tuple of
-    stacks that share their layers, for :func:`matsubara_energy`.
+    stacks, for :func:`matsubara_energy`.
 
     ``f(k, xi, zero_mode=None, system=None)`` is the sum over polarizations
     of ``mode`` (ln G by default), with the zero mode taken under
     ``zero_mode``. For a tuple, ``k_scale`` has one entry per stack and
-    ``system`` picks the stack of each row of k: the thicknesses become
-    (rows, 1) columns that broadcast against k like xi.
+    ``system`` picks the stack of each row of k. Consecutive stacks with
+    equal layers form one run, whose thicknesses become (rows, 1) columns
+    that broadcast against k like xi; ``mode`` is called once per run.
     """
     stacks = stack if isinstance(stack, tuple) else (stack,)
     if not stacks:
         raise ValueError("a Matsubara pass needs at least one stack")
-    layers = stacks[0].layers
-    for other in stacks[1:]:
-        if other.layers != layers:
-            raise ValueError("stacks of one Matsubara pass must share their "
-                             "layers and differ only in thicknesses")
-    # (inner layer, stack, 1): indexing the stack axis gives row columns
-    thickness = np.array([s.thicknesses for s in stacks], dtype=float).T[..., None]
+    # per run: (first stack, layers, thicknesses as (inner layer, member, 1))
+    runs, run_of = [], []
+    for layers, group in itertools.groupby(stacks, key=lambda s: s.layers):
+        members = np.array([s.thicknesses for s in group], dtype=float)
+        runs.append((len(run_of), layers, members.T[..., None]))
+        run_of += [len(runs) - 1] * len(members)
+    run_of = np.array(run_of)
 
     def mode_sum(k, xi, zero_mode=None, system=None):
-        # the member stacks were checked when they were built
-        rows = stacks[0] if system is None else Stack._unchecked(
-            layers, thickness[:, system[:, 0]])
-        return sum(mode(rows, k, xi, zero_mode).values())
+        if system is None or len(stacks) == 1:  # scalar thicknesses suffice
+            return sum(mode(stacks[0], k, xi, zero_mode).values())
+        # _lockstep and _adaptive_rows hand over rows sorted by system, so
+        # each run is one contiguous slice of k, xi and system
+        run = run_of[system[:, 0]]
+        edges = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), run.size]
+        parts = []
+        for a, b in zip(edges, edges[1:]):
+            first, layers, thickness = runs[run[a]]
+            # the member stacks were checked when they were built
+            rows = Stack._unchecked(layers, thickness[:, system[a:b, 0] - first])
+            parts.append(sum(mode(rows, k[a:b], xi if np.ndim(xi) == 0
+                                  else xi[a:b], zero_mode).values()))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
     # Rescaling by the largest thickness keeps structure from every layer
     # visible: the slowest decay sits at u ~ 1 and faster ones at larger u,
     # which the geometrically growing blocks always reach. The reverse
@@ -316,9 +316,9 @@ def energy_per_area_T(stack, mats, quad=QuadratureConfig()):
     ``mats`` is one :class:`MatsubaraConfig`, or a tuple of configs that
     differ only in ``zero_mode``, which gives a tuple of energies from one
     pass over the terms n >= 1. ``stack`` is one stack, or a tuple of
-    stacks that share their layers and differ only in thicknesses, which
-    gives a tuple over the stacks (of tuples, for a tuple of configs): the
-    stacks are rows of the same passes (see :func:`matsubara_energy`).
+    stacks of any layers, which gives a tuple over the stacks (of tuples,
+    for a tuple of configs): the stacks are rows of the same passes (see
+    :func:`matsubara_energy`).
     """
     ln_g_sum, k_scale = _mode_sum(stack)
     return matsubara_energy(ln_g_sum, mats, quad, k_scale)
@@ -327,11 +327,12 @@ def energy_per_area_T(stack, mats, quad=QuadratureConfig()):
 def energy_per_area_T0(stack, quad=QuadratureConfig()):
     """Zero-temperature energy per unit area: integral over xi instead of a sum."""
     ln_g_sum, k_scale = _mode_sum(stack)
+    scales = np.array([k_scale])
 
     def outer(xis):
         # every xi node of an outer panel is one row of the inner k pass
-        values, _, failures = _k_rows(lambda k, xi: k * ln_g_sum(k, xi), xis,
-                                      quad, k_scale)
+        values, _, failures = _k_pass(ln_g_sum, xis[:, None], None,
+                                      np.zeros(xis.size, int), scales, quad)
         if failures:
             raise failures[min(failures)]
         return values

@@ -212,17 +212,17 @@ def _one_row(f):
     return lambda x, rows: np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
 
 
-def adaptive_integral(f, a, b, rel_tol=1e-9, max_panels=512, abs_floor=0.0):
+def adaptive_integral(f, a, b, rel_tol=1e-9, max_panels=512):
     """Integrate a vectorized integrand over [a, b] to a relative tolerance.
 
     The panel with the largest error estimate is bisected until the summed
-    error estimate drops below ``max(rel_tol * |integral|, abs_floor)``.
+    error estimate drops below ``rel_tol * |integral|``.
     Raises :class:`QuadratureError` if ``max_panels`` panels do not suffice.
     """
     if not b > a:
         raise ValueError(f"empty integration interval [{a}, {b}]")
     total, _, failures = _adaptive_rows(_one_row(f), a, b, _ONE_ROW, rel_tol,
-                                        max_panels, max(abs_floor, _NOISE_FLOOR))
+                                        max_panels, _NOISE_FLOOR)
     if failures:
         raise failures[0]
     return float(total[0])

@@ -49,11 +49,11 @@ def tangential_force_general(stack, mats, quad=QuadratureConfig()):
     require_tangential_symmetry(stack)
     m = len(stack.layers) // 2
     gap, slab = stack.layers[m - 1], stack.layers[m]
-    e_full = energy_per_area_T(stack, mats, quad)
-    e_retracted = energy_per_area_T(retracted_stack(stack), mats, quad)
-    # the slab term is the middle plate alone in the gap medium
-    e_slab = energy_per_area_T(Stack((gap, slab, gap),
-                                     (stack.thicknesses[m - 1],)), mats, quad)
+    # the slab term is the middle plate alone in the gap medium; the three
+    # sums are rows of one Matsubara pass
+    e_full, e_retracted, e_slab = energy_per_area_T(
+        (stack, retracted_stack(stack),
+         Stack((gap, slab, gap), (stack.thicknesses[m - 1],))), mats, quad)
     force = -(e_full.value - e_retracted.value - e_slab.value)
     return TangentialResult(force, e_full.value, e_retracted.value,
                             e_slab.value, mats, quad)

@@ -205,16 +205,13 @@ def torque_energy_density(plate_a, plate_b, medium, d3, mats,
     ~1e-12, but dielectric plates are not (1 um plates of eps = 5 at
     d3 = 100 nm, 300 K differ from half-spaces by ~8e-4).
     """
-    def energy(layers, thicknesses):
-        return energy_per_area_T(Stack(layers, thicknesses), mats, quad).value
-
     t = plate_thickness
-    full = energy((medium, plate_a, medium, plate_b, medium), (t, d3, t))
-    slab_a = energy((medium, plate_a, medium), (t,))
-    # equal plates share one isolated-plate sum
-    slab_b = slab_a if plate_b == plate_a else energy((medium, plate_b, medium),
-                                                      (t,))
-    return (full - slab_a) - slab_b
+    # equal plates share one isolated-plate sum; all sums are rows of one pass
+    plates = (plate_a,) if plate_b == plate_a else (plate_a, plate_b)
+    full, *slabs = energy_per_area_T(
+        (Stack((medium, plate_a, medium, plate_b, medium), (t, d3, t)),)
+        + tuple(Stack((medium, p, medium), (t,)) for p in plates), mats, quad)
+    return (full.value - slabs[0].value) - slabs[-1].value
 
 
 def torque_energy(geom, plate_a, plate_b, medium, mats,

@@ -219,6 +219,22 @@ def test_eps_table_golden_output(tmp_path, grid):
         assert out.read_bytes() == fh.read()
 
 
+@pytest.mark.parametrize("command, name", [
+    ("torque-sweep", "torque_equal"),
+    ("torque-sweep", "torque_unequal"),
+    ("convergence", "convergence_five_layer"),
+])
+def test_matsubara_sum_golden_output(tmp_path, command, name):
+    # equal and unequal torque plates (two and three sums in one pass) and
+    # a magnetodielectric five-layer stack: every byte of the recorded table
+    # (see tests/golden/README.md) must come back
+    out = tmp_path / "out.csv"
+    cfg = os.path.join(GOLDEN, f"{name}.ini")
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    with open(os.path.join(GOLDEN, f"{name}.csv"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
 # ---------------------------------------------------------------------------
 # force-sweep
 

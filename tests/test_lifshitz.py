@@ -7,8 +7,8 @@ from scipy.constants import Boltzmann as k_B, c, hbar
 from scipy.special import zeta
 
 from casimir import lifshitz
-from casimir.lifshitz import (EnergyPerArea, MatsubaraConfig,
-                              QuadratureConfig, energy_per_area_T,
+from casimir.lifshitz import (MatsubaraConfig, QuadratureConfig,
+                              energy_per_area_T,
                               energy_per_area_T0, matsubara_xi,
                               normal_pressure, truncation_report)
 from casimir.materials import Constant, Drude, Plasma, Vacuum, ev_to_radps
@@ -101,11 +101,6 @@ def test_energy_terms_decay():
     mags = [abs(t) for t in energy.terms[1:] if t != 0.0]
     assert all(a > b for a, b in zip(mags[5:], mags[6:]))
     assert energy.value == pytest.approx(math.fsum(energy.terms), rel=0.0)
-
-
-def test_partial_sums():
-    e = EnergyPerArea(6.0, [1.0, 2.0, 3.0])
-    assert e.partial_sums() == [1.0, 3.0, 6.0]
 
 
 def test_pressure_ideal_mirrors():

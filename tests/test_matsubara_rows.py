@@ -419,6 +419,54 @@ def test_sweep_longer_than_the_row_cap_splits_into_passes(monkeypatch):
     assert [s for s in sizes if s < 64] == [2, 2, 2, 2, 1, 1]
 
 
+# ---------------------------------------------------------------------------
+# one pass for stacks of any layers: consecutive stacks with equal layers
+# form one run, and each run is one mode-function call per integrand call
+
+
+def _mixed_stacks():
+    """3-, 5- and 7-layer stacks, one with a mu != 1 layer; the layers
+    (GOLD, VAC, GOLD) come back after another stack and then repeat."""
+    two = (GOLD, VAC, GOLD)
+    return (Stack(two, (1e-7,)),
+            FiveLayerStack((GOLD, VAC, MAGNETIC, VAC, GOLD), 1e-7, 2e-7, 1.5e-7),
+            Stack(two, (3e-7,)),
+            Stack(two, (1e-6,)),
+            Stack((GOLD, VAC, GOLD, VAC, GOLD, VAC, GOLD),
+                  (1e-7, 5e-8, 2e-7, 5e-8, 1e-7)))
+
+
+@pytest.mark.parametrize("configs", [_treatments(80)[0], _treatments(80)[:2]],
+                         ids=["drude", "drude_plasma"])
+def test_mixed_stacks_in_one_pass_equal_separate_calls(configs):
+    stacks = _mixed_stacks()
+    together = energy_per_area_T(stacks, configs)
+    assert together == tuple(energy_per_area_T(stack, configs)
+                             for stack in stacks)
+
+
+def test_one_mode_call_per_run_of_equal_layers():
+    stacks = _mixed_stacks()
+    calls = []
+
+    def counted(stack, k, xi, zero_mode=None):
+        calls.append((stack.layers, k.shape[0]))
+        return ln_g(stack, k, xi, zero_mode)
+
+    mode_sum, scales = lifshitz._mode_sum(stacks, mode=counted)
+    assert len(scales) == len(stacks)
+    system = np.array([0, 0, 1, 2, 3, 3, 4])[:, None]
+    k = np.linspace(1e6, 3e7, 22) * np.ones((system.size, 1))
+    xi = matsubara_xi(np.arange(1, system.size + 1), T)[:, None]
+    together = mode_sum(k, xi, system=system)
+    # runs: stack 0, stack 1, stacks 2 and 3 (equal layers), stack 4
+    assert [(len(layers), rows) for layers, rows in calls] == \
+        [(3, 2), (5, 1), (3, 3), (7, 1)]
+    for row, s in enumerate(system[:, 0].tolist()):
+        alone = sum(ln_g(stacks[s], k[row:row + 1], xi[row:row + 1]).values())
+        assert np.array_equal(together[row:row + 1], alone)
+
+
 def test_bad_separations_or_layers_raise_before_any_integral(monkeypatch):
     def no_integrals(*args, **kwargs):
         raise AssertionError("an integral ran")
@@ -428,9 +476,6 @@ def test_bad_separations_or_layers_raise_before_any_integral(monkeypatch):
     for bad in (0.0, -1e-7, math.inf, math.nan):
         with pytest.raises(ValueError, match="d4 must be positive and finite"):
             tangential_force_reduced(GOLD, VAC, (1e-7, bad), mats)
-    other = (Stack((GOLD, VAC, GOLD), (1e-7,)), Stack((VAC, GOLD, VAC), (1e-7,)))
-    with pytest.raises(ValueError, match="share their layers"):
-        energy_per_area_T(other, mats)
     with pytest.raises(ValueError, match="at least one stack"):
         energy_per_area_T((), mats)
 

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from scipy.constants import c, hbar
 
-from casimir.lifshitz import MatsubaraConfig, QuadratureConfig
-from casimir.materials import (Constant, Drude, DrudeTail, Plasma, Tabulated,
-                               Vacuum, drude_synthetic_table, ev_to_radps,
+from casimir.lifshitz import (MatsubaraConfig, QuadratureConfig,
+                              energy_per_area_T)
+from casimir.materials import (Constant, Drude, DrudeTail, Permeability,
+                               Plasma, Tabulated, Vacuum,
+                               drude_synthetic_table, ev_to_radps,
                                fit_power_tail)
 from casimir.stack import (DrudeLike, FiveLayerStack, FromModel, Layer,
-                           PlasmaLike, Stack, StackSymmetryError)
+                           PlasmaLike, Stack, StackSymmetryError,
+                           retracted_stack)
 from casimir.tangential import (tangential_force_general,
                                 tangential_force_reduced)
 
@@ -61,6 +64,23 @@ def test_result_component_invariant():
     res = tangential_force_general(stack, mats)
     assert res.force_per_width == -(res.energy_full - res.energy_retracted
                                     - res.energy_slab)
+
+
+def test_general_equals_three_separate_sums():
+    # the full, retracted and slab sums run as rows of one pass, each equal
+    # to its own call bit for bit, on the magnetodielectric five-layer stack
+    plate = Layer(Constant(5.0), Permeability(2.0))
+    stack = FiveLayerStack((GOLD, VAC, plate, VAC, GOLD), 1.5e-7, 2e-7, 1e-7)
+    mats = MatsubaraConfig(300.0, n_max=80, zero_mode=DrudeLike())
+    quad = QuadratureConfig(rel_tol=1e-8)
+    full, retracted, slab = (
+        energy_per_area_T(s, mats, quad).value
+        for s in (stack, retracted_stack(stack),
+                  Stack((VAC, plate, VAC), (2e-7,))))
+    res = tangential_force_general(stack, mats, quad)
+    assert (res.energy_full, res.energy_retracted, res.energy_slab) == \
+        (full, retracted, slab)
+    assert res.force_per_width == -(full - retracted - slab)
 
 
 def test_general_symmetry_required():

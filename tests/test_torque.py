@@ -199,24 +199,29 @@ def test_equal_plates_share_the_isolated_plate_sum(monkeypatch):
         thicknesses = (t, D3, t) if len(layers) == 5 else (t,)
         return energy_per_area_T(Stack(layers, thicknesses), mats).value
 
-    # the three-sum difference, subtracted in the same order
-    expected = ((energy(VAC, GOLD, VAC, GOLD, VAC) - energy(VAC, GOLD, VAC))
-                - energy(VAC, GOLD, VAC))
-    stacks = []
+    twin = Layer(Drude(ev_to_radps(9.0), ev_to_radps(0.035)))
+    silver = Layer(Drude(ev_to_radps(9.0), ev_to_radps(0.021)))
+    # the three-sum differences, subtracted in the same order
+    equal = ((energy(VAC, GOLD, VAC, GOLD, VAC) - energy(VAC, GOLD, VAC))
+             - energy(VAC, GOLD, VAC))
+    unequal = ((energy(VAC, GOLD, VAC, silver, VAC) - energy(VAC, GOLD, VAC))
+               - energy(VAC, silver, VAC))
+    calls = []
     sums = torque_module.energy_per_area_T
 
-    def counted(stack, *args):
-        stacks.append(stack)
-        return sums(stack, *args)
+    def counted(stacks, *args):
+        calls.append(stacks)
+        return sums(stacks, *args)
 
     monkeypatch.setattr(torque_module, "energy_per_area_T", counted)
-    twin = Layer(Drude(ev_to_radps(9.0), ev_to_radps(0.035)))
-    assert torque_energy_density(GOLD, twin, VAC, D3, mats) == expected
-    assert len(stacks) == 2
-    stacks.clear()
-    silver = Layer(Drude(ev_to_radps(9.0), ev_to_radps(0.021)))
-    torque_energy_density(GOLD, silver, VAC, D3, mats)
-    assert [s.layers[1] for s in stacks] == [GOLD, GOLD, silver]
+    # one pass: the five-layer stack and one isolated plate for equal plates
+    assert torque_energy_density(GOLD, twin, VAC, D3, mats) == equal
+    assert [len(stacks) for stacks in calls] == [2]
+    calls.clear()
+    # and both isolated plates for unequal ones
+    assert torque_energy_density(GOLD, silver, VAC, D3, mats) == unequal
+    assert [[s.layers[1] for s in stacks] for stacks in calls] == \
+        [[GOLD, GOLD, silver]]
 
 
 def test_energy_ratio_is_area_ratio():
