@@ -22,6 +22,7 @@ and negative normal pressure.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -30,11 +31,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import c, hbar, k_B
-from .quadrature import (_CHUNK, _MAX_ROWS, QuadratureError,
-                         semi_infinite_integral, semi_infinite_rows)
+from .quadrature import (QuadratureError, semi_infinite_integral,
+                         semi_infinite_rows)
 from .stack import FromModel, Stack, _require_inner, d_ln_g, ln_g
 # perfbench/tracing.py patches these names here; nothing in this module calls them
 from .stack import g_full_thickness_derivative, ln_g_full  # noqa: F401
+
+
+# Rows n >= 1 of one lockstep pass: bounds its (rows, points) working set.
+_MAX_ROWS = 640
 
 
 def matsubara_xi(n, temperature):
@@ -112,17 +117,26 @@ def k_integral(f, quad, scale=1.0):
                                   max_panels=quad.max_panels)
 
 
-def _k_pass(mode, xi, zero_mode, system, scales, quad):
+def _k_pass(mode, parts, system, scales, quad):
     """:func:`semi_infinite_rows` of ``k * mode`` for the rows ``system``
-    (indices into ``scales``), each on the k-scale of its system. ``mode(k,
-    xi, zero_mode, system)`` receives ``xi`` (one value, or a (rows, 1)
-    column) and the (rows, 1) column of system indices of the rows of k."""
+    (indices into ``scales``), each on the k-scale of its system. ``parts``
+    are consecutive ranges ``(end row, xi, zero_mode)`` of the rows, ``xi``
+    one value or a (rows, 1) column; ``mode(k, xi, zero_mode, system)`` is
+    called once per range with rows in the call, ``system`` a column."""
     column = system[:, None]
-    return semi_infinite_rows(
-        lambda k, rows: k * mode(k, xi if np.ndim(xi) == 0 else xi[rows],
-                                 zero_mode, column[rows]),
-        system.size, scale=scales[system], rel_tol=quad.rel_tol,
-        max_panels=quad.max_panels)
+    ends = [end for end, _, _ in parts]
+
+    def f(k, rows):
+        # rows arrive ascending, so each range is one contiguous slice
+        cuts = [0] + np.searchsorted(rows, ends).tolist()
+        out = [k[a:b] * mode(k[a:b], xi if np.ndim(xi) == 0 else xi[rows[a:b]],
+                             zero_mode, column[rows[a:b]])
+               for (_, xi, zero_mode), a, b in zip(parts, cuts, cuts[1:])
+               if b > a]
+        return out[0] if len(out) == 1 else np.concatenate(out)
+
+    return semi_infinite_rows(f, system.size, scale=scales[system],
+                              rel_tol=quad.rel_tol, max_panels=quad.max_panels)
 
 
 def _tagged(err, n, system):
@@ -132,6 +146,24 @@ def _tagged(err, n, system):
         previous_estimate=err.previous_estimate)
     tagged.matsubara_n, tagged.system = n, system
     return tagged
+
+
+@contextlib.contextmanager
+def _naming_systems(names, attribute, phrase):
+    """Re-raise the :class:`QuadratureError` of a failing Matsubara row
+    naming its system: ``names[system]`` goes into the message through
+    ``phrase`` and into the error's ``attribute``."""
+    try:
+        yield
+    except QuadratureError as err:
+        if not hasattr(err, "system"):   # not a row of the Matsubara sum
+            raise
+        name = names[err.system]
+        named = QuadratureError(f"{err} {phrase.format(name)}",
+                                err.last_estimate, err.previous_estimate)
+        named.matsubara_n, named.system = err.matsubara_n, err.system
+        setattr(named, attribute, name)
+        raise named from err
 
 
 def _shared_pass(mats):
@@ -178,51 +210,85 @@ class _RunningSum:
         return EnergyPerArea(math.fsum(terms), terms, self.panels, n_stop)
 
 
-def _lockstep(mode, configs, quad, scales, systems):
-    """``[[_RunningSum per config] per system]`` of the ascending ``systems``
-    (indices into ``scales``), each row of a pass one (system, index) pair.
+# Terms fall like exp(-2 xi_n d / c) on the thinnest inner layer d: they reach
+# the early stop's 1e-15 of the largest term near 2 xi_n d / c = ln(1e15).
+_LN_STOP = math.log(1e15)
 
-    Each config takes one n = 0 pass with one row per system; the indices
-    n >= 1 follow in chunks of ``_CHUNK``, each chunk one pass over the
-    systems that still have a config before its early stop. The rows of
-    every pass are sorted by system.
+
+def _batch(length, xi1, running, n_done):
+    """Indices n >= 1 of a system's next pass, up to its predicted stop:
+    first from its thinnest inner layer ``length``, then from the log-decay
+    of the last terms of its ``running`` sums. Each row is reduced on its
+    own, so batch sizes change only the work past the stop, never a result.
+    """
+    j = min(8, n_done - 1)
+    tails = [(abs(r.terms[-1 - j]), abs(r.terms[-1]), 1e-15 * r.largest)
+             for r in running] if j > 0 else []
+    if tails and all(0.0 < last < before for before, last, _ in tails):
+        # to the extrapolated stop, plus 10% and the three dead terms
+        return 3 + math.ceil(1.1 * max(0.0, *(
+            j * math.log(last / dead) / math.log(before / last)
+            for before, last, dead in tails)))
+    predicted = math.ceil(_LN_STOP * c / (2.0 * xi1 * length)) + 5
+    return max(predicted - n_done, n_done, 1)
+
+
+def _lockstep(mode, configs, quad, scales, lengths):
+    """``[[_RunningSum per config] per system]`` of the systems of ``scales``.
+
+    The first pass holds the n = 0 rows of every config (config by config,
+    each by system), then the first :func:`_batch` of indices n >= 1 of
+    each system; later passes hold the next batch of each system that has
+    not stopped. The rows n >= 1 of a pass, at most ``_MAX_ROWS``, are
+    sorted by system, then by n; the first failing row a config needs
+    raises.
     """
     mats = configs[0]
+    xi1 = matsubara_xi(1, mats.temperature)
     pref = k_B * mats.temperature / (2.0 * math.pi)
-    sums = {s: [] for s in systems.tolist()}
-    for cfg in configs:
-        values, panels, failures = _k_pass(mode, 0.0, cfg.zero_mode, systems,
-                                           scales, quad)
-        if failures:
-            row = min(failures)
-            raise _tagged(failures[row], 0, int(systems[row])) from failures[row]
-        for s, i0, used in zip(sums, values.tolist(), panels.tolist()):
-            sums[s].append(_RunningSum(0.5 * pref * i0, used))
-    live = {s: list(running) for s, running in sums.items()}
-    for start in range(1, mats.n_max + 1, _CHUNK):
-        # a chunk is only integrated for the systems that still need it
-        active = [s for s, running in live.items() if running]
-        if not active:
-            break
-        ns = np.arange(start, min(start + _CHUNK, mats.n_max + 1))
-        xi = np.tile(matsubara_xi(ns, mats.temperature), len(active))[:, None]
-        values, panels, failures = _k_pass(mode, xi, None,
-                                           np.repeat(active, ns.size),
-                                           scales, quad)
+    count = scales.size
+    sums = [[] for _ in range(count)]
+    live = dict(enumerate(sums))      # running sums before their stop
+    done = [0] * count                # last index integrated per system
+    zero = np.tile(np.arange(count), len(configs))   # systems of n = 0 rows
+    while live:
+        budget, batches = _MAX_ROWS, []
+        for s, running in live.items():
+            size = min(_batch(lengths[s], xi1, running, done[s]),
+                       mats.n_max - done[s], budget)
+            if size < 1:
+                break
+            batches.append((s, range(done[s] + 1, done[s] + 1 + size)))
+            budget -= size
+        system = np.concatenate([zero] + [[s] * len(b) for s, b in batches])
+        ns = np.concatenate([0 * zero] + [b for _, b in batches])
+        parts = [((i + 1) * count, 0.0, cfg.zero_mode)
+                 for i, cfg in enumerate(configs) if zero.size]
+        xi = matsubara_xi(ns, mats.temperature)[:, None]
+        values, panels, failures = _k_pass(
+            mode, parts + [(ns.size, xi, None)], system, scales, quad)
         values, panels = values.tolist(), panels.tolist()
-        for i, s in enumerate(active):
-            for j, n in enumerate(ns.tolist()):
-                row = i * ns.size + j
-                if row in failures:
-                    raise _tagged(failures[row], n, s) from failures[row]
-                live[s] = [r for r in live[s]
-                           if r.add(pref * values[row], panels[row])]
+        if failures and min(failures) < zero.size:
+            row = min(failures)
+            raise _tagged(failures[row], 0, int(zero[row])) from failures[row]
+        for row, s in enumerate(zero.tolist()):
+            sums[s].append(_RunningSum(0.5 * pref * values[row], panels[row]))
+        row, zero = zero.size, zero[:0]
+        for s, batch in batches:
+            for n, r in zip(batch, range(row, row + len(batch))):
+                if r in failures:
+                    raise _tagged(failures[r], n, s) from failures[r]
+                live[s] = [x for x in live[s]
+                           if x.add(pref * values[r], panels[r])]
                 if not live[s]:
                     break
-    return list(sums.values())
+            row, done[s] = row + len(batch), batch[-1]
+            if not live[s] or done[s] == mats.n_max:
+                del live[s]
+    return sums
 
 
-def matsubara_energy(ln_g_sum, mats, quad, k_scale):
+def matsubara_energy(ln_g_sum, mats, quad, k_scale, *, _lengths=None):
     """Finite-temperature free energy per area of a generic mode function.
 
     ``ln_g_sum(k, xi, zero_mode)`` returns sum_pol ln G(k, i*xi). It
@@ -239,11 +305,15 @@ def matsubara_energy(ln_g_sum, mats, quad, k_scale):
     stacks of a difference of energies), which gives a tuple over the
     systems. Then ``ln_g_sum(k, xi, zero_mode, system)`` also receives the
     (rows, 1) column of system indices of the rows of k. All systems and
-    configs run in the same row-batched passes, at most ``_MAX_ROWS`` rows
-    each; every (system, config) keeps its own early stop, and its result
-    equals the one of a separate call bit for bit. A failing row raises
+    configs run in the same row-batched passes (see :func:`_lockstep`);
+    every (system, config) keeps its own early stop, and its result equals
+    the one of a separate call bit for bit. A failing row raises
     :class:`QuadratureError` tagged with its ``matsubara_n`` and the index
     of its ``system`` (0 for one k-scale).
+
+    The passes follow each system's predicted stop, which the energies
+    derive from the thinnest inner layer of each stack (``_lengths``, one
+    per system); a bare call predicts it from the k-scale.
     """
     configs = _shared_pass(mats)
     if isinstance(k_scale, tuple):
@@ -255,13 +325,11 @@ def matsubara_energy(ln_g_sum, mats, quad, k_scale):
                       dtype=float)
     if not scales.size:
         raise ValueError("a Matsubara pass needs at least one system")
-    per_pass = max(1, _MAX_ROWS // _CHUNK)
+    lengths = 0.5 / scales if _lengths is None else _lengths
     results = []
-    for start in range(0, scales.size, per_pass):
-        systems = np.arange(start, min(start + per_pass, scales.size))
-        for running in _lockstep(mode, configs, quad, scales, systems):
-            energies = tuple(r.energy(configs[0].n_max) for r in running)
-            results.append(energies if isinstance(mats, tuple) else energies[0])
+    for running in _lockstep(mode, configs, quad, scales, lengths):
+        energies = tuple(r.energy(configs[0].n_max) for r in running)
+        results.append(energies if isinstance(mats, tuple) else energies[0])
     return tuple(results) if isinstance(k_scale, tuple) else results[0]
 
 
@@ -310,6 +378,12 @@ def _mode_sum(stack, mode=ln_g):
     return mode_sum, scales if isinstance(stack, tuple) else scales[0]
 
 
+def _thinnest(stack):
+    """The thinnest inner layer of each stack: how fast its terms fall."""
+    return tuple(min(s.thicknesses) for s in
+                 (stack if isinstance(stack, tuple) else (stack,)))
+
+
 def energy_per_area_T(stack, mats, quad=QuadratureConfig()):
     """Finite-temperature interaction free energy per unit area in J/m^2.
 
@@ -321,7 +395,8 @@ def energy_per_area_T(stack, mats, quad=QuadratureConfig()):
     :func:`matsubara_energy`).
     """
     ln_g_sum, k_scale = _mode_sum(stack)
-    return matsubara_energy(ln_g_sum, mats, quad, k_scale)
+    return matsubara_energy(ln_g_sum, mats, quad, k_scale,
+                            _lengths=_thinnest(stack))
 
 
 def energy_per_area_T0(stack, quad=QuadratureConfig()):
@@ -331,7 +406,8 @@ def energy_per_area_T0(stack, quad=QuadratureConfig()):
 
     def outer(xis):
         # every xi node of an outer panel is one row of the inner k pass
-        values, _, failures = _k_pass(ln_g_sum, xis[:, None], None,
+        values, _, failures = _k_pass(ln_g_sum, [(xis.size, xis[:, None],
+                                                  None)],
                                       np.zeros(xis.size, int), scales, quad)
         if failures:
             raise failures[min(failures)]
@@ -355,7 +431,8 @@ def normal_pressure(stack, which, mats, quad=QuadratureConfig()):
     _require_inner(stack, which)
     d_ln_g_sum, k_scale = _mode_sum(stack, functools.partial(d_ln_g,
                                                              which=which))
-    return -matsubara_energy(d_ln_g_sum, mats, quad, k_scale).value
+    return -matsubara_energy(d_ln_g_sum, mats, quad, k_scale,
+                             _lengths=_thinnest(stack)).value
 
 
 @dataclass(frozen=True)

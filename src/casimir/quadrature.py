@@ -21,12 +21,9 @@ _NODES = np.concatenate([_GL15_X, _GL7_X])
 _WEIGHTS = np.concatenate([_GL15_W, _GL7_W])
 _NODES_ROW = _NODES[None, :]
 _ONE_ROW = np.arange(1)
-# Rows per batched pass (Matsubara indices n >= 1, Kramers-Kronig
-# frequencies): bounds the (rows, points) working set of one lockstep pass.
+# Rows per batched pass of the Kramers-Kronig power tail: bounds the
+# (rows, points) working set of one lockstep pass.
 _CHUNK = 64
-# Rows of one lockstep pass over several systems (the separations of a
-# force sweep): a chunk of indices for each of at most ten systems.
-_MAX_ROWS = 10 * _CHUNK
 
 
 class QuadratureError(RuntimeError):

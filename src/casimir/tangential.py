@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lifshitz import MatsubaraConfig, QuadratureConfig, energy_per_area_T
-from .quadrature import QuadratureError
+from .lifshitz import (MatsubaraConfig, QuadratureConfig, _naming_systems,
+                       energy_per_area_T)
 from .stack import Stack, require_tangential_symmetry, retracted_stack
 # perfbench/tracing.py patches these names here; nothing in this module calls them
 from .lifshitz import matsubara_energy  # noqa: F401
@@ -45,15 +45,19 @@ def tangential_force_general(stack, mats, quad=QuadratureConfig()):
 
     The stack has an odd number of layers, and the two gaps on either side
     of the middle layer (layers 2 and 4 of five) must be the same medium.
+    A failing row raises :class:`QuadratureError` with its ``matsubara_n``
+    and the ``energy`` it belongs to: full, retracted or slab.
     """
     require_tangential_symmetry(stack)
     m = len(stack.layers) // 2
     gap, slab = stack.layers[m - 1], stack.layers[m]
     # the slab term is the middle plate alone in the gap medium; the three
     # sums are rows of one Matsubara pass
-    e_full, e_retracted, e_slab = energy_per_area_T(
-        (stack, retracted_stack(stack),
-         Stack((gap, slab, gap), (stack.thicknesses[m - 1],))), mats, quad)
+    with _naming_systems(("full", "retracted", "slab"), "energy",
+                         "in the {} energy"):
+        e_full, e_retracted, e_slab = energy_per_area_T(
+            (stack, retracted_stack(stack),
+             Stack((gap, slab, gap), (stack.thicknesses[m - 1],))), mats, quad)
     force = -(e_full.value - e_retracted.value - e_slab.value)
     return TangentialResult(force, e_full.value, e_retracted.value,
                             e_slab.value, mats, quad)
@@ -78,16 +82,8 @@ def tangential_force_reduced(bounding, gap, d4, mats, quad=QuadratureConfig()):
             raise ValueError(f"d4 must be positive and finite, got {d}")
     configs = mats if isinstance(mats, tuple) else (mats,)
     stacks = tuple(Stack((bounding, gap, bounding), (d,)) for d in separations)
-    try:
+    with _naming_systems(separations, "separation", "at d4 = {!r} m"):
         energies = energy_per_area_T(stacks, configs, quad)
-    except QuadratureError as err:
-        if not hasattr(err, "system"):   # not a row of the Matsubara sum
-            raise
-        d = separations[err.system]
-        tagged = QuadratureError(f"{err} at d4 = {d!r} m", err.last_estimate,
-                                 err.previous_estimate)
-        tagged.matsubara_n, tagged.separation = err.matsubara_n, d
-        raise tagged from err
     results = []
     for per_config in energies:
         row = tuple(TangentialResult(-e.value, e.value, 0.0, 0.0, m, quad)

@@ -1,7 +1,7 @@
 """The batched Matsubara sum: panel counts, early stop and failure reporting.
 
-Matsubara indices n >= 1 are integrated in chunks, one quadrature row per
-index. These tests pin the per-term panel decompositions to the counts of
+Matsubara indices n >= 1 are integrated in batches that follow each
+system's predicted stop, one quadrature row per index. These tests pin the per-term panel decompositions to the counts of
 the term-by-term algorithm and drive ``matsubara_energy`` with synthetic
 mode functions whose terms, stop index and failing rows are known.
 """
@@ -74,7 +74,7 @@ QUAD = QuadratureConfig(rel_tol=1e-9, max_panels=16)
 
 def _decaying(n):
     # |term n| / |term 0| = 2 exp(-n) drops below 1e-15 at n = 36, so the
-    # third dead term in a row is n = 38, inside the first chunk
+    # third dead term in a row is n = 38
     return np.exp(-n)
 
 
@@ -121,12 +121,18 @@ def test_early_stop_lands_inside_a_chunk():
     assert energy.value == math.fsum(energy.terms)
 
 
-def test_failing_row_past_the_stop_is_discarded():
+def _one_pass(monkeypatch):
+    """Every system takes all its indices up to n_max in its first batch."""
+    monkeypatch.setattr(lifshitz, "_batch", lambda *args: 10 ** 9)
+
+
+def test_failing_row_past_the_stop_is_discarded(monkeypatch):
     kinked = _synthetic(_decaying, kinked=(40, 64))
-    for n in (40, 64):   # both rows sit in the chunk that holds the stop
+    for n in (40, 64):
         with pytest.raises(QuadratureError):
             _alone(kinked, n)
     clean = _energy(_synthetic(_decaying))
+    _one_pass(monkeypatch)   # both rows sit in the pass that holds the stop
     energy = _energy(kinked)
     assert energy.terms == clean.terms
     assert energy.panels == clean.panels
@@ -259,11 +265,10 @@ def test_shared_pass_integrates_the_rows_once(monkeypatch):
     one = list(sizes)
     sizes.clear()
     energy_per_area_T(stack, (drude, plasma))
-    # one single-row n = 0 integral per config, then the chunks n >= 1 of
-    # the one-config call, up to the chunk that holds its stop
-    assert one[0] == 1 and sizes[:2] == [1, 1]
-    assert sizes[2:] == one[1:]
-    assert sum(one[1:]) == 64 * math.ceil(alone.n_stop / 64)
+    # the pair's first pass holds one more n = 0 row; the rows n >= 1 are
+    # those of the one-config call, which reach past its stop in one pass
+    assert len(one) == 1 and one[0] - 1 >= alone.n_stop
+    assert sizes == [one[0] + 1]
 
 
 def test_mismatched_configs_raise_before_any_integral(monkeypatch):
@@ -309,10 +314,15 @@ def test_configs_with_different_stops(monkeypatch):
         assert energy == matsubara_energy(_two_stops(), mats, QUAD, 1.0)
         _assert_padding(energy, 100)
     assert both[0].terms[1:24] == both[1].terms[1:24]
-    # both stops lie in the first chunk: the pair integrates it once
+    # the later stop drives the passes: the pair integrates the rows n >= 1
+    # of the later config alone once, with one more n = 0 row
     sizes = _row_counter(monkeypatch)
+    matsubara_energy(_two_stops(), late, QUAD, 1.0)
+    alone = list(sizes)
+    sizes.clear()
     matsubara_energy(_two_stops(), (early, late), QUAD, 1.0)
-    assert sizes == [1, 1, 64]
+    assert sizes == [alone[0] + 1] + alone[1:]
+    assert sum(alone) - 1 >= 38
 
 
 def test_failing_row_between_the_stops_raises_for_the_later_config():
@@ -397,13 +407,18 @@ def test_separations_share_the_row_passes(monkeypatch):
     stacks = tuple(Stack((GOLD, VAC, GOLD), (d,)) for d in SEPARATIONS)
     stops = _n_stops(stacks, configs)
     sizes = _row_counter(monkeypatch)
+    separate = []
+    for stack in stacks:
+        energy_per_area_T(stack, configs)
+        separate.append(list(sizes))
+        sizes.clear()
     energy_per_area_T(stacks, configs)
-    # one n = 0 pass per config with one row per stack, then chunks of 64
-    # indices for every stack still short of its last needed index
-    chunks = [64 * sum(stop >= start for stop in stops)
-              for start in range(1, max(stops) + 1, 64)]
-    assert sizes == [len(stacks)] * len(configs) + chunks
-    assert chunks[0] == 64 * len(stacks) and chunks[-1] == 64
+    # pass p of the sweep holds pass p of every separate call: the n = 0
+    # rows of every config, then each stack's own batches
+    assert sizes == [sum(s[p] for s in separate if p < len(s))
+                     for p in range(max(map(len, separate)))]
+    assert len(sizes) == 1 < sum(map(len, separate))
+    assert sizes[0] - len(configs) * len(stacks) >= sum(stops)
 
 
 def test_sweep_longer_than_the_row_cap_splits_into_passes(monkeypatch):
@@ -411,12 +426,15 @@ def test_sweep_longer_than_the_row_cap_splits_into_passes(monkeypatch):
     separations = (1e-7, 1.5e-7, 2.5e-7, 4e-7, 7e-7)
     stacks = tuple(Stack((GOLD, VAC, GOLD), (d,)) for d in separations)
     alone = [energy_per_area_T(stack, configs) for stack in stacks]
-    monkeypatch.setattr(lifshitz, "_MAX_ROWS", 2 * 64)
     sizes = _row_counter(monkeypatch)
+    energy_per_area_T(stacks, configs)
+    assert len(sizes) == 1 and sizes[0] - 10 > 128
+    sizes.clear()
+    monkeypatch.setattr(lifshitz, "_MAX_ROWS", 128)
     assert energy_per_area_T(stacks, configs) == tuple(alone)
-    assert max(sizes) == 2 * 64
-    # the n = 0 passes: two stacks, two stacks, then the last one
-    assert [s for s in sizes if s < 64] == [2, 2, 2, 2, 1, 1]
+    # the first pass holds the 10 rows n = 0 on top of the 128 rows n >= 1
+    assert sizes[0] == 10 + 128 and len(sizes) > 1
+    assert max(sizes[1:]) <= 128
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +461,21 @@ def test_mixed_stacks_in_one_pass_equal_separate_calls(configs):
     together = energy_per_area_T(stacks, configs)
     assert together == tuple(energy_per_area_T(stack, configs)
                              for stack in stacks)
+
+
+@pytest.mark.parametrize("batch", ["one_index", "one_pass"])
+def test_batch_sizes_never_change_a_result(monkeypatch, batch):
+    stacks = _mixed_stacks()
+    configs = _treatments(80)[:2]
+    default = energy_per_area_T(stacks, configs)
+    if batch == "one_index":
+        monkeypatch.setattr(lifshitz, "_batch", lambda *args: 1)
+    else:
+        _one_pass(monkeypatch)
+    sizes = _row_counter(monkeypatch)
+    assert energy_per_area_T(stacks, configs) == default
+    stops = max(e.n_stop for energies in default for e in energies)
+    assert len(sizes) == (stops if batch == "one_index" else 1)
 
 
 def test_one_mode_call_per_run_of_equal_layers():

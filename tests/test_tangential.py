@@ -10,6 +10,7 @@ from casimir.materials import (Constant, Drude, DrudeTail, Permeability,
                                Plasma, Tabulated, Vacuum,
                                drude_synthetic_table, ev_to_radps,
                                fit_power_tail)
+from casimir.quadrature import QuadratureError
 from casimir.stack import (DrudeLike, FiveLayerStack, FromModel, Layer,
                            PlasmaLike, Stack, StackSymmetryError,
                            retracted_stack)
@@ -213,3 +214,20 @@ def test_tabulated_gold_variants_differ_most_when_close():
         f2 = tangential_force_reduced(au2, VAC, d, mats, quad).force_per_width
         gaps.append(abs(f2 / f1 - 1.0))
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+def test_failing_energy_is_named():
+    # the plasma zero mode of the full stack needs more than 10 panels
+    stack = FiveLayerStack((GOLD, VAC, GOLD, VAC, GOLD), 1e-7, 1e-7, 1e-7)
+    mats = MatsubaraConfig(300.0, n_max=60,
+                           zero_mode=PlasmaLike(ev_to_radps(9.0)))
+    quad = QuadratureConfig(1e-9, max_panels=10)
+    with pytest.raises(QuadratureError) as info:
+        tangential_force_general(stack, mats, quad)
+    err = info.value
+    assert (err.matsubara_n, err.system, err.energy) == (0, 0, "full")
+    assert str(err).endswith("n=0) in the full energy")
+    with pytest.raises(QuadratureError) as alone:
+        energy_per_area_T(stack, mats, quad)
+    assert err.last_estimate == alone.value.last_estimate
+    assert err.previous_estimate == alone.value.previous_estimate

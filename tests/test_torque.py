@@ -6,10 +6,12 @@ import pytest
 from scipy.constants import c, hbar
 from scipy.integrate import quad
 
-from casimir.lifshitz import MatsubaraConfig, energy_per_area_T
+from casimir.lifshitz import (MatsubaraConfig, QuadratureConfig,
+                              energy_per_area_T)
 from casimir.materials import (DrudeTail, Drude, Plasma, Tabulated, Vacuum,
                                drude_synthetic_table, ev_to_radps,
                                fit_power_tail, plasma_frequency_of)
+from casimir.quadrature import QuadratureError
 from casimir.stack import DrudeLike, Layer, PlasmaLike, Stack
 from casimir.torque import (BranchPointError, TorqueGeometry, area_closed_form,
                             area_derivative, edge_energy, edge_torque_ratio,
@@ -304,3 +306,19 @@ def test_edge_torque_ratio_high_temperature_factor():
     g = geom(1.2)
     assert edge_torque_ratio(g, high_temperature=True) == \
         pytest.approx(10.0 * edge_torque_ratio(g), rel=1e-13)
+
+
+def test_failing_energy_is_named():
+    # the plasma zero mode of the five-layer stack needs more than 10 panels
+    mats = MatsubaraConfig(300.0, n_max=60,
+                           zero_mode=PlasmaLike(ev_to_radps(9.0)))
+    budget = QuadratureConfig(1e-9, max_panels=10)
+    with pytest.raises(QuadratureError) as info:
+        torque_energy_density(GOLD, GOLD, VAC, D3, mats, budget)
+    err = info.value
+    assert (err.matsubara_n, err.system, err.energy) == (0, 0, "five-layer")
+    assert str(err).endswith("n=0) in the five-layer energy")
+    five_layer = Stack((VAC, GOLD, VAC, GOLD, VAC), (1e-6, D3, 1e-6))
+    with pytest.raises(QuadratureError) as alone:
+        energy_per_area_T(five_layer, mats, budget)
+    assert err.last_estimate == alone.value.last_estimate
