@@ -8,13 +8,13 @@ of k * sum_pol ln G.
 
 The zero-mode prescriptions (Drude, plasma, model) differ only in the
 n = 0 term, so a tuple of configs that share temperature and n_max is
-summed in one pass: each config gets its own n = 0 integral, the terms
+summed in the same passes: each config gets its own n = 0 row, the terms
 n >= 1 are integrated once and each config takes them up to its own early
-stop. A tuple of stacks (the separations of a force sweep, or the full,
-retracted and slab stacks of a difference observable) is summed in the
-same passes too: each stack is one more row of every k-quadrature pass,
-rescaled on its own k-scale, and drops out once all of its configs have
-stopped. Every result equals the one of a separate call bit for bit.
+stop. So is a tuple of stacks (the separations of a force sweep, or the
+full, retracted and slab stacks of a difference observable), each row on
+its own stack's k-scale. The first pass holds every n = 0 row and each
+stack's terms n >= 1 up to its predicted stop, so a sum mostly takes one
+pass. Every result equals the one of a separate call bit for bit.
 
 Sign convention: attractive configurations have negative energy per area
 and negative normal pressure.
@@ -139,31 +139,33 @@ def _k_pass(mode, parts, system, scales, quad):
                               rel_tol=quad.rel_tol, max_panels=quad.max_panels)
 
 
-def _tagged(err, n, system):
-    tagged = QuadratureError(
-        f"{err} (while integrating Matsubara index n={n})",
-        last_estimate=err.last_estimate,
-        previous_estimate=err.previous_estimate)
-    tagged.matsubara_n, tagged.system = n, system
+def _tagged(err, where, **tags):
+    """``err``, caused by itself, with ``where`` it failed on its message
+    and ``tags`` as attributes."""
+    tagged = QuadratureError(f"{err} {where}", err.last_estimate,
+                             err.previous_estimate)
+    vars(tagged).update(tags)
+    tagged.__cause__ = err
     return tagged
+
+
+def _row_error(err, n, system):
+    return _tagged(err, f"(while integrating Matsubara index n={n})",
+                   matsubara_n=n, system=system)
 
 
 @contextlib.contextmanager
 def _naming_systems(names, attribute, phrase):
-    """Re-raise the :class:`QuadratureError` of a failing Matsubara row
-    naming its system: ``names[system]`` goes into the message through
-    ``phrase`` and into the error's ``attribute``."""
+    """Re-raise a failing Matsubara row's :class:`QuadratureError` with the
+    name of its system, ``names[system]``, in ``phrase`` and ``attribute``."""
     try:
         yield
     except QuadratureError as err:
         if not hasattr(err, "system"):   # not a row of the Matsubara sum
             raise
         name = names[err.system]
-        named = QuadratureError(f"{err} {phrase.format(name)}",
-                                err.last_estimate, err.previous_estimate)
-        named.matsubara_n, named.system = err.matsubara_n, err.system
-        setattr(named, attribute, name)
-        raise named from err
+        raise _tagged(err, phrase.format(name), matsubara_n=err.matsubara_n,
+                      system=err.system, **{attribute: name})
 
 
 def _shared_pass(mats):
@@ -210,11 +212,6 @@ class _RunningSum:
         return EnergyPerArea(math.fsum(terms), terms, self.panels, n_stop)
 
 
-# Terms fall like exp(-2 xi_n d / c) on the thinnest inner layer d: they reach
-# the early stop's 1e-15 of the largest term near 2 xi_n d / c = ln(1e15).
-_LN_STOP = math.log(1e15)
-
-
 def _batch(length, xi1, running, n_done):
     """Indices n >= 1 of a system's next pass, up to its predicted stop:
     first from its thinnest inner layer ``length``, then from the log-decay
@@ -229,19 +226,19 @@ def _batch(length, xi1, running, n_done):
         return 3 + math.ceil(1.1 * max(0.0, *(
             j * math.log(last / dead) / math.log(before / last)
             for before, last, dead in tails)))
-    predicted = math.ceil(_LN_STOP * c / (2.0 * xi1 * length)) + 5
+    # terms fall like exp(-2 xi_n d / c) on the thinnest inner layer d, to
+    # the early stop's 1e-15 of the largest near 2 xi_n d / c = ln(1e15)
+    predicted = math.ceil(math.log(1e15) * c / (2.0 * xi1 * length)) + 5
     return max(predicted - n_done, n_done, 1)
 
 
 def _lockstep(mode, configs, quad, scales, lengths):
     """``[[_RunningSum per config] per system]`` of the systems of ``scales``.
 
-    The first pass holds the n = 0 rows of every config (config by config,
-    each by system), then the first :func:`_batch` of indices n >= 1 of
-    each system; later passes hold the next batch of each system that has
-    not stopped. The rows n >= 1 of a pass, at most ``_MAX_ROWS``, are
-    sorted by system, then by n; the first failing row a config needs
-    raises.
+    The first pass holds the n = 0 rows of every config, config by config,
+    then each system's first :func:`_batch` of indices n >= 1; later passes
+    the next batch of each system that has not stopped. Rows are sorted by
+    system, then by n, at most ``_MAX_ROWS`` of them n >= 1 per pass.
     """
     mats = configs[0]
     xi1 = matsubara_xi(1, mats.temperature)
@@ -270,14 +267,14 @@ def _lockstep(mode, configs, quad, scales, lengths):
         values, panels = values.tolist(), panels.tolist()
         if failures and min(failures) < zero.size:
             row = min(failures)
-            raise _tagged(failures[row], 0, int(zero[row])) from failures[row]
+            raise _row_error(failures[row], 0, int(zero[row]))
         for row, s in enumerate(zero.tolist()):
             sums[s].append(_RunningSum(0.5 * pref * values[row], panels[row]))
         row, zero = zero.size, zero[:0]
         for s, batch in batches:
             for n, r in zip(batch, range(row, row + len(batch))):
                 if r in failures:
-                    raise _tagged(failures[r], n, s) from failures[r]
+                    raise _row_error(failures[r], n, s)
                 live[s] = [x for x in live[s]
                            if x.add(pref * values[r], panels[r])]
                 if not live[s]:
@@ -311,16 +308,12 @@ def matsubara_energy(ln_g_sum, mats, quad, k_scale, *, _lengths=None):
     :class:`QuadratureError` tagged with its ``matsubara_n`` and the index
     of its ``system`` (0 for one k-scale).
 
-    The passes follow each system's predicted stop, which the energies
-    derive from the thinnest inner layer of each stack (``_lengths``, one
-    per system); a bare call predicts it from the k-scale.
+    The energies predict each system's stop from the thinnest inner layer
+    of each stack (``_lengths``); a bare call predicts it from the k-scale.
     """
     configs = _shared_pass(mats)
-    if isinstance(k_scale, tuple):
-        mode = ln_g_sum
-    else:
-        def mode(k, xi, zero_mode, system):
-            return ln_g_sum(k, xi, zero_mode)
+    mode = ln_g_sum if isinstance(k_scale, tuple) else (
+        lambda k, xi, zero_mode, system: ln_g_sum(k, xi, zero_mode))
     scales = np.array(k_scale if isinstance(k_scale, tuple) else (k_scale,),
                       dtype=float)
     if not scales.size:
@@ -334,8 +327,9 @@ def matsubara_energy(ln_g_sum, mats, quad, k_scale, *, _lengths=None):
 
 
 def _mode_sum(stack, mode=ln_g):
-    """``(f, k_scale)`` of a :class:`~casimir.stack.Stack`, or of a tuple of
-    stacks, for :func:`matsubara_energy`.
+    """``(f, k_scale, lengths)`` of a :class:`~casimir.stack.Stack`, or of a
+    tuple of stacks, for :func:`matsubara_energy`; ``lengths`` holds the
+    thinnest inner layer of each stack, which sets how fast its terms fall.
 
     ``f(k, xi, zero_mode=None, system=None)`` is the sum over polarizations
     of ``mode`` (ln G by default), with the zero mode taken under
@@ -375,13 +369,8 @@ def _mode_sum(stack, mode=ln_g):
     # which the geometrically growing blocks always reach. The reverse
     # choice would bury large-layer structure inside the first panel.
     scales = tuple(1.0 / (2.0 * max(s.thicknesses)) for s in stacks)
-    return mode_sum, scales if isinstance(stack, tuple) else scales[0]
-
-
-def _thinnest(stack):
-    """The thinnest inner layer of each stack: how fast its terms fall."""
-    return tuple(min(s.thicknesses) for s in
-                 (stack if isinstance(stack, tuple) else (stack,)))
+    return (mode_sum, scales if isinstance(stack, tuple) else scales[0],
+            tuple(min(s.thicknesses) for s in stacks))
 
 
 def energy_per_area_T(stack, mats, quad=QuadratureConfig()):
@@ -394,21 +383,20 @@ def energy_per_area_T(stack, mats, quad=QuadratureConfig()):
     for a tuple of configs): the stacks are rows of the same passes (see
     :func:`matsubara_energy`).
     """
-    ln_g_sum, k_scale = _mode_sum(stack)
-    return matsubara_energy(ln_g_sum, mats, quad, k_scale,
-                            _lengths=_thinnest(stack))
+    ln_g_sum, k_scale, lengths = _mode_sum(stack)
+    return matsubara_energy(ln_g_sum, mats, quad, k_scale, _lengths=lengths)
 
 
 def energy_per_area_T0(stack, quad=QuadratureConfig()):
     """Zero-temperature energy per unit area: integral over xi instead of a sum."""
-    ln_g_sum, k_scale = _mode_sum(stack)
+    ln_g_sum, k_scale, _ = _mode_sum(stack)
     scales = np.array([k_scale])
 
     def outer(xis):
         # every xi node of an outer panel is one row of the inner k pass
-        values, _, failures = _k_pass(ln_g_sum, [(xis.size, xis[:, None],
-                                                  None)],
-                                      np.zeros(xis.size, int), scales, quad)
+        values, _, failures = _k_pass(
+            ln_g_sum, [(xis.size, xis[:, None], None)],
+            np.zeros(xis.size, int), scales, quad)
         if failures:
             raise failures[min(failures)]
         return values
@@ -429,10 +417,10 @@ def normal_pressure(stack, which, mats, quad=QuadratureConfig()):
     """
     _one_config(mats, "normal_pressure")
     _require_inner(stack, which)
-    d_ln_g_sum, k_scale = _mode_sum(stack, functools.partial(d_ln_g,
-                                                             which=which))
+    d_ln_g_sum, k_scale, lengths = _mode_sum(
+        stack, functools.partial(d_ln_g, which=which))
     return -matsubara_energy(d_ln_g_sum, mats, quad, k_scale,
-                             _lengths=_thinnest(stack)).value
+                             _lengths=lengths).value
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ import numpy as np
 
 from .constants import e as _ELEMENTARY_CHARGE, hbar
 # adaptive_integral stays a name here: perfbench/tracing.py patches it
-from .quadrature import (_CHUNK, _GL15_W, _GL7_W, _NODES, _NOISE_FLOOR,
-                         QuadratureError, _adaptive_rows, adaptive_integral)
+from .quadrature import (_CHUNK, _NOISE_FLOOR, QuadratureError,
+                         _adaptive_rows, adaptive_integral)
 
 _EV = _ELEMENTARY_CHARGE / hbar  # rad/s per eV
 
@@ -410,6 +410,11 @@ def drude_synthetic_table(omega_p_ev, gamma_ev, e_min_ev, e_max_ev,
 # ---------------------------------------------------------------------------
 # Kramers-Kronig transform to the imaginary axis
 
+# The data band's own rule pair: 15- and 7-point Gauss-Legendre, with the
+# nodes of both in one array
+_GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
+_GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
+_NODES = np.concatenate([_GL15_X, _GL7_X])
 # Bytes of the one (xi, panel, node) block that round 0 of the data band
 # reuses for every chunk of xi: it bounds the chunk as _CHUNK bounds rows.
 _BAND_SCRATCH = 256 * 1024

@@ -1,25 +1,38 @@
-"""Deterministic adaptive Gauss-Legendre quadrature.
+"""Deterministic adaptive Gauss-Kronrod quadrature.
 
 The k- and frequency integrals and the KK power tail share one row-batched
-engine; the KK data band bisects in ``materials`` and its Drude tail is a
-closed form. Subdivision depends only on integrand values, never on timing
-or order, so results are reproducible bit for bit. R integrands (rows, say
-one per Matsubara frequency) run in lockstep: each step makes one vectorized
-call on a (live rows, points) array, and every row follows exactly the panel
-sequence of a scalar worst-panel-first bisection. ``adaptive_integral`` and
-``semi_infinite_integral`` are its one-row case.
+engine; the KK data band bisects in ``materials`` on its own Gauss pair and
+its Drude tail is a closed form. A panel's value is the 15-point Kronrod
+rule K15 and its error estimate |K15 - G7|, where the 7-point Gauss rule
+G7 takes every second K15 node (QK15 of R. Piessens et al., *QUADPACK*,
+Springer 1983). Subdivision depends only on integrand values, never on
+timing or order, so results are reproducible bit for bit. R integrands
+(rows, say one per Matsubara frequency) run in lockstep: each step makes
+one vectorized call on a (live rows, points) array, and every row follows
+exactly the panel sequence of a scalar worst-panel-first bisection.
+``adaptive_integral`` and ``semi_infinite_integral`` are its one-row case.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
-_GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
-# Both rules are evaluated from one vectorized call on the joint node set.
-_NODES = np.concatenate([_GL15_X, _GL7_X])
-_WEIGHTS = np.concatenate([_GL15_W, _GL7_W])
-_NODES_ROW = _NODES[None, :]
+# QK15 on [-1, 1], rounded to double: the nodes x >= 0 in descending order,
+# their K15 weights, and the G7 weights of the second, fourth, sixth and
+# eighth of them
+_XK = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
+       0.7415311855993945, 0.5860872354676911, 0.4058451513773972,
+       0.20778495500789848, 0.0)
+_WK = (0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
+       0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
+       0.20443294007529889, 0.20948214108472782)
+_WG = (0.1294849661688697, 0.27970539148927664, 0.3818300505051189,
+       0.4179591836734694)
+# all 15 nodes in ascending order, G7 on every second one
+_K15_X = np.array([-x for x in _XK[:-1]] + list(_XK[::-1]))
+_K15_W = np.array(_WK[:-1] + _WK[::-1])
+_G7_W = np.array(_WG[:-1] + _WG[::-1])
+_K15_ROW = _K15_X[None, :]
 _ONE_ROW = np.arange(1)
 # Rows per batched pass of the Kramers-Kronig power tail: bounds the
 # (rows, points) working set of one lockstep pass.
@@ -40,16 +53,15 @@ class QuadratureError(RuntimeError):
 
 
 def _estimates(y, half):
-    """(15-point estimates, |15-point - 7-point|) of one panel per row of y.
+    """(K15 values, |K15 - G7|) of one panel per row of y at the K15 nodes.
 
     ``half`` is the half width of the panels: a scalar, or one entry per
     row. Each row is reduced on its own, not through a matrix product, so
     its estimates do not depend on which rows share its batch.
     """
-    weighted = y * _WEIGHTS
-    i15 = np.sum(weighted[:, :15], axis=1) * half
-    i7 = np.sum(weighted[:, 15:], axis=1) * half
-    return i15, np.abs(i15 - i7)
+    k15 = np.sum(y * _K15_W, axis=1) * half
+    g7 = np.sum(y[:, 1::2] * _G7_W, axis=1) * half
+    return k15, np.abs(k15 - g7)
 
 
 def _evaluate(f, x, rows):
@@ -84,7 +96,7 @@ def _adaptive_rows(f, a, b, rows, rel_tol, max_panels, floor):
     ``max_panels``.
     """
     half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _NODES_ROW
+    x = 0.5 * (a + b) + half * _K15_ROW
     total, total_err = _estimates(_evaluate(f, x, rows), half)
 
     def over_budget():
@@ -126,9 +138,9 @@ def _adaptive_rows(f, a, b, rows, rel_tol, max_panels, floor):
         ca = np.stack([pa, mid], axis=1)
         cb = np.stack([mid, pb], axis=1)
         chalf = 0.5 * (cb - ca)
-        x = (0.5 * (ca + cb))[..., None] + chalf[..., None] * _NODES
+        x = (0.5 * (ca + cb))[..., None] + chalf[..., None] * _K15_X
         y = _evaluate(f, x.reshape(pos.size, -1), rows[pos])
-        cval, cerr = _estimates(y.reshape(-1, _NODES.size), chalf.reshape(-1))
+        cval, cerr = _estimates(y.reshape(-1, _K15_X.size), chalf.reshape(-1))
         cval = cval.reshape(-1, 2)
         cerr = cerr.reshape(-1, 2)
         previous[pos] = total[pos]

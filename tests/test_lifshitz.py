@@ -165,7 +165,7 @@ def test_one_evaluation_per_layer_per_node(mode):
     eps = [CountingPermittivity(value) for value in (2.0, 5.0, 11.0)]
     outer, gap, plate = (Layer(e) for e in eps)
     stack = Stack((outer, gap, plate, gap, outer), (1e-7, 2e-7, 1e-7))
-    mode_sum, _ = lifshitz._mode_sum(stack, mode=mode)
+    mode_sum, _, _ = lifshitz._mode_sum(stack, mode=mode)
     xi = matsubara_xi(np.arange(1, 4), 300.0)[:, None]
     assert np.all(mode_sum(np.full((3, 22), 1e7), xi) != 0.0)
     assert [e.calls for e in eps] == [1, 1, 1]

@@ -33,7 +33,7 @@ PREF = k_B * T / (2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
-# panel counts of the term-by-term algorithm (ROADMAP spot measurements)
+# panel and point counts of the default passes (ROADMAP spot measurements)
 
 
 def _assert_padding(energy, n_max):
@@ -41,27 +41,51 @@ def _assert_padding(energy, n_max):
     assert all(t == 0.0 for t in energy.terms[energy.n_stop + 1:])
 
 
-def test_panels_gold_reduced_force():
+def _counted(monkeypatch):
+    """Integrand points of every ``semi_infinite_rows`` call of ``lifshitz``,
+    rows past the early stop included."""
+    points = []
+    rows = lifshitz.semi_infinite_rows
+
+    def counted(f, n_rows, *args, **kwargs):
+        def g(k, r):
+            y = f(k, r)
+            points.append(y.size)
+            return y
+        return rows(g, n_rows, *args, **kwargs)
+
+    monkeypatch.setattr(lifshitz, "semi_infinite_rows", counted)
+    return points
+
+
+def test_panels_gold_reduced_force(monkeypatch):
+    points = _counted(monkeypatch)
     mats = MatsubaraConfig(T, n_max=500, zero_mode=DrudeLike())
     energy = energy_per_area_T(Stack((GOLD, VAC, GOLD), (1e-7,)), mats)
-    assert energy.panels == 1933
+    assert energy.panels == 1935
+    assert sum(points) == 32670
     assert energy.n_stop < 500
     _assert_padding(energy, 500)
 
 
-def test_panels_ideal_mirrors_10k():
+def test_panels_ideal_mirrors_10k(monkeypatch):
+    points = _counted(monkeypatch)
     mats = MatsubaraConfig(10.0, n_max=3000, zero_mode=FromModel())
     mirror = Layer(Plasma(1e20))
     energy = energy_per_area_T(Stack((mirror, VAC, mirror), (1e-7,)), mats)
-    assert energy.panels == 33713
+    assert energy.panels == 33715
+    # the sum runs to n_max: no row past a stop, 15 points per panel
+    assert sum(points) == 15 * 33715
     _assert_padding(energy, 3000)
 
 
-def test_panels_five_layer_gold_energy():
+def test_panels_five_layer_gold_energy(monkeypatch):
+    points = _counted(monkeypatch)
     stack = FiveLayerStack((GOLD, VAC, GOLD, VAC, GOLD), 2e-7, 2e-7, 2e-7)
     mats = MatsubaraConfig(T, n_max=200, zero_mode=DrudeLike())
     energy = energy_per_area_T(stack, mats)
-    assert energy.panels == 1053
+    assert energy.panels == 1055
+    assert sum(points) == 16905
     assert energy.n_stop < 200
     _assert_padding(energy, 200)
 
@@ -486,8 +510,8 @@ def test_one_mode_call_per_run_of_equal_layers():
         calls.append((stack.layers, k.shape[0]))
         return ln_g(stack, k, xi, zero_mode)
 
-    mode_sum, scales = lifshitz._mode_sum(stacks, mode=counted)
-    assert len(scales) == len(stacks)
+    mode_sum, scales, lengths = lifshitz._mode_sum(stacks, mode=counted)
+    assert len(scales) == len(lengths) == len(stacks)
     system = np.array([0, 0, 1, 2, 3, 3, 4])[:, None]
     k = np.linspace(1e6, 3e7, 22) * np.ones((system.size, 1))
     xi = matsubara_xi(np.arange(1, system.size + 1), T)[:, None]
@@ -533,16 +557,16 @@ def test_failing_row_names_its_system():
 
 
 def test_failing_separation_is_named():
-    # on this budget the plasma zero mode of 1 um fails and 3 um does not
+    # on this budget the plasma zero mode of 50 nm fails and 3 um does not
     mats = MatsubaraConfig(T, n_max=60, zero_mode=PlasmaLike(WP))
-    quad = QuadratureConfig(rel_tol=1e-9, max_panels=22)
+    quad = QuadratureConfig(rel_tol=1e-7, max_panels=16)
     tangential_force_reduced(GOLD, VAC, 3e-6, mats, quad)
     with pytest.raises(QuadratureError) as alone:
-        tangential_force_reduced(GOLD, VAC, 1e-6, mats, quad)
+        tangential_force_reduced(GOLD, VAC, 5e-8, mats, quad)
     with pytest.raises(QuadratureError) as info:
-        tangential_force_reduced(GOLD, VAC, (3e-6, 1e-6), mats, quad)
+        tangential_force_reduced(GOLD, VAC, (3e-6, 5e-8), mats, quad)
     err = info.value
-    assert (err.matsubara_n, err.separation) == (0, 1e-6)
-    assert "n=0" in str(err) and "d4 = 1e-06 m" in str(err)
+    assert (err.matsubara_n, err.separation) == (0, 5e-8)
+    assert "n=0" in str(err) and "d4 = 5e-08 m" in str(err)
     assert err.last_estimate == alone.value.last_estimate
-    assert alone.value.separation == 1e-6
+    assert alone.value.separation == 5e-8

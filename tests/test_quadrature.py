@@ -4,12 +4,34 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
+from casimir import quadrature
 from casimir.quadrature import (QuadratureError, adaptive_integral,
                                 semi_infinite_integral, semi_infinite_rows)
 
 
+def test_kronrod_constants_are_exact():
+    # K15 integrates x^k on [-1, 1] exactly for k <= 22 and its embedded G7
+    # (every second node) for k <= 13
+    x = quadrature._K15_X
+    assert x.size == 15 and np.all(np.diff(x) > 0) and np.all(x == -x[::-1])
+
+    def error(weights, nodes, k):
+        return abs(np.dot(weights, nodes ** k) - (1 + (-1) ** k) / (k + 1))
+
+    for k in range(23):
+        assert error(quadrature._K15_W, x, k) <= 4e-16
+    for k in range(14):
+        assert error(quadrature._G7_W, x[1::2], k) <= 4e-16
+    assert error(quadrature._K15_W, x, 24) > 1e-10
+    assert error(quadrature._G7_W, x[1::2], 14) > 1e-5
+    # G7 is the 7-point Gauss-Legendre rule
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    assert np.allclose(x[1::2], nodes, rtol=0, atol=4e-16)
+    assert np.allclose(quadrature._G7_W, weights, rtol=0, atol=4e-16)
+
+
 def test_finite_polynomial_exact():
-    # degree-5 polynomial is exact for a 15-point rule
+    # degree-5 polynomial is exact for the 15-point Kronrod rule
     val = adaptive_integral(lambda x: 3.0 * x ** 5 - x + 2.0, -1.0, 2.0)
     exact = 0.5 * (2.0 ** 6 - 1.0) - 0.5 * (4.0 - 1.0) + 2.0 * 3.0
     assert val == pytest.approx(exact, rel=1e-14)
