@@ -140,8 +140,8 @@ def _k_pass(mode, parts, system, scales, quad):
 
 
 def _tagged(err, where, **tags):
-    """``err``, caused by itself, with ``where`` it failed on its message
-    and ``tags`` as attributes."""
+    """A copy of ``err`` with ``where`` it failed added to its message,
+    ``tags`` as attributes and ``err`` as its cause."""
     tagged = QuadratureError(f"{err} {where}", err.last_estimate,
                              err.previous_estimate)
     vars(tagged).update(tags)
