@@ -219,13 +219,18 @@ def _batch(length, xi1, running, n_done):
     own, so batch sizes change only the work past the stop, never a result.
     """
     j = min(8, n_done - 1)
-    tails = [(abs(r.terms[-1 - j]), abs(r.terms[-1]), 1e-15 * r.largest)
-             for r in running] if j > 0 else []
-    if tails and all(0.0 < last < before for before, last, _ in tails):
-        # to the extrapolated stop, plus 10% and the three dead terms
-        return 3 + math.ceil(1.1 * max(0.0, *(
-            j * math.log(last / dead) / math.log(before / last)
-            for before, last, dead in tails)))
+    remaining = []
+    for r in running if j > 0 else ():
+        last, before = abs(r.terms[-1]), abs(r.terms[-1 - j])
+        rate = math.log(before / last) / j if last > 0.0 else 0.0
+        if not rate > 0.0:   # no decay to extrapolate
+            remaining = []
+            break
+        # indices until the term falls to 1e-15 of the largest
+        remaining.append((math.log(last) - math.log(r.largest)
+                          + math.log(1e15)) / rate)
+    if remaining:   # plus 10% and the three dead terms
+        return math.ceil(1.1 * max(0.0, *remaining)) + 3
     # terms fall like exp(-2 xi_n d / c) on the thinnest inner layer d, to
     # the early stop's 1e-15 of the largest near 2 xi_n d / c = ln(1e15)
     predicted = math.ceil(math.log(1e15) * c / (2.0 * xi1 * length)) + 5
@@ -318,6 +323,8 @@ def matsubara_energy(ln_g_sum, mats, quad, k_scale, *, _lengths=None):
                       dtype=float)
     if not scales.size:
         raise ValueError("a Matsubara pass needs at least one system")
+    if not np.all((scales > 0.0) & np.isfinite(scales)):
+        raise ValueError("scale must be positive and finite")
     lengths = 0.5 / scales if _lengths is None else _lengths
     results = []
     for running in _lockstep(mode, configs, quad, scales, lengths):

@@ -537,6 +537,18 @@ def test_bad_separations_or_layers_raise_before_any_integral(monkeypatch):
         energy_per_area_T((), mats)
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
+def test_bad_k_scale_raises_before_any_integral(monkeypatch, scale):
+    def no_integrals(*args, **kwargs):
+        raise AssertionError("an integral ran")
+
+    monkeypatch.setattr(lifshitz, "semi_infinite_rows", no_integrals)
+    for k_scale in (scale, (1.0, scale)):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            matsubara_energy(_synthetic(_decaying), MatsubaraConfig(T), QUAD,
+                             k_scale)
+
+
 def test_failing_row_names_its_system():
     # system 1 gets a kink at n = 10 that the 16-panel budget cannot resolve
     ln_g_sum = _synthetic(_decaying)
