@@ -240,10 +240,11 @@ def _batch(length, xi1, running, n_done):
 def _lockstep(mode, configs, quad, scales, lengths):
     """``[[_RunningSum per config] per system]`` of the systems of ``scales``.
 
-    The first pass holds the n = 0 rows of every config, config by config,
-    then each system's first :func:`_batch` of indices n >= 1; later passes
-    the next batch of each system that has not stopped. Rows are sorted by
-    system, then by n, at most ``_MAX_ROWS`` of them n >= 1 per pass.
+    The first pass holds the n = 0 rows of every config (config by config,
+    each by system), then each system's first :func:`_batch` of indices
+    n >= 1; later passes the next batch of each system that has not
+    stopped. The rows n >= 1 of a pass, at most ``_MAX_ROWS``, are sorted
+    by system, then by n.
     """
     mats = configs[0]
     xi1 = matsubara_xi(1, mats.temperature)

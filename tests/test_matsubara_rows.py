@@ -1,9 +1,10 @@
 """The batched Matsubara sum: panel counts, early stop and failure reporting.
 
 Matsubara indices n >= 1 are integrated in batches that follow each
-system's predicted stop, one quadrature row per index. These tests pin the per-term panel decompositions to the counts of
-the term-by-term algorithm and drive ``matsubara_energy`` with synthetic
-mode functions whose terms, stop index and failing rows are known.
+system's predicted stop, one quadrature row per index. These tests pin the
+per-term panel decompositions to the counts of the term-by-term algorithm
+and drive ``matsubara_energy`` with synthetic mode functions whose terms,
+stop index and failing rows are known.
 """
 
 import math
