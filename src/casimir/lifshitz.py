@@ -12,9 +12,8 @@ summed in the same passes: each config gets its own n = 0 row, the terms
 n >= 1 are integrated once and each config takes them up to its own early
 stop. So is a tuple of stacks (the separations of a force sweep, or the
 full, retracted and slab stacks of a difference observable), each row on
-its own stack's k-scale. The first pass holds every n = 0 row and each
-stack's terms n >= 1 up to its predicted stop, so a sum mostly takes one
-pass. Every result equals the one of a separate call bit for bit.
+its own stack's k-scale. Every result equals the one of a separate call
+bit for bit.
 
 Sign convention: attractive configurations have negative energy per area
 and negative normal pressure.
@@ -38,7 +37,7 @@ from .stack import FromModel, Stack, _require_inner, d_ln_g, ln_g
 from .stack import g_full_thickness_derivative, ln_g_full  # noqa: F401
 
 
-# Rows n >= 1 of one lockstep pass: bounds its (rows, points) working set.
+# Rows n >= 1 of one lockstep pass, and n = 0 rows: bounds its working set.
 _MAX_ROWS = 640
 
 
@@ -120,9 +119,9 @@ def k_integral(f, quad, scale=1.0):
 def _k_pass(mode, parts, system, scales, quad):
     """:func:`semi_infinite_rows` of ``k * mode`` for the rows ``system``
     (indices into ``scales``), each on the k-scale of its system. ``parts``
-    are consecutive ranges ``(end row, xi, zero_mode)`` of the rows, ``xi``
-    one value or a (rows, 1) column; ``mode(k, xi, zero_mode, system)`` is
-    called once per range with rows in the call, ``system`` a column."""
+    are consecutive ranges ``(end row, xi, zero_mode)`` of the rows, each
+    one ``mode(k, xi, zero_mode, system column)`` call; ``xi`` is one value
+    or a (rows, 1) column."""
     column = system[:, None]
     ends = [end for end, _, _ in parts]
 
@@ -139,33 +138,29 @@ def _k_pass(mode, parts, system, scales, quad):
                               rel_tol=quad.rel_tol, max_panels=quad.max_panels)
 
 
-def _tagged(err, where, **tags):
-    """A copy of ``err`` with ``where`` it failed added to its message,
-    ``tags`` as attributes and ``err`` as its cause."""
-    tagged = QuadratureError(f"{err} {where}", err.last_estimate,
-                             err.previous_estimate)
-    vars(tagged).update(tags)
-    tagged.__cause__ = err
+def _tagged(err, n, system):
+    tagged = QuadratureError(
+        f"{err} (while integrating Matsubara index n={n})",
+        last_estimate=err.last_estimate,
+        previous_estimate=err.previous_estimate)
+    tagged.matsubara_n, tagged.system = n, system
     return tagged
 
 
-def _row_error(err, n, system):
-    return _tagged(err, f"(while integrating Matsubara index n={n})",
-                   matsubara_n=n, system=system)
-
-
 @contextlib.contextmanager
-def _naming_systems(names, attribute, phrase):
-    """Re-raise a failing Matsubara row's :class:`QuadratureError` with the
-    name of its system, ``names[system]``, in ``phrase`` and ``attribute``."""
+def _naming_systems(names, attribute="energy", phrase="in the {} energy"):
+    """Re-raise a failing Matsubara row's error naming its system,
+    ``names[system]``, in ``phrase`` and as ``attribute``."""
     try:
         yield
     except QuadratureError as err:
         if not hasattr(err, "system"):   # not a row of the Matsubara sum
             raise
         name = names[err.system]
-        raise _tagged(err, phrase.format(name), matsubara_n=err.matsubara_n,
-                      system=err.system, **{attribute: name})
+        tagged = QuadratureError(f"{err} {phrase.format(name)}",
+                                 err.last_estimate, err.previous_estimate)
+        vars(tagged).update(vars(err), **{attribute: name})
+        raise tagged from err
 
 
 def _shared_pass(mats):
@@ -212,33 +207,18 @@ class _RunningSum:
         return EnergyPerArea(math.fsum(terms), terms, self.panels, n_stop)
 
 
-def _batch(length, xi1, running, n_done):
-    """Indices n >= 1 of a system's next pass, up to its predicted stop:
-    first from its thinnest inner layer ``length``, then from the log-decay
-    of the last terms of its ``running`` sums. Each row is reduced on its
-    own, so batch sizes change only the work past the stop, never a result.
-    """
-    j = min(8, n_done - 1)
-    remaining = []
-    for r in running if j > 0 else ():
-        last, before = abs(r.terms[-1]), abs(r.terms[-1 - j])
-        rate = math.log(before / last) / j if last > 0.0 else 0.0
-        if not rate > 0.0:   # no decay to extrapolate
-            remaining = []
-            break
-        # indices until the term falls to 1e-15 of the largest
-        remaining.append((math.log(last) - math.log(r.largest)
-                          + math.log(1e15)) / rate)
-    if remaining:   # plus 10% and the three dead terms
-        return math.ceil(1.1 * max(0.0, *remaining)) + 3
+def _batch(length, xi1, n_done):
+    """Indices n >= 1 of a system's next batch: up to the stop predicted
+    from its thinnest inner layer ``length``, then at least as many as done."""
     # terms fall like exp(-2 xi_n d / c) on the thinnest inner layer d, to
     # the early stop's 1e-15 of the largest near 2 xi_n d / c = ln(1e15)
     predicted = math.ceil(math.log(1e15) * c / (2.0 * xi1 * length)) + 5
     return max(predicted - n_done, n_done, 1)
 
 
-def _lockstep(mode, configs, quad, scales, lengths):
-    """``[[_RunningSum per config] per system]`` of the systems of ``scales``.
+def _lockstep(mode, configs, quad, scales, lengths, systems):
+    """``[[_RunningSum per config] per system]`` of the ascending ``systems``
+    (indices into ``scales``).
 
     The first pass holds the n = 0 rows of every config (config by config,
     each by system), then each system's first :func:`_batch` of indices
@@ -249,15 +229,14 @@ def _lockstep(mode, configs, quad, scales, lengths):
     mats = configs[0]
     xi1 = matsubara_xi(1, mats.temperature)
     pref = k_B * mats.temperature / (2.0 * math.pi)
-    count = scales.size
-    sums = [[] for _ in range(count)]
-    live = dict(enumerate(sums))      # running sums before their stop
-    done = [0] * count                # last index integrated per system
-    zero = np.tile(np.arange(count), len(configs))   # systems of n = 0 rows
+    sums = {s: [] for s in systems.tolist()}
+    live = dict(sums)                 # running sums before their stop
+    done = dict.fromkeys(sums, 0)     # last index integrated per system
+    zero = np.tile(systems, len(configs))   # systems of n = 0 rows
     while live:
         budget, batches = _MAX_ROWS, []
-        for s, running in live.items():
-            size = min(_batch(lengths[s], xi1, running, done[s]),
+        for s in live:
+            size = min(_batch(lengths[s], xi1, done[s]),
                        mats.n_max - done[s], budget)
             if size < 1:
                 break
@@ -265,7 +244,7 @@ def _lockstep(mode, configs, quad, scales, lengths):
             budget -= size
         system = np.concatenate([zero] + [[s] * len(b) for s, b in batches])
         ns = np.concatenate([0 * zero] + [b for _, b in batches])
-        parts = [((i + 1) * count, 0.0, cfg.zero_mode)
+        parts = [((i + 1) * systems.size, 0.0, cfg.zero_mode)
                  for i, cfg in enumerate(configs) if zero.size]
         xi = matsubara_xi(ns, mats.temperature)[:, None]
         values, panels, failures = _k_pass(
@@ -273,14 +252,14 @@ def _lockstep(mode, configs, quad, scales, lengths):
         values, panels = values.tolist(), panels.tolist()
         if failures and min(failures) < zero.size:
             row = min(failures)
-            raise _row_error(failures[row], 0, int(zero[row]))
+            raise _tagged(failures[row], 0, int(zero[row])) from failures[row]
         for row, s in enumerate(zero.tolist()):
             sums[s].append(_RunningSum(0.5 * pref * values[row], panels[row]))
         row, zero = zero.size, zero[:0]
         for s, batch in batches:
             for n, r in zip(batch, range(row, row + len(batch))):
                 if r in failures:
-                    raise _row_error(failures[r], n, s)
+                    raise _tagged(failures[r], n, s) from failures[r]
                 live[s] = [x for x in live[s]
                            if x.add(pref * values[r], panels[r])]
                 if not live[s]:
@@ -288,7 +267,7 @@ def _lockstep(mode, configs, quad, scales, lengths):
             row, done[s] = row + len(batch), batch[-1]
             if not live[s] or done[s] == mats.n_max:
                 del live[s]
-    return sums
+    return list(sums.values())
 
 
 def matsubara_energy(ln_g_sum, mats, quad, k_scale, *, _lengths=None):
@@ -312,10 +291,8 @@ def matsubara_energy(ln_g_sum, mats, quad, k_scale, *, _lengths=None):
     every (system, config) keeps its own early stop, and its result equals
     the one of a separate call bit for bit. A failing row raises
     :class:`QuadratureError` tagged with its ``matsubara_n`` and the index
-    of its ``system`` (0 for one k-scale).
-
-    The energies predict each system's stop from the thinnest inner layer
-    of each stack (``_lengths``); a bare call predicts it from the k-scale.
+    of its ``system`` (0 for one k-scale). ``_lengths`` (by default half the
+    inverse k-scales) predict where each system's terms stop.
     """
     configs = _shared_pass(mats)
     mode = ln_g_sum if isinstance(k_scale, tuple) else (
@@ -327,17 +304,21 @@ def matsubara_energy(ln_g_sum, mats, quad, k_scale, *, _lengths=None):
     if not np.all((scales > 0.0) & np.isfinite(scales)):
         raise ValueError("scale must be positive and finite")
     lengths = 0.5 / scales if _lengths is None else _lengths
+    # the n = 0 rows of a group of systems, one per config, fill one pass
+    per_pass = max(1, _MAX_ROWS // len(configs))
     results = []
-    for running in _lockstep(mode, configs, quad, scales, lengths):
-        energies = tuple(r.energy(configs[0].n_max) for r in running)
-        results.append(energies if isinstance(mats, tuple) else energies[0])
+    for start in range(0, scales.size, per_pass):
+        systems = np.arange(start, min(start + per_pass, scales.size))
+        for running in _lockstep(mode, configs, quad, scales, lengths,
+                                 systems):
+            energies = tuple(r.energy(configs[0].n_max) for r in running)
+            results.append(energies if isinstance(mats, tuple) else energies[0])
     return tuple(results) if isinstance(k_scale, tuple) else results[0]
 
 
 def _mode_sum(stack, mode=ln_g):
-    """``(f, k_scale, lengths)`` of a :class:`~casimir.stack.Stack`, or of a
-    tuple of stacks, for :func:`matsubara_energy`; ``lengths`` holds the
-    thinnest inner layer of each stack, which sets how fast its terms fall.
+    """``(f, k_scale, thinnest inner layers)`` of a :class:`Stack`, or of a
+    tuple of stacks, for :func:`matsubara_energy`.
 
     ``f(k, xi, zero_mode=None, system=None)`` is the sum over polarizations
     of ``mode`` (ln G by default), with the zero mode taken under

@@ -410,8 +410,7 @@ def drude_synthetic_table(omega_p_ev, gamma_ev, e_min_ev, e_max_ev,
 # ---------------------------------------------------------------------------
 # Kramers-Kronig transform to the imaginary axis
 
-# The data band's own rule pair: 15- and 7-point Gauss-Legendre, with the
-# nodes of both in one array
+# The data band's own 15- and 7-point Gauss-Legendre pair, nodes in one array
 _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
 _GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
 _NODES = np.concatenate([_GL15_X, _GL7_X])

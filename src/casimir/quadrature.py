@@ -2,24 +2,22 @@
 
 The k- and frequency integrals and the KK power tail share one row-batched
 engine; the KK data band bisects in ``materials`` on its own Gauss pair and
-its Drude tail is a closed form. A panel's value is the 15-point Kronrod
-rule K15 and its error estimate |K15 - G7|, where the 7-point Gauss rule
-G7 takes every second K15 node (QK15 of R. Piessens et al., *QUADPACK*,
-Springer 1983). Subdivision depends only on integrand values, never on
-timing or order, so results are reproducible bit for bit. R integrands
-(rows, say one per Matsubara frequency) run in lockstep: each step makes
-one vectorized call on a (live rows, points) array, and every row follows
-exactly the panel sequence of a scalar worst-panel-first bisection.
-``adaptive_integral`` and ``semi_infinite_integral`` are its one-row case.
+its Drude tail is a closed form. A panel is the 15-point Kronrod rule K15
+with error |K15 - G7| (QK15, Piessens et al., *QUADPACK*, 1983). Subdivision
+depends only on integrand values, never on timing or order, so results are
+reproducible bit for bit. R integrands (rows, say one per Matsubara
+frequency) run in lockstep: each step makes one vectorized call on a (live
+rows, points) array, and every row follows exactly the panel sequence of a
+scalar worst-panel-first bisection. ``adaptive_integral`` and
+``semi_infinite_integral`` are its one-row case.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# QK15 on [-1, 1], rounded to double: the nodes x >= 0 in descending order,
-# their K15 weights, and the G7 weights of the second, fourth, sixth and
-# eighth of them
+# QK15 on [-1, 1]: the nodes x >= 0 descending, their K15 weights, and the
+# G7 weights of the second, fourth, sixth and eighth of them
 _XK = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
        0.7415311855993945, 0.5860872354676911, 0.4058451513773972,
        0.20778495500789848, 0.0)

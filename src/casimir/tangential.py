@@ -45,16 +45,14 @@ def tangential_force_general(stack, mats, quad=QuadratureConfig()):
 
     The stack has an odd number of layers, and the two gaps on either side
     of the middle layer (layers 2 and 4 of five) must be the same medium.
-    A failing row raises :class:`QuadratureError` with its ``matsubara_n``
-    and the ``energy`` it belongs to: full, retracted or slab.
+    Errors of failing rows name their ``energy``: full, retracted or slab.
     """
     require_tangential_symmetry(stack)
     m = len(stack.layers) // 2
     gap, slab = stack.layers[m - 1], stack.layers[m]
     # the slab term is the middle plate alone in the gap medium; the three
     # sums are rows of one Matsubara pass
-    with _naming_systems(("full", "retracted", "slab"), "energy",
-                         "in the {} energy"):
+    with _naming_systems(("full", "retracted", "slab")):
         e_full, e_retracted, e_slab = energy_per_area_T(
             (stack, retracted_stack(stack),
              Stack((gap, slab, gap), (stack.thicknesses[m - 1],))), mats, quad)

@@ -203,15 +203,13 @@ def torque_energy_density(plate_a, plate_b, medium, d3, mats,
     d3 remains. Negative for attractive configurations. The thickness is a
     physical input: 1 um metal plates are opaque and match half-spaces to
     ~1e-12, but dielectric plates are not (1 um plates of eps = 5 at
-    d3 = 100 nm, 300 K differ from half-spaces by ~8e-4). A failing row
-    raises :class:`QuadratureError` with its ``matsubara_n`` and the
-    ``energy`` it belongs to: five-layer, plate a or plate b.
+    d3 = 100 nm, 300 K differ from half-spaces by ~8e-4). Errors of failing
+    rows name their ``energy``: five-layer, plate a or plate b.
     """
     t = plate_thickness
     # equal plates share one isolated-plate sum; all sums are rows of one pass
     plates = (plate_a,) if plate_b == plate_a else (plate_a, plate_b)
-    with _naming_systems(("five-layer", "plate a", "plate b"), "energy",
-                         "in the {} energy"):
+    with _naming_systems(("five-layer", "plate a", "plate b")):
         full, *slabs = energy_per_area_T(
             (Stack((medium, plate_a, medium, plate_b, medium), (t, d3, t)),)
             + tuple(Stack((medium, p, medium), (t,)) for p in plates),

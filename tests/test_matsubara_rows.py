@@ -462,6 +462,26 @@ def test_sweep_longer_than_the_row_cap_splits_into_passes(monkeypatch):
     assert max(sizes[1:]) <= 128
 
 
+def test_zero_rows_past_the_row_cap_split_into_groups(monkeypatch):
+    stacks = _mixed_stacks()
+    configs = _treatments(80)
+    default = energy_per_area_T(stacks, configs)
+    passes = []   # (rows n = 0, rows n >= 1) of every pass
+    k_pass = lifshitz._k_pass
+
+    def counted(mode, parts, system, *args):
+        zero = parts[-2][0] if len(parts) > 1 else 0
+        passes.append((zero, system.size - zero))
+        return k_pass(mode, parts, system, *args)
+
+    monkeypatch.setattr(lifshitz, "_k_pass", counted)
+    monkeypatch.setattr(lifshitz, "_MAX_ROWS", 8)
+    assert energy_per_area_T(stacks, configs) == default
+    assert max(max(p) for p in passes) <= 8
+    # 15 rows n = 0 (5 stacks, 3 configs) in groups of 2, 2 and 1 stacks
+    assert [zero for zero, _ in passes if zero] == [6, 6, 3]
+
+
 # ---------------------------------------------------------------------------
 # one pass for stacks of any layers: consecutive stacks with equal layers
 # form one run, and each run is one mode-function call per integrand call
