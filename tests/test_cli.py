@@ -223,10 +223,12 @@ def test_eps_table_golden_output(tmp_path, grid):
     ("torque-sweep", "torque_equal"),
     ("torque-sweep", "torque_unequal"),
     ("convergence", "convergence_five_layer"),
+    ("force-sweep", "force_sweep"),
 ])
 def test_matsubara_sum_golden_output(tmp_path, command, name):
-    # equal and unequal torque plates (two and three sums in one pass) and
-    # a magnetodielectric five-layer stack: every byte of the recorded table
+    # equal and unequal torque plates (two and three sums in one pass), a
+    # magnetodielectric five-layer stack and a Drude/plasma force sweep of
+    # two materials: every byte of the recorded table
     # (see tests/golden/README.md) must come back
     out = tmp_path / "out.csv"
     cfg = os.path.join(GOLDEN, f"{name}.ini")
