@@ -37,10 +37,6 @@ from .stack import FromModel, Stack, _require_inner, d_ln_g, ln_g
 from .stack import g_full_thickness_derivative, ln_g_full  # noqa: F401
 
 
-# Rows n >= 1 of one lockstep pass, and n = 0 rows: bounds its working set.
-_MAX_ROWS = 640
-
-
 def matsubara_xi(n, temperature):
     """n-th Matsubara frequency 2*pi*n*kB*T/hbar in rad/s.
 
@@ -216,35 +212,30 @@ def _batch(length, xi1, n_done):
     return max(predicted - n_done, n_done, 1)
 
 
-def _lockstep(mode, configs, quad, scales, lengths, systems):
-    """``[[_RunningSum per config] per system]`` of the ascending ``systems``
-    (indices into ``scales``).
+def _lockstep(mode, configs, quad, scales, lengths):
+    """``[[_RunningSum per config] per system]`` of the systems of ``scales``.
 
     The first pass holds the n = 0 rows of every config (config by config,
     each by system), then each system's first :func:`_batch` of indices
     n >= 1; later passes the next batch of each system that has not
-    stopped. The rows n >= 1 of a pass, at most ``_MAX_ROWS``, are sorted
-    by system, then by n.
+    stopped. The rows n >= 1 of a pass are sorted by system, then by n.
+    The quadrature engine bounds the rows of each integrand call.
     """
     mats = configs[0]
     xi1 = matsubara_xi(1, mats.temperature)
     pref = k_B * mats.temperature / (2.0 * math.pi)
-    sums = {s: [] for s in systems.tolist()}
-    live = dict(sums)                 # running sums before their stop
-    done = dict.fromkeys(sums, 0)     # last index integrated per system
-    zero = np.tile(systems, len(configs))   # systems of n = 0 rows
+    sums = [[] for _ in range(scales.size)]
+    live = dict(enumerate(sums))      # running sums before their stop
+    done = dict.fromkeys(live, 0)     # last index integrated per system
+    zero = np.tile(np.arange(scales.size), len(configs))   # n = 0 rows
     while live:
-        budget, batches = _MAX_ROWS, []
+        batches = []
         for s in live:
-            size = min(_batch(lengths[s], xi1, done[s]),
-                       mats.n_max - done[s], budget)
-            if size < 1:
-                break
+            size = min(_batch(lengths[s], xi1, done[s]), mats.n_max - done[s])
             batches.append((s, range(done[s] + 1, done[s] + 1 + size)))
-            budget -= size
         system = np.concatenate([zero] + [[s] * len(b) for s, b in batches])
         ns = np.concatenate([0 * zero] + [b for _, b in batches])
-        parts = [((i + 1) * systems.size, 0.0, cfg.zero_mode)
+        parts = [((i + 1) * scales.size, 0.0, cfg.zero_mode)
                  for i, cfg in enumerate(configs) if zero.size]
         xi = matsubara_xi(ns, mats.temperature)[:, None]
         values, panels, failures = _k_pass(
@@ -267,7 +258,7 @@ def _lockstep(mode, configs, quad, scales, lengths, systems):
             row, done[s] = row + len(batch), batch[-1]
             if not live[s] or done[s] == mats.n_max:
                 del live[s]
-    return list(sums.values())
+    return sums
 
 
 def matsubara_energy(ln_g_sum, mats, quad, k_scale, *, _lengths=None):
@@ -304,15 +295,10 @@ def matsubara_energy(ln_g_sum, mats, quad, k_scale, *, _lengths=None):
     if not np.all((scales > 0.0) & np.isfinite(scales)):
         raise ValueError("scale must be positive and finite")
     lengths = 0.5 / scales if _lengths is None else _lengths
-    # the n = 0 rows of a group of systems, one per config, fill one pass
-    per_pass = max(1, _MAX_ROWS // len(configs))
     results = []
-    for start in range(0, scales.size, per_pass):
-        systems = np.arange(start, min(start + per_pass, scales.size))
-        for running in _lockstep(mode, configs, quad, scales, lengths,
-                                 systems):
-            energies = tuple(r.energy(configs[0].n_max) for r in running)
-            results.append(energies if isinstance(mats, tuple) else energies[0])
+    for running in _lockstep(mode, configs, quad, scales, lengths):
+        energies = tuple(r.energy(configs[0].n_max) for r in running)
+        results.append(energies if isinstance(mats, tuple) else energies[0])
     return tuple(results) if isinstance(k_scale, tuple) else results[0]
 
 
@@ -358,8 +344,11 @@ def _mode_sum(stack, mode=ln_g):
     # which the geometrically growing blocks always reach. The reverse
     # choice would bury large-layer structure inside the first panel.
     scales = tuple(1.0 / (2.0 * max(s.thicknesses)) for s in stacks)
-    return (mode_sum, scales if isinstance(stack, tuple) else scales[0],
-            tuple(min(s.thicknesses) for s in stacks))
+    # a run of equal adjacent inner layers is one layer as thick as the run
+    lengths = tuple(min(sum(d for _, d in run) for _, run in itertools.groupby(
+        zip(s.layers[1:-1], s.thicknesses), key=lambda pair: pair[0]))
+        for s in stacks)
+    return mode_sum, scales if isinstance(stack, tuple) else scales[0], lengths
 
 
 def energy_per_area_T(stack, mats, quad=QuadratureConfig()):

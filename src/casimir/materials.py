@@ -21,8 +21,8 @@ import numpy as np
 
 from .constants import e as _ELEMENTARY_CHARGE, hbar
 # adaptive_integral stays a name here: perfbench/tracing.py patches it
-from .quadrature import (_CHUNK, _NOISE_FLOOR, QuadratureError,
-                         _adaptive_rows, adaptive_integral)
+from .quadrature import (_NOISE_FLOOR, QuadratureError, _adaptive_rows,
+                         adaptive_integral)
 
 _EV = _ELEMENTARY_CHARGE / hbar  # rad/s per eV
 
@@ -415,7 +415,7 @@ _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
 _GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
 _NODES = np.concatenate([_GL15_X, _GL7_X])
 # Bytes of the one (xi, panel, node) block that round 0 of the data band
-# reuses for every chunk of xi: it bounds the chunk as _CHUNK bounds rows.
+# reuses for every chunk of xi; it sets how many xi a chunk holds.
 _BAND_SCRATCH = 256 * 1024
 
 
@@ -439,22 +439,21 @@ def _power_tail_integral(tail, w_max, xi, rel_tol):
 
     Each row may bisect into at most 512 panels, the engine's default budget.
     """
-    out = np.zeros(xi.size)
     if tail is None or tail.amplitude == 0.0:
-        return out
+        return np.zeros(xi.size)
     amp, p = tail.amplitude, tail.exponent
-    for start in range(0, xi.size, _CHUNK):
-        col = xi[start:start + _CHUNK, None]
-        def f(t, rows):
-            return (amp * w_max ** 2 * t ** (p - 1.0)
-                    / (w_max ** 2 + (col[rows] * t) ** 2))
-        out[start:start + _CHUNK], _, failures = _adaptive_rows(
-            f, 0.0, 1.0, np.arange(col.size), rel_tol, 512, _NOISE_FLOOR)
-        if failures:
-            row, error = min(failures.items())
-            raise QuadratureError(
-                f"Kramers-Kronig power tail at xi = {col[row, 0]:g} rad/s: {error}",
-                error.last_estimate, error.previous_estimate) from error
+
+    def f(t, rows):
+        return (amp * w_max ** 2 * t ** (p - 1.0)
+                / (w_max ** 2 + (xi[rows, None] * t) ** 2))
+
+    out, _, failures = _adaptive_rows(f, 0.0, 1.0, np.arange(xi.size),
+                                      rel_tol, 512, _NOISE_FLOOR)
+    if failures:
+        row, error = min(failures.items())
+        raise QuadratureError(
+            f"Kramers-Kronig power tail at xi = {xi[row]:g} rad/s: {error}",
+            error.last_estimate, error.previous_estimate) from error
     return out
 
 

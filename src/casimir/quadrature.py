@@ -8,8 +8,9 @@ depends only on integrand values, never on timing or order, so results are
 reproducible bit for bit. R integrands (rows, say one per Matsubara
 frequency) run in lockstep: each step makes one vectorized call on a (live
 rows, points) array, and every row follows exactly the panel sequence of a
-scalar worst-panel-first bisection. ``adaptive_integral`` and
-``semi_infinite_integral`` are its one-row case.
+scalar worst-panel-first bisection, in slices of at most ``_MAX_ROWS``
+rows. ``adaptive_integral`` and ``semi_infinite_integral`` are its one-row
+case.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ _K15_W = np.array(_WK[:-1] + _WK[::-1])
 _G7_W = np.array(_WG[:-1] + _WG[::-1])
 _K15_ROW = _K15_X[None, :]
 _ONE_ROW = np.arange(1)
-# Rows per batched pass of the Kramers-Kronig power tail: bounds the
-# (rows, points) working set of one lockstep pass.
-_CHUNK = 64
+# Rows per integrand call: bounds the (rows, points) arrays of the engine
+_MAX_ROWS = 640
+# Blocks of a semi-infinite integral before a row is reported as not decaying
+_MAX_BLOCKS = 64
 
 
 class QuadratureError(RuntimeError):
@@ -89,10 +91,20 @@ def _adaptive_rows(f, a, b, rows, rel_tol, max_panels, floor):
     estimate, ties going to the older panel, until its summed error
     estimate drops below ``max(rel_tol * |integral|, floor)``, where
     ``floor`` (a scalar or one per row) already includes the noise floor.
-    Returns the integrals, the panel counts (1 when no row bisected) and
-    ``{position in rows: QuadratureError}`` for the rows that ran out of
-    ``max_panels``.
+    Returns the integrals, the panel counts and ``{position in rows:
+    QuadratureError}`` for the rows that ran out of ``max_panels``.
+
+    Rows past ``_MAX_ROWS`` run in consecutive slices of that many, which
+    moves no result: each row is reduced on its own.
     """
+    if rows.size > _MAX_ROWS:
+        floor = np.broadcast_to(floor, rows.shape)
+        parts = [(i, *_adaptive_rows(f, a, b, rows[i:i + _MAX_ROWS], rel_tol,
+                                     max_panels, floor[i:i + _MAX_ROWS]))
+                 for i in range(0, rows.size, _MAX_ROWS)]
+        return (np.concatenate([value for _, value, _, _ in parts]),
+                np.concatenate([used for _, _, used, _ in parts]),
+                {i + r: e for i, *_, fail in parts for r, e in fail.items()})
     half = 0.5 * (b - a)
     x = 0.5 * (a + b) + half * _K15_ROW
     total, total_err = _estimates(_evaluate(f, x, rows), half)
@@ -100,11 +112,11 @@ def _adaptive_rows(f, a, b, rows, rel_tol, max_panels, floor):
     def over_budget():
         return total_err > np.maximum(rel_tol * np.abs(total), floor)
 
+    panels = np.ones(rows.size, dtype=int)
     pending = over_budget()
     if not np.count_nonzero(pending):
-        return total, 1, {}
+        return total, panels, {}
     pos = np.flatnonzero(pending)
-    panels = np.ones(rows.size, dtype=int)
     failures = {}
     # Panel store of the rows that bisect: one column per row, one slot per
     # panel in creation order, so argmax ties go to the oldest panel.
@@ -155,8 +167,7 @@ def _adaptive_rows(f, a, b, rows, rel_tol, max_panels, floor):
     return total, panels, failures
 
 
-def semi_infinite_rows(f, n_rows, scale=1.0, rel_tol=1e-9, max_panels=512,
-                       max_blocks=64):
+def semi_infinite_rows(f, n_rows, scale=1.0, rel_tol=1e-9, max_panels=512):
     """Integrate ``n_rows`` integrands over [0, inf) in one lockstep pass.
 
     ``f(x, rows)`` returns the integrands of the row indices ``rows`` at
@@ -166,9 +177,10 @@ def semi_infinite_rows(f, n_rows, scale=1.0, rel_tol=1e-9, max_panels=512,
     u = x / scale_i, where ``scale`` is one value for all rows or one per
     row, and every row is covered by the same geometrically growing blocks
     in u; a row stops once two consecutive blocks contribute below its
-    running relative tolerance. Returns ``(integrals, panels, failures)``:
-    per-row integrals and panel counts, and ``{row: QuadratureError}`` for
-    the rows that did not converge. A failed row's integral is meaningless.
+    running relative tolerance, and fails after ``_MAX_BLOCKS`` blocks.
+    Returns ``(integrals, panels, failures)``: per-row integrals and panel
+    counts, and ``{row: QuadratureError}`` for the rows that did not
+    converge. A failed row's integral is meaningless.
     """
     scale = np.asarray(scale, dtype=float)
     if scale.ndim and scale.shape != (n_rows,):
@@ -188,7 +200,7 @@ def semi_infinite_rows(f, n_rows, scale=1.0, rel_tol=1e-9, max_panels=512,
     live = np.arange(n_rows)
     lo = 0.0
     width = 8.0
-    for _ in range(max_blocks):
+    for _ in range(_MAX_BLOCKS):
         floor = np.maximum(0.25 * rel_tol * np.abs(total[live]), _NOISE_FLOOR)
         block, used, failed = _adaptive_rows(g, lo, lo + width, live, rel_tol,
                                              max_panels, floor)
@@ -209,7 +221,7 @@ def semi_infinite_rows(f, n_rows, scale=1.0, rel_tol=1e-9, max_panels=512,
         width *= 2.0
     for row in live.tolist():
         failures[row] = QuadratureError(
-            f"semi-infinite integral did not converge within {max_blocks} blocks",
+            f"semi-infinite integral did not converge within {_MAX_BLOCKS} blocks",
             last_estimate=float(total[row]))
     return total, panels, failures
 
@@ -235,8 +247,7 @@ def adaptive_integral(f, a, b, rel_tol=1e-9, max_panels=512):
     return float(total[0])
 
 
-def semi_infinite_integral(f, scale=1.0, rel_tol=1e-9, max_panels=512,
-                           max_blocks=64):
+def semi_infinite_integral(f, scale=1.0, rel_tol=1e-9, max_panels=512):
     """Integrate f over [0, inf) for integrands decaying on the given scale.
 
     The axis is rescaled to the dimensionless variable u = x / scale and
@@ -245,7 +256,7 @@ def semi_infinite_integral(f, scale=1.0, rel_tol=1e-9, max_panels=512,
     The integrand must decay at least exponentially in u.
     """
     total, _, failures = semi_infinite_rows(_one_row(f), 1, scale, rel_tol,
-                                            max_panels, max_blocks)
+                                            max_panels)
     if failures:
         raise failures[0]
     return float(total[0])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import casimir.cli as cli
+from casimir import quadrature
 from casimir.cli import main
 from casimir.materials import ev_to_radps
 
@@ -234,6 +235,17 @@ def test_matsubara_sum_golden_output(tmp_path, command, name):
     cfg = os.path.join(GOLDEN, f"{name}.ini")
     assert main([command, "--config", cfg, "--out", str(out)]) == 0
     with open(os.path.join(GOLDEN, f"{name}.csv"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+def test_force_sweep_golden_past_the_engine_row_cap(tmp_path, monkeypatch):
+    # the quadrature engine runs each Matsubara pass of the sweep in slices
+    # of 8 rows: every byte of the recorded table must still come back
+    monkeypatch.setattr(quadrature, "_MAX_ROWS", 8)
+    out = tmp_path / "out.csv"
+    cfg = os.path.join(GOLDEN, "force_sweep.ini")
+    assert main(["force-sweep", "--config", cfg, "--out", str(out)]) == 0
+    with open(os.path.join(GOLDEN, "force_sweep.csv"), "rb") as fh:
         assert out.read_bytes() == fh.read()
 
 

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from casimir import materials
+from casimir import materials, quadrature
 from casimir.materials import (Constant, DataFileError, Drude, DrudeTail,
                                OpticalDataTable, Permeability, Plasma,
                                PowerTail, Tabulated, Vacuum,
@@ -233,7 +233,7 @@ def _band_reference(table, xi, rel_tol, max_rounds=24):
 
 def test_kk_array_equals_scalar_calls():
     tab, low, high = _gold_kk()
-    # three power-tail chunks, xi = gamma (degenerate low tail) and duplicates
+    # xi = gamma (degenerate low tail) and duplicates
     grid = ev_to_radps(np.geomspace(1e-3, 1e4, 150))
     xi = np.concatenate([grid, [GAMMA, GAMMA, grid[7]]])
     batched = kk_transform(tab, low, high, xi)
@@ -252,6 +252,29 @@ def test_kk_array_equals_scalar_calls():
     assert column.shape == (xi.size, 1)
     np.testing.assert_array_equal(column[:, 0], scalar)
     assert isinstance(kk_transform(tab, low, high, float(GAMMA)), float)
+
+
+def test_kk_power_tail_past_the_engine_cap_equals_the_default(monkeypatch):
+    # the power tail hands every xi to the quadrature engine, which runs
+    # them as slices of at most _MAX_ROWS rows; no result moves
+    tab, low, high = _gold_kk()
+    xi = ev_to_radps(np.geomspace(1e-3, 1e4, 30))
+    sizes = []
+    engine = materials._adaptive_rows
+
+    def counted(f, *args):
+        def g(t, rows):
+            sizes.append(rows.size)
+            return f(t, rows)
+        return engine(g, *args)
+
+    monkeypatch.setattr(materials, "_adaptive_rows", counted)
+    default = kk_transform(tab, low, high, xi)
+    assert max(sizes) == xi.size
+    sizes.clear()
+    monkeypatch.setattr(quadrature, "_MAX_ROWS", 8)
+    np.testing.assert_array_equal(kk_transform(tab, low, high, xi), default)
+    assert max(sizes) == 8 and len(sizes) > 1
 
 
 def test_kk_data_band_matches_segment_formula_bitwise():

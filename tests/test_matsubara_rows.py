@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.constants import Boltzmann as k_B
 
-from casimir import lifshitz
+from casimir import lifshitz, quadrature
 from casimir.lifshitz import (MatsubaraConfig, QuadratureConfig,
                               energy_per_area_T, matsubara_energy,
                               matsubara_xi)
@@ -23,8 +23,9 @@ from casimir.materials import (Constant, Drude, DrudeTail, Permeability,
                                fit_power_tail)
 from casimir.quadrature import QuadratureError, semi_infinite_integral
 from casimir.stack import (DrudeLike, FiveLayerStack, FromModel, Layer,
-                           PlasmaLike, Stack, ln_g)
-from casimir.tangential import tangential_force_reduced
+                           PlasmaLike, Stack, ln_g, retracted_stack)
+from casimir.tangential import (tangential_force_general,
+                                tangential_force_reduced)
 
 GOLD = Layer(Drude(ev_to_radps(9.0), ev_to_radps(0.035)))
 VAC = Layer(Vacuum())
@@ -67,6 +68,19 @@ def test_panels_gold_reduced_force(monkeypatch):
     assert sum(points) == 32670
     assert energy.n_stop < 500
     _assert_padding(energy, 500)
+
+
+def test_tangential_points_with_equal_inner_layers_merged(monkeypatch):
+    # the retracted stack gold | 3 x 200 nm vacuum | gold predicts its stop
+    # from one 600 nm gap, not from a 200 nm layer
+    stack = FiveLayerStack((GOLD, VAC, GOLD, VAC, GOLD), 2e-7, 2e-7, 2e-7)
+    _, _, lengths = lifshitz._mode_sum((stack, retracted_stack(stack)))
+    assert lengths == (2e-7, 6e-7)
+    points = _counted(monkeypatch)
+    tangential_force_general(stack, MatsubaraConfig(T, n_max=500,
+                                                    zero_mode=DrudeLike()))
+    assert len(points) == 21
+    assert sum(points) == 40530
 
 
 def test_panels_ideal_mirrors_10k(monkeypatch):
@@ -282,6 +296,22 @@ def _row_counter(monkeypatch):
     return sizes
 
 
+def _rows_per_call(monkeypatch):
+    """Rows of every integrand call of the ``semi_infinite_rows`` calls
+    made by ``lifshitz``."""
+    sizes = []
+    rows = lifshitz.semi_infinite_rows
+
+    def counted(f, n_rows, *args, **kwargs):
+        def g(k, r):
+            sizes.append(r.size)
+            return f(k, r)
+        return rows(g, n_rows, *args, **kwargs)
+
+    monkeypatch.setattr(lifshitz, "semi_infinite_rows", counted)
+    return sizes
+
+
 def test_shared_pass_integrates_the_rows_once(monkeypatch):
     sizes = _row_counter(monkeypatch)
     stack = Stack((GOLD, VAC, GOLD), (1e-7,))
@@ -446,42 +476,6 @@ def test_separations_share_the_row_passes(monkeypatch):
     assert sizes[0] - len(configs) * len(stacks) >= sum(stops)
 
 
-def test_sweep_longer_than_the_row_cap_splits_into_passes(monkeypatch):
-    configs = _treatments(200)[:2]
-    separations = (1e-7, 1.5e-7, 2.5e-7, 4e-7, 7e-7)
-    stacks = tuple(Stack((GOLD, VAC, GOLD), (d,)) for d in separations)
-    alone = [energy_per_area_T(stack, configs) for stack in stacks]
-    sizes = _row_counter(monkeypatch)
-    energy_per_area_T(stacks, configs)
-    assert len(sizes) == 1 and sizes[0] - 10 > 128
-    sizes.clear()
-    monkeypatch.setattr(lifshitz, "_MAX_ROWS", 128)
-    assert energy_per_area_T(stacks, configs) == tuple(alone)
-    # the first pass holds the 10 rows n = 0 on top of the 128 rows n >= 1
-    assert sizes[0] == 10 + 128 and len(sizes) > 1
-    assert max(sizes[1:]) <= 128
-
-
-def test_zero_rows_past_the_row_cap_split_into_groups(monkeypatch):
-    stacks = _mixed_stacks()
-    configs = _treatments(80)
-    default = energy_per_area_T(stacks, configs)
-    passes = []   # (rows n = 0, rows n >= 1) of every pass
-    k_pass = lifshitz._k_pass
-
-    def counted(mode, parts, system, *args):
-        zero = parts[-2][0] if len(parts) > 1 else 0
-        passes.append((zero, system.size - zero))
-        return k_pass(mode, parts, system, *args)
-
-    monkeypatch.setattr(lifshitz, "_k_pass", counted)
-    monkeypatch.setattr(lifshitz, "_MAX_ROWS", 8)
-    assert energy_per_area_T(stacks, configs) == default
-    assert max(max(p) for p in passes) <= 8
-    # 15 rows n = 0 (5 stacks, 3 configs) in groups of 2, 2 and 1 stacks
-    assert [zero for zero, _ in passes if zero] == [6, 6, 3]
-
-
 # ---------------------------------------------------------------------------
 # one pass for stacks of any layers: consecutive stacks with equal layers
 # form one run, and each run is one mode-function call per integrand call
@@ -506,6 +500,18 @@ def test_mixed_stacks_in_one_pass_equal_separate_calls(configs):
     together = energy_per_area_T(stacks, configs)
     assert together == tuple(energy_per_area_T(stack, configs)
                              for stack in stacks)
+
+
+def test_rows_past_the_engine_cap_equal_the_default(monkeypatch):
+    # the quadrature engine runs a pass longer than its row cap as slices
+    # of rows; every row is reduced on its own, so no result moves
+    stacks = _mixed_stacks()
+    configs = _treatments(80)
+    default = energy_per_area_T(stacks, configs)
+    sizes = _rows_per_call(monkeypatch)
+    monkeypatch.setattr(quadrature, "_MAX_ROWS", 8)
+    assert energy_per_area_T(stacks, configs) == default
+    assert max(sizes) == 8 and len(sizes) > 1
 
 
 @pytest.mark.parametrize("batch", ["one_index", "one_pass"])

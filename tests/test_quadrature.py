@@ -96,15 +96,48 @@ def test_invalid_interval():
         semi_infinite_integral(lambda x: x, scale=-1.0)
 
 
-def test_non_decaying_integrand_raises():
-    with pytest.raises(QuadratureError):
-        semi_infinite_integral(lambda k: 1.0 / (1.0 + k ** 2) ** 0.2,
-                               max_blocks=8)
+def test_non_decaying_integrand_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_BLOCKS", 8)
+    with pytest.raises(QuadratureError, match="within 8 blocks"):
+        semi_infinite_integral(lambda k: 1.0 / (1.0 + k ** 2) ** 0.2)
 
 
 def _row_family(k, rows):
     # row r: k**2 * exp(-(1 + r/4) k), integral 2 / (1 + r/4)**3
     return k ** 2 * np.exp(-(1.0 + 0.25 * rows[:, None]) * k)
+
+
+def _stepped_family(k, rows):
+    # _row_family, but row 13 jumps at k = 1/3: no panel budget resolves it
+    return np.where((rows[:, None] == 13) & (k < 1.0 / 3.0), 0.0,
+                    _row_family(k, rows))
+
+
+def test_failing_row_of_a_later_slice_keeps_its_index(monkeypatch):
+    # 20 rows in slices of 8: row 13 fails in the second slice and is
+    # reported under its own index, as when it runs alone
+    default, default_panels, _ = semi_infinite_rows(_stepped_family, 20,
+                                                    rel_tol=1e-11,
+                                                    max_panels=64)
+    alone = semi_infinite_rows(
+        lambda k, rows: _stepped_family(k, np.full_like(rows, 13)), 1,
+        rel_tol=1e-11, max_panels=64)[2][0]
+    sizes = []
+
+    def counted(k, rows):
+        sizes.append(rows.size)
+        return _stepped_family(k, rows)
+
+    monkeypatch.setattr(quadrature, "_MAX_ROWS", 8)
+    values, panels, failures = semi_infinite_rows(counted, 20, rel_tol=1e-11,
+                                                  max_panels=64)
+    assert max(sizes) == 8
+    assert list(failures) == [13]
+    assert str(failures[13]) == str(alone)
+    assert failures[13].last_estimate == alone.last_estimate
+    ok = np.arange(20) != 13
+    assert np.array_equal(values[ok], default[ok])
+    assert np.array_equal(panels, default_panels)
 
 
 def test_rows_match_one_row_integrals():
