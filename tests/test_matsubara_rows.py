@@ -502,16 +502,44 @@ def test_mixed_stacks_in_one_pass_equal_separate_calls(configs):
                              for stack in stacks)
 
 
-def test_rows_past_the_engine_cap_equal_the_default(monkeypatch):
-    # the quadrature engine runs a pass longer than its row cap as slices
-    # of rows; every row is reduced on its own, so no result moves
+def test_sweep_longer_than_the_row_cap_splits_into_passes(monkeypatch):
+    # a sweep whose one Matsubara pass is longer than the engine's row cap
+    # stays one pass; the engine splits it into slices of at most the cap
+    configs = _treatments(200)[:2]
+    separations = (1e-7, 1.5e-7, 2.5e-7, 4e-7, 7e-7)
+    stacks = tuple(Stack((GOLD, VAC, GOLD), (d,)) for d in separations)
+    alone = [energy_per_area_T(stack, configs) for stack in stacks]
+    passes = _row_counter(monkeypatch)
+    energy_per_area_T(stacks, configs)
+    assert len(passes) == 1 and passes[0] > 128
+    passes.clear()
+    monkeypatch.setattr(quadrature, "_MAX_ROWS", 128)
+    sizes = _rows_per_call(monkeypatch)
+    assert energy_per_area_T(stacks, configs) == tuple(alone)
+    assert len(passes) == 1 and max(sizes) == 128
+
+
+def test_zero_rows_past_the_row_cap_split_into_groups(monkeypatch):
+    # every n = 0 row sits in the first pass; the quadrature engine runs a
+    # pass longer than its row cap as slices of rows, and every row is
+    # reduced on its own, so no result moves
     stacks = _mixed_stacks()
     configs = _treatments(80)
     default = energy_per_area_T(stacks, configs)
+    zeros = []   # rows n = 0 of every pass
+    k_pass = lifshitz._k_pass
+
+    def counted(mode, parts, system, *args):
+        zeros.append(parts[-2][0] if len(parts) > 1 else 0)
+        return k_pass(mode, parts, system, *args)
+
+    monkeypatch.setattr(lifshitz, "_k_pass", counted)
     sizes = _rows_per_call(monkeypatch)
     monkeypatch.setattr(quadrature, "_MAX_ROWS", 8)
     assert energy_per_area_T(stacks, configs) == default
     assert max(sizes) == 8 and len(sizes) > 1
+    # 15 rows n = 0 (5 stacks, 3 configs), all in the first pass
+    assert [zero for zero in zeros if zero] == [15] and zeros[0] == 15
 
 
 @pytest.mark.parametrize("batch", ["one_index", "one_pass"])
