@@ -21,8 +21,8 @@ import numpy as np
 
 from .constants import e as _ELEMENTARY_CHARGE, hbar
 # adaptive_integral stays a name here: perfbench/tracing.py patches it
-from .quadrature import (_NOISE_FLOOR, QuadratureError, _adaptive_rows,
-                         adaptive_integral)
+from .quadrature import (_G7_W, _K15_W, _K15_X, _MAX_PANELS, _NOISE_FLOOR,
+                         QuadratureError, _adaptive_rows, adaptive_integral)
 
 _EV = _ELEMENTARY_CHARGE / hbar  # rad/s per eV
 
@@ -252,11 +252,15 @@ class OpticalDataTable:
 
     @functools.cached_property
     def _kk_band(self):
-        """Round-0 panels of :func:`_data_band_integral`, one per segment,
-        in the layout of :func:`_band_panels`."""
+        """The data band's integrand, per sample segment: its start, width,
+        eps'' at the start and log-log exponent, then x**2 and x*eps''(x) at
+        the segment's K15 nodes x as (segment, node) blocks."""
         w, e2 = self.omegas, np.maximum(self.eps2, _LOG_FLOOR)
-        return _band_panels(w[:-1], w[1:], w[:-1], e2[:-1],
-                            np.diff(np.log(e2)) / np.diff(np.log(w)))
+        a, e_ref = w[:-1], e2[:-1]
+        s = np.diff(np.log(e2)) / np.diff(np.log(w))
+        x = 0.5 * (a + w[1:])[:, None] + 0.5 * np.diff(w)[:, None] * _K15_X
+        num = e_ref[:, None] * (x / a[:, None]) ** s[:, None] * x
+        return a, np.diff(w), e_ref, s, x ** 2, num
 
     @property
     def e_min_ev(self):
@@ -410,11 +414,7 @@ def drude_synthetic_table(omega_p_ev, gamma_ev, e_min_ev, e_max_ev,
 # ---------------------------------------------------------------------------
 # Kramers-Kronig transform to the imaginary axis
 
-# The data band's own 15- and 7-point Gauss-Legendre pair, nodes in one array
-_GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
-_GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
-_NODES = np.concatenate([_GL15_X, _GL7_X])
-# Bytes of the one (xi, panel, node) block that round 0 of the data band
+# Bytes of the one (xi, segment, node) block that round 0 of the data band
 # reuses for every chunk of xi; it sets how many xi a chunk holds.
 _BAND_SCRATCH = 256 * 1024
 
@@ -437,7 +437,7 @@ def _drude_tail_integral(omega_p, gamma, w_hi, xi):
 def _power_tail_integral(tail, w_max, xi, rel_tol):
     """int_{w_max}^inf w*eps''_tail(w) / (w**2 + xi**2) dw, one row per xi.
 
-    Each row may bisect into at most 512 panels, the engine's default budget.
+    Each row may bisect into at most the engine's default panel budget.
     """
     if tail is None or tail.amplitude == 0.0:
         return np.zeros(xi.size)
@@ -448,7 +448,7 @@ def _power_tail_integral(tail, w_max, xi, rel_tol):
                 / (w_max ** 2 + (xi[rows, None] * t) ** 2))
 
     out, _, failures = _adaptive_rows(f, 0.0, 1.0, np.arange(xi.size),
-                                      rel_tol, 512, _NOISE_FLOOR)
+                                      rel_tol, _MAX_PANELS, _NOISE_FLOOR)
     if failures:
         row, error = min(failures.items())
         raise QuadratureError(
@@ -457,87 +457,81 @@ def _power_tail_integral(tail, w_max, xi, rel_tol):
     return out
 
 
-def _band_panels(a, b, w_ref, e_ref, s):
-    """Panel arrays, half widths, then x**2 and x*eps''(x) at the Gauss nodes
-    x: (panel, node) blocks of the 15-point rule, then of the 7-point rule."""
-    half = 0.5 * (b - a)
-    blocks = []
-    for nodes in (_NODES[:15], _NODES[15:]):
-        x = 0.5 * (a + b)[:, None] + half[:, None] * nodes[None, :]
-        blocks += [x ** 2, e_ref[:, None] * (x / w_ref[:, None]) ** s[:, None] * x]
-    return (a, b, w_ref, e_ref, s, half, *blocks)
-
-
-def _band_round(panels, xi2, rel_tol, scratch):
-    """Totals, panel errors, tolerances and converged flags of one round of
-    the paired rules, one row per xi**2; integrands are built in ``scratch``."""
-    half, blocks = panels[5], panels[6:]
-    rules = []
-    for x2, num, weights in zip(blocks[::2], blocks[1::2], (_GL15_W, _GL7_W)):
-        y = scratch[:xi2.size * x2.size].reshape((xi2.size,) + x2.shape)
-        np.add(x2, xi2[:, None, None], out=y)
-        np.divide(num, y, out=y)
-        rules.append(y @ weights)
-        rules[-1] *= half
-    i15, err = rules
-    np.abs(np.subtract(i15, err, out=err), out=err)
-    total = np.add.reduce(i15, axis=-1)
+def _band_round(band, xi2, rel_tol, scratch):
+    """Totals, tolerances and converged flags of the data band on one K15
+    panel per segment, one row per xi**2; integrands are built in
+    ``scratch``."""
+    half, x2, num = 0.5 * band[1], band[4], band[5]
+    y = scratch[:xi2.size * x2.size].reshape((xi2.size,) + x2.shape)
+    np.add(x2, xi2[:, None, None], out=y)
+    np.divide(num, y, out=y)
+    k15 = (y @ _K15_W) * half
+    err = np.abs(k15 - (y[..., 1::2] @ _G7_W) * half)
+    total = np.add.reduce(k15, axis=-1)
     tol = rel_tol * np.maximum(np.abs(total), _LOG_FLOOR)
-    return total, err, tol, np.add.reduce(err, axis=-1) <= tol
+    return total, tol, np.add.reduce(err, axis=-1) <= tol
 
 
-def _band_bisect(panels, total, err, tol, xi, rel_tol, max_rounds):
-    """Rounds 1, 2, ... of the data band for one xi that failed round 0."""
-    previous = None
-    for _ in range(max_rounds - 1):
-        # bisect every panel whose error exceeds its share of the budget
-        a, b, w_ref, e_ref, s = panels[:5]
-        split = err > tol / max(err.size, 1)
-        keep = ~split
-        mid = 0.5 * (a[split] + b[split])
-        panels = _band_panels(
-            np.concatenate([a[keep], a[split], mid]),
-            np.concatenate([b[keep], mid, b[split]]),
-            *(np.concatenate([v[keep], v[split], v[split]])
-              for v in (w_ref, e_ref, s)))
-        previous = total
-        total, err, tol, done = (v[0] for v in _band_round(
-            panels, np.array([xi ** 2]), rel_tol, np.empty(panels[6].size)))
-        if done:
-            return total
-    raise QuadratureError(
-        f"Kramers-Kronig data-band integral at xi = {xi:g} rad/s did not "
-        f"converge to rel_tol={rel_tol:g} in {max_rounds} rounds",
-        last_estimate=total, previous_estimate=previous)
+def _band_bisect(band, xi, xi2, tol, round0, rel_tol):
+    """The data band of the xi that failed round 0, on the quadrature engine.
+
+    Each (xi, segment) pair is one row on t in [0, 1] that runs to an equal
+    share of its xi's tolerance ``tol``; the sum of those shares meets it.
+    """
+    a, width, e_ref, s = band[:4]
+    segments = a.size
+    pairs = np.arange(xi.size * segments)
+    which, seg = divmod(pairs, segments)
+
+    def f(t, rows):
+        k = seg[rows, None]
+        x = a[k] + width[k] * t
+        return (width[k] * e_ref[k] * (x / a[k]) ** s[k] * x
+                / (x ** 2 + xi2[which[rows, None]]))
+
+    floor = np.maximum(np.repeat(tol / segments, segments), _NOISE_FLOOR)
+    values, _, failures = _adaptive_rows(f, 0.0, 1.0, pairs, 0.0, _MAX_PANELS,
+                                         floor)
+    totals = np.add.reduce(values.reshape(xi.size, segments), axis=-1)
+    if failures:
+        row, error = min(failures.items())
+        i, k = divmod(row, segments)
+        raise QuadratureError(
+            f"Kramers-Kronig data-band integral at xi = {xi[i]:g} rad/s did "
+            f"not converge to rel_tol={rel_tol:g}: segment {k} ({a[k]:g} to "
+            f"{a[k] + width[k]:g} rad/s) needs over {_MAX_PANELS} panels",
+            last_estimate=float(totals[i]),
+            previous_estimate=float(round0[i])) from error
+    return totals
 
 
-def _data_band_integral(table, xi, rel_tol, max_rounds=24):
+def _data_band_integral(table, xi, rel_tol):
     """int over the tabulated range of w*eps''(w) / (w**2 + xi**2) dw, for a
     scalar or 1-d array xi.
 
     eps'' is interpolated log-log between samples, so each sample segment
-    carries an analytic power law; segments are integrated with paired
-    15/7-point Gauss rules, bisecting (with the segment's own power law)
-    until the summed error estimate meets the tolerance. Round 0, one panel
-    per segment on the table's cached integrand, runs for a chunk of xi at
-    once; only the xi it leaves unconverged bisect, one at a time. Each xi
-    gets its one-xi result bit for bit.
+    carries an analytic power law. Round 0, one K15 panel per segment on
+    the table's cached integrand, runs for a chunk of xi at once; the xi it
+    leaves unconverged go to the quadrature engine together, one row per
+    segment. Each xi gets its one-xi result bit for bit.
     """
-    xis = np.atleast_1d(np.asarray(xi, dtype=float)).tolist()
+    xis = np.atleast_1d(np.asarray(xi, dtype=float))
     # Python's float power (libm pow), as the one-xi code squared xi:
     # numpy's square rounds ~0.1% of arguments the other way
-    xi2 = np.array([x ** 2 for x in xis])
+    xi2 = np.array([x ** 2 for x in xis.tolist()])
     band = table._kk_band
-    chunk = max(1, _BAND_SCRATCH // band[6].nbytes)
-    scratch = np.empty(min(chunk, len(xis)) * band[6].size)
-    out = np.empty(len(xis))
-    for start in range(0, len(xis), chunk):
+    chunk = max(1, _BAND_SCRATCH // band[4].nbytes)
+    scratch = np.empty(min(chunk, xis.size) * band[4].size)
+    out, tol = np.empty((2, xis.size))
+    done = np.empty(xis.size, dtype=bool)
+    for start in range(0, xis.size, chunk):
         rows = slice(start, start + chunk)
-        out[rows], err, tol, done = _band_round(band, xi2[rows], rel_tol, scratch)
-        for r in np.flatnonzero(~done).tolist():
-            i = start + r
-            out[i] = _band_bisect(band, out[i], err[r], tol[r], xis[i],
-                                  rel_tol, max_rounds)
+        out[rows], tol[rows], done[rows] = _band_round(band, xi2[rows],
+                                                       rel_tol, scratch)
+    failed = np.flatnonzero(~done)
+    if failed.size:
+        out[failed] = _band_bisect(band, xis[failed], xi2[failed], tol[failed],
+                                   out[failed], rel_tol)
     return float(out[0]) if np.ndim(xi) == 0 else out
 
 
@@ -552,8 +546,11 @@ def kk_transform(table, low_tail, high_tail, xi, rel_tol=1e-6):
     ``xi`` is a scalar or an array; an array gives the scalar results in its
     shape, bit for bit. The power tail of all elements is integrated as
     batched rows, and round 0 of the data band runs for many xi at once;
-    only the xi whose round 0 misses the tolerance bisect, one at a time.
+    only the xi whose round 0 misses the tolerance bisect, together.
+    ``rel_tol`` must lie in (0, 1e-3].
     """
+    if not 0.0 < rel_tol <= 1e-3:
+        raise ValueError(f"rel_tol must lie in (0, 1e-3], got {rel_tol!r}")
     xis = np.asarray(xi, dtype=float)
     _require_finite_xi(xis)
     if (xis < 0.0).any():

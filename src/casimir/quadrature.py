@@ -1,16 +1,15 @@
 """Deterministic adaptive Gauss-Kronrod quadrature.
 
-The k- and frequency integrals and the KK power tail share one row-batched
-engine; the KK data band bisects in ``materials`` on its own Gauss pair and
-its Drude tail is a closed form. A panel is the 15-point Kronrod rule K15
-with error |K15 - G7| (QK15, Piessens et al., *QUADPACK*, 1983). Subdivision
-depends only on integrand values, never on timing or order, so results are
-reproducible bit for bit. R integrands (rows, say one per Matsubara
-frequency) run in lockstep: each step makes one vectorized call on a (live
-rows, points) array, and every row follows exactly the panel sequence of a
-scalar worst-panel-first bisection, in slices of at most ``_MAX_ROWS``
-rows. ``adaptive_integral`` and ``semi_infinite_integral`` are its one-row
-case.
+The k- and frequency integrals and the KK power tail and data band share
+one row-batched engine; the KK Drude tail is a closed form. A panel is the
+15-point Kronrod rule K15 with error |K15 - G7| (QK15, Piessens et al.,
+*QUADPACK*, 1983). Subdivision depends only on integrand values, never on
+timing or order, so results are reproducible bit for bit. R integrands
+(rows, say one per Matsubara frequency) run in lockstep: each step makes
+one vectorized call on a (live rows, points) array, and every row follows
+exactly the panel sequence of a scalar worst-panel-first bisection, in
+slices of at most ``_MAX_ROWS`` rows. ``adaptive_integral`` and
+``semi_infinite_integral`` are its one-row case.
 """
 
 from __future__ import annotations
@@ -37,6 +36,8 @@ _ONE_ROW = np.arange(1)
 _MAX_ROWS = 640
 # Blocks of a semi-infinite integral before a row is reported as not decaying
 _MAX_BLOCKS = 64
+# Default panel budget of one row
+_MAX_PANELS = 512
 
 
 class QuadratureError(RuntimeError):
@@ -167,7 +168,7 @@ def _adaptive_rows(f, a, b, rows, rel_tol, max_panels, floor):
     return total, panels, failures
 
 
-def semi_infinite_rows(f, n_rows, scale=1.0, rel_tol=1e-9, max_panels=512):
+def semi_infinite_rows(f, n_rows, scale=1.0, rel_tol=1e-9, max_panels=_MAX_PANELS):
     """Integrate ``n_rows`` integrands over [0, inf) in one lockstep pass.
 
     ``f(x, rows)`` returns the integrands of the row indices ``rows`` at
@@ -231,7 +232,7 @@ def _one_row(f):
     return lambda x, rows: np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
 
 
-def adaptive_integral(f, a, b, rel_tol=1e-9, max_panels=512):
+def adaptive_integral(f, a, b, rel_tol=1e-9, max_panels=_MAX_PANELS):
     """Integrate a vectorized integrand over [a, b] to a relative tolerance.
 
     The panel with the largest error estimate is bisected until the summed
@@ -247,7 +248,7 @@ def adaptive_integral(f, a, b, rel_tol=1e-9, max_panels=512):
     return float(total[0])
 
 
-def semi_infinite_integral(f, scale=1.0, rel_tol=1e-9, max_panels=512):
+def semi_infinite_integral(f, scale=1.0, rel_tol=1e-9, max_panels=_MAX_PANELS):
     """Integrate f over [0, inf) for integrands decaying on the given scale.
 
     The axis is rescaled to the dimensionless variable u = x / scale and

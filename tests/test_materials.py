@@ -183,9 +183,10 @@ def test_plasma_frequency_of():
 # Kramers-Kronig over many xi at once
 #
 # Round 0 of the data band runs for a chunk of xi at once, with each
-# element's one-xi arithmetic, and the quadrature reduces each power-tail
-# row on its own, so batched and scalar calls agree bit for bit. The tests
-# compare against the one-xi algorithm written out in _band_reference.
+# element's one-xi arithmetic, and the quadrature engine reduces each
+# power-tail row and each bisecting (xi, segment) row on its own, so batched
+# and scalar calls agree bit for bit. The tests compare against the one-xi
+# algorithm written out in _band_reference.
 
 
 def _gold_kk():
@@ -205,30 +206,37 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def _band_reference(table, xi, rel_tol, max_rounds=24):
-    """The data band of one xi written out: round 0 on the sample segments,
-    then bisection of every panel over its share of the error budget."""
+def _band_reference(table, xi, rel_tol):
+    """The data band of one xi written out: one K15 panel per sample segment,
+    then, if their summed error misses the tolerance, each segment on its own
+    engine row over t in [0, 1], to an equal share of the tolerance."""
     w, e2 = table.omegas, np.maximum(table.eps2, 1e-300)
-    a, b, w_ref, e_ref = w[:-1], w[1:], w[:-1], e2[:-1]
     s = np.diff(np.log(e2)) / np.diff(np.log(w))
-    for _ in range(max_rounds):
-        half = 0.5 * (b - a)
-        x = 0.5 * (a + b)[:, None] + half[:, None] * materials._NODES[None, :]
-        y = (e_ref[:, None] * (x / w_ref[:, None]) ** s[:, None] * x
-             / (x ** 2 + float(xi) ** 2))
-        i15 = half * (y[:, :15] @ materials._GL15_W)
-        err = np.abs(i15 - half * (y[:, 15:] @ materials._GL7_W))
-        total = float(np.sum(i15))
-        tol = rel_tol * max(abs(total), 1e-300)
-        if float(np.sum(err)) <= tol:
-            return total
-        split = err > tol / err.size
-        mid = 0.5 * (a[split] + b[split])
-        a, b = (np.concatenate([a[~split], a[split], mid]),
-                np.concatenate([b[~split], mid, b[split]]))
-        w_ref, e_ref, s = (np.concatenate([v[~split], v[split], v[split]])
-                           for v in (w_ref, e_ref, s))
-    raise AssertionError("reference band did not converge")
+    half = 0.5 * np.diff(w)
+    x = 0.5 * (w[:-1] + w[1:])[:, None] + half[:, None] * quadrature._K15_X
+    y = (e2[:-1, None] * (x / w[:-1, None]) ** s[:, None] * x
+         / (x ** 2 + float(xi) ** 2))
+    k15 = half * (y @ quadrature._K15_W)
+    err = np.abs(k15 - half * (y[:, 1::2] @ quadrature._G7_W))
+    total = float(np.sum(k15))
+    tol = rel_tol * max(abs(total), 1e-300)
+    if float(np.sum(err)) <= tol:
+        return total
+    parts = []
+    for k in range(s.size):
+        # (1, 1) arrays, as the batched rows index them
+        a, width, e_ref, p = (v[k:k + 1, None] for v in (w, np.diff(w), e2, s))
+
+        def f(t, rows):
+            x = a + width * t
+            return width * e_ref * (x / a) ** p * x / (x ** 2 + float(xi) ** 2)
+
+        value, _, failures = quadrature._adaptive_rows(
+            f, 0.0, 1.0, np.arange(1), 0.0, quadrature._MAX_PANELS,
+            max(tol / s.size, 1e-280))
+        assert not failures
+        parts.append(value[0])
+    return float(np.add.reduce(parts))
 
 
 def test_kk_array_equals_scalar_calls():
@@ -285,10 +293,10 @@ def test_kk_data_band_matches_segment_formula_bitwise():
     e2 = np.maximum(tab.eps2, 1e-300)
     s = (np.diff(np.log(e2)) / np.diff(np.log(w)))[:, None]
     half = 0.5 * (w[1:] - w[:-1])
-    x = 0.5 * (w[:-1] + w[1:])[:, None] + half[:, None] * materials._NODES[None, :]
+    x = 0.5 * (w[:-1] + w[1:])[:, None] + half[:, None] * quadrature._K15_X
     for xi in ev_to_radps(np.geomspace(1e-3, 1e4, 8)):
         y = e2[:-1, None] * (x / w[:-1, None]) ** s * x / (x ** 2 + xi ** 2)
-        reference = float(np.sum(half * (y[:, :15] @ materials._GL15_W)))
+        reference = float(np.sum(half * (y @ quadrature._K15_W)))
         assert materials._data_band_integral(tab, float(xi), 1e-6) == reference
 
 
@@ -299,9 +307,11 @@ def test_kk_array_row_with_band_refinement(monkeypatch):
     xi = ev_to_radps(np.geomspace(1e-3, 1e3, 7))
     scalar = np.array([kk_transform(tab, None, high, float(x), rel_tol=1e-9)
                        for x in xi])
-    refinements = _counting(monkeypatch, "_band_panels")
+    bisected = _counting(monkeypatch, "_band_bisect")
     batched = kk_transform(tab, None, high, xi, rel_tol=1e-9)
-    assert len(refinements) >= xi.size
+    # every xi bisects, all of them in one engine call
+    assert len(bisected) == 1
+    np.testing.assert_array_equal(bisected[0][1], xi)
     np.testing.assert_array_equal(batched, scalar)
 
 
@@ -333,31 +343,43 @@ def test_kk_batched_band_equals_per_xi_reference(name):
 
 def test_kk_chunk_mixing_round_0_and_bisection(monkeypatch):
     # five samples over four decades: at rel_tol = 1e-3 round 0 meets the
-    # tolerance at high xi only; every xi fits in one chunk
+    # tolerance at high xi only; every xi fits in one chunk, and the xi it
+    # leaves go to the engine in one call
     tab = drude_synthetic_table(9.0, 0.035, 0.01, 100.0, per_decade=1)
     xi = ev_to_radps(np.geomspace(1e-4, 1e5, 40))
     bisected = _counting(monkeypatch, "_band_bisect")
     batched = materials._data_band_integral(tab, xi, 1e-3)
-    assert 0 < len(bisected) < xi.size
+    assert len(bisected) == 1 and 0 < bisected[0][1].size < xi.size
     np.testing.assert_array_equal(
         batched, [_band_reference(tab, x, 1e-3) for x in xi.tolist()])
 
 
 def test_kk_band_failure_names_xi_and_estimates():
-    # five samples over four decades cannot meet 1e-9 in one or two rounds
+    # five samples over four decades: no segment meets 1e-30 of the band
+    # within the engine's panel budget
     tab = drude_synthetic_table(9.0, 0.035, 0.01, 100.0, per_decade=1)
     xi = ev_to_radps(np.array([1.0, 2.0]))
+    round0 = _band_reference(tab, xi[0], math.inf)  # stops at round 0
     converged = _band_reference(tab, xi[0], 1e-9)
-    named = re.escape(f"at xi = {xi[0]:g} rad/s")
-    with pytest.raises(QuadratureError, match=named + ".* in 1 rounds") as info:
-        materials._data_band_integral(tab, xi, 1e-9, max_rounds=1)
-    round0 = info.value.last_estimate
-    assert info.value.previous_estimate is None
-    with pytest.raises(QuadratureError, match="in 2 rounds") as info:
-        materials._data_band_integral(tab, xi, 1e-9, max_rounds=2)
+    named = re.escape(f"at xi = {xi[0]:g} rad/s") + r".* segment \d+ \("
+    with pytest.raises(QuadratureError, match=named) as info:
+        materials._data_band_integral(tab, xi, 1e-30)
     assert info.value.previous_estimate == round0
     assert (abs(info.value.last_estimate - converged)
             < abs(round0 - converged))
+    assert isinstance(info.value.__cause__, QuadratureError)
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-6, math.nan, math.inf, 1e-2])
+def test_kk_rejects_rel_tol_outside_the_quadrature_range(monkeypatch, rel_tol):
+    # checked before any quadrature: a tolerance of zero or less, or NaN,
+    # can never be met, and QuadratureConfig admits none past 1e-3
+    tab, low, high = _gold_kk()
+    calls = [_counting(monkeypatch, name) for name in
+             ("_data_band_integral", "_power_tail_integral", "_adaptive_rows")]
+    with pytest.raises(ValueError, match=re.escape(f"got {rel_tol!r}")):
+        kk_transform(tab, low, high, np.array([1e15, 1e16]), rel_tol=rel_tol)
+    assert calls == [[], [], []]
 
 
 def test_kk_power_tail_failure_names_xi():
