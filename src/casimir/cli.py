@@ -1,10 +1,9 @@
 """Command line interface.
 
-    casimir <command> --config <path> [--out <path>]
-                      [--zero-mode drude|plasma|model] [--n-max N]
-                      [--temperature-k T]
+    casimir <command> --config <path> [--out <path>] [overrides]
 
-Commands: eps-table, force-sweep, torque-sweep, convergence, validate-data.
+Commands: eps-table, force-sweep, torque-sweep, convergence, validate-data;
+``_COMMANDS`` lists the [matsubara] overrides each of them reads.
 All numerical output is CSV with '#'-prefixed metadata lines and floats in
 scientific notation with 9 significant digits, so reruns are byte-identical.
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .config import (ConfigError, build_layer, build_matsubara, build_quadrature,
                      build_stack, get, matsubara_grid, read_config)
-from .lifshitz import MatsubaraConfig, matsubara_xi, truncation_report
+from .lifshitz import matsubara_xi, truncation_report
 from .materials import (DataFileError, Tabulated, fit_power_tail,
                         load_optical_data)
 from .quadrature import QuadratureError
@@ -275,12 +274,12 @@ def cmd_convergence(args):
               f"{_MAX_GAP:g} m; boundary corrections may not be negligible")
     raw = get(cfg, "convergence", "checkpoints", str, "100,500")
     checkpoints = [int(t) for t in raw.split(",") if t.strip()]
+    # the sum runs to the last checkpoint (the largest, when they ascend);
+    # truncation_report rejects empty, unsorted or out-of-range checkpoints
     mats, zero_mode_name = build_matsubara(cfg, list(stack.layers),
-                                           args.zero_mode, args.n_max,
+                                           args.zero_mode,
+                                           max([1, *checkpoints]),
                                            args.temperature_k)
-    if checkpoints and checkpoints[-1] > mats.n_max:
-        mats = MatsubaraConfig(mats.temperature, n_max=checkpoints[-1],
-                               zero_mode=mats.zero_mode)
     quad = build_quadrature(cfg)
     rows = [(row.n, row.value, row.rel_delta)
             for row in truncation_report(stack, mats, quad, checkpoints)]
@@ -332,12 +331,19 @@ def cmd_validate_data(args):
 # ---------------------------------------------------------------------------
 
 
+_OVERRIDES = {
+    "--zero-mode": dict(choices=["drude", "plasma", "model"],
+                        help="override the zero-frequency treatment"),
+    "--n-max": dict(type=int, help="override the Matsubara cutoff"),
+    "--temperature-k": dict(type=float, help="override the temperature in kelvin"),
+}
+# each command with the [matsubara] overrides it reads
 _COMMANDS = {
-    "eps-table": cmd_eps_table,
-    "force-sweep": cmd_force_sweep,
-    "torque-sweep": cmd_torque_sweep,
-    "convergence": cmd_convergence,
-    "validate-data": cmd_validate_data,
+    "eps-table": (cmd_eps_table, ("--n-max", "--temperature-k")),
+    "force-sweep": (cmd_force_sweep, tuple(_OVERRIDES)),
+    "torque-sweep": (cmd_torque_sweep, tuple(_OVERRIDES)),
+    "convergence": (cmd_convergence, ("--zero-mode", "--temperature-k")),
+    "validate-data": (cmd_validate_data, ()),
 }
 
 
@@ -346,22 +352,19 @@ def build_parser():
         prog="casimir",
         description="Casimir energies, forces and torques for layered media")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, overrides) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--zero-mode", choices=["drude", "plasma", "model"],
-                       help="override the zero-frequency treatment")
-        p.add_argument("--n-max", type=int, help="override the Matsubara cutoff")
-        p.add_argument("--temperature-k", type=float,
-                       help="override the temperature in kelvin")
+        for flag in overrides:
+            p.add_argument(flag, **_OVERRIDES[flag])
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except QuadratureError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -152,5 +152,4 @@ def build_matsubara(cfg, candidate_layers, zero_mode_override=None,
 
 def build_quadrature(cfg, default_rel_tol=1e-9):
     return _checked(QuadratureConfig,
-                    rel_tol=get(cfg, "quadrature", "rel_tol", float, default_rel_tol),
-                    max_panels=get(cfg, "quadrature", "max_panels", int, 512))
+                    get(cfg, "quadrature", "rel_tol", float, default_rel_tol))

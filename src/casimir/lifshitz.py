@@ -68,20 +68,18 @@ class MatsubaraConfig:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances for the wavenumber (and T = 0 frequency) integrals.
+    """Tolerance of the wavenumber (and T = 0 frequency) integrals.
 
     Integrands are rescaled to a dimensionless semi-infinite axis set by
-    the smallest decay length of the system before panel subdivision.
+    the smallest decay length of the system before panel subdivision; the
+    panel budget is the quadrature engine's.
     """
 
     rel_tol: float = 1e-9
-    max_panels: int = 512
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol <= 1e-3:
             raise ValueError("rel_tol must lie in (0, 1e-3]")
-        if self.max_panels < 8:
-            raise ValueError("max_panels must be at least 8")
 
 
 @dataclass
@@ -108,8 +106,7 @@ def k_integral(f, quad, scale=1.0):
     ``f`` must include the k Jacobian itself and decay at least
     exponentially on the given k-scale.
     """
-    return semi_infinite_integral(f, scale=scale, rel_tol=quad.rel_tol,
-                                  max_panels=quad.max_panels)
+    return semi_infinite_integral(f, scale=scale, rel_tol=quad.rel_tol)
 
 
 def _k_pass(mode, parts, system, scales, quad):
@@ -131,7 +128,7 @@ def _k_pass(mode, parts, system, scales, quad):
         return out[0] if len(out) == 1 else np.concatenate(out)
 
     return semi_infinite_rows(f, system.size, scale=scales[system],
-                              rel_tol=quad.rel_tol, max_panels=quad.max_panels)
+                              rel_tol=quad.rel_tol)
 
 
 def _tagged(err, n, system):
@@ -380,8 +377,7 @@ def energy_per_area_T0(stack, quad=QuadratureConfig()):
         return values
 
     integral = semi_infinite_integral(outer, scale=c * k_scale,
-                                      rel_tol=quad.rel_tol,
-                                      max_panels=quad.max_panels)
+                                      rel_tol=quad.rel_tol)
     return hbar / (4.0 * math.pi ** 2) * integral
 
 

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quadrature
 from .constants import e as _ELEMENTARY_CHARGE, hbar
 # adaptive_integral stays a name here: perfbench/tracing.py patches it
-from .quadrature import (_G7_W, _K15_W, _K15_X, _MAX_PANELS, _NOISE_FLOOR,
-                         QuadratureError, _adaptive_rows, adaptive_integral)
+from .quadrature import (_G7_W, _K15_W, _K15_X, _NOISE_FLOOR, QuadratureError,
+                         _adaptive_rows, adaptive_integral)
 
 _EV = _ELEMENTARY_CHARGE / hbar  # rad/s per eV
 
@@ -437,7 +438,7 @@ def _drude_tail_integral(omega_p, gamma, w_hi, xi):
 def _power_tail_integral(tail, w_max, xi, rel_tol):
     """int_{w_max}^inf w*eps''_tail(w) / (w**2 + xi**2) dw, one row per xi.
 
-    Each row may bisect into at most the engine's default panel budget.
+    Each row may bisect into at most the engine's panel budget.
     """
     if tail is None or tail.amplitude == 0.0:
         return np.zeros(xi.size)
@@ -448,7 +449,7 @@ def _power_tail_integral(tail, w_max, xi, rel_tol):
                 / (w_max ** 2 + (xi[rows, None] * t) ** 2))
 
     out, _, failures = _adaptive_rows(f, 0.0, 1.0, np.arange(xi.size),
-                                      rel_tol, _MAX_PANELS, _NOISE_FLOOR)
+                                      rel_tol, _NOISE_FLOOR)
     if failures:
         row, error = min(failures.items())
         raise QuadratureError(
@@ -490,8 +491,7 @@ def _band_bisect(band, xi, xi2, tol, round0, rel_tol):
                 / (x ** 2 + xi2[which[rows, None]]))
 
     floor = np.maximum(np.repeat(tol / segments, segments), _NOISE_FLOOR)
-    values, _, failures = _adaptive_rows(f, 0.0, 1.0, pairs, 0.0, _MAX_PANELS,
-                                         floor)
+    values, _, failures = _adaptive_rows(f, 0.0, 1.0, pairs, 0.0, floor)
     totals = np.add.reduce(values.reshape(xi.size, segments), axis=-1)
     if failures:
         row, error = min(failures.items())
@@ -499,7 +499,8 @@ def _band_bisect(band, xi, xi2, tol, round0, rel_tol):
         raise QuadratureError(
             f"Kramers-Kronig data-band integral at xi = {xi[i]:g} rad/s did "
             f"not converge to rel_tol={rel_tol:g}: segment {k} ({a[k]:g} to "
-            f"{a[k] + width[k]:g} rad/s) needs over {_MAX_PANELS} panels",
+            f"{a[k] + width[k]:g} rad/s) needs over "
+            f"{quadrature._MAX_PANELS} panels",
             last_estimate=float(totals[i]),
             previous_estimate=float(round0[i])) from error
     return totals

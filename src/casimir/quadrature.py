@@ -9,7 +9,8 @@ timing or order, so results are reproducible bit for bit. R integrands
 one vectorized call on a (live rows, points) array, and every row follows
 exactly the panel sequence of a scalar worst-panel-first bisection, in
 slices of at most ``_MAX_ROWS`` rows. ``adaptive_integral`` and
-``semi_infinite_integral`` are its one-row case.
+``semi_infinite_integral`` are its one-row case. The engine owns its
+budgets (``_MAX_ROWS``, ``_MAX_BLOCKS``, ``_MAX_PANELS``), read at call time.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ _ONE_ROW = np.arange(1)
 _MAX_ROWS = 640
 # Blocks of a semi-infinite integral before a row is reported as not decaying
 _MAX_BLOCKS = 64
-# Default panel budget of one row
+# Panels of one row (of one block of a semi-infinite row) before it fails
 _MAX_PANELS = 512
 
 
@@ -84,7 +85,7 @@ _NOISE_FLOOR = 1e-280
 _STORE_SLOTS = 33
 
 
-def _adaptive_rows(f, a, b, rows, rel_tol, max_panels, floor):
+def _adaptive_rows(f, a, b, rows, rel_tol, floor):
     """Integrate every row in ``rows`` over [a, b] to its own tolerance.
 
     ``f(x, rows)`` returns the integrands of ``rows`` at nodes ``x`` (see
@@ -93,7 +94,7 @@ def _adaptive_rows(f, a, b, rows, rel_tol, max_panels, floor):
     estimate drops below ``max(rel_tol * |integral|, floor)``, where
     ``floor`` (a scalar or one per row) already includes the noise floor.
     Returns the integrals, the panel counts and ``{position in rows:
-    QuadratureError}`` for the rows that ran out of ``max_panels``.
+    QuadratureError}`` for the rows that ran out of ``_MAX_PANELS``.
 
     Rows past ``_MAX_ROWS`` run in consecutive slices of that many, which
     moves no result: each row is reduced on its own.
@@ -101,7 +102,7 @@ def _adaptive_rows(f, a, b, rows, rel_tol, max_panels, floor):
     if rows.size > _MAX_ROWS:
         floor = np.broadcast_to(floor, rows.shape)
         parts = [(i, *_adaptive_rows(f, a, b, rows[i:i + _MAX_ROWS], rel_tol,
-                                     max_panels, floor[i:i + _MAX_ROWS]))
+                                     floor[i:i + _MAX_ROWS]))
                  for i in range(0, rows.size, _MAX_ROWS)]
         return (np.concatenate([value for _, value, _, _ in parts]),
                 np.concatenate([used for _, _, used, _ in parts]),
@@ -129,11 +130,11 @@ def _adaptive_rows(f, a, b, rows, rel_tol, max_panels, floor):
     previous = total.copy()
     count = 1
     while pos.size:
-        if count + 1 > max_panels:
+        if count + 1 > _MAX_PANELS:
             for p in pos.tolist():
                 failures[p] = QuadratureError(
                     f"quadrature did not reach rel_tol={rel_tol:g} within "
-                    f"{max_panels} panels (error estimate {total_err[p]:g})",
+                    f"{_MAX_PANELS} panels (error estimate {total_err[p]:g})",
                     last_estimate=float(total[p]),
                     previous_estimate=float(previous[p]))
             break
@@ -168,7 +169,7 @@ def _adaptive_rows(f, a, b, rows, rel_tol, max_panels, floor):
     return total, panels, failures
 
 
-def semi_infinite_rows(f, n_rows, scale=1.0, rel_tol=1e-9, max_panels=_MAX_PANELS):
+def semi_infinite_rows(f, n_rows, scale=1.0, rel_tol=1e-9):
     """Integrate ``n_rows`` integrands over [0, inf) in one lockstep pass.
 
     ``f(x, rows)`` returns the integrands of the row indices ``rows`` at
@@ -204,7 +205,7 @@ def semi_infinite_rows(f, n_rows, scale=1.0, rel_tol=1e-9, max_panels=_MAX_PANEL
     for _ in range(_MAX_BLOCKS):
         floor = np.maximum(0.25 * rel_tol * np.abs(total[live]), _NOISE_FLOOR)
         block, used, failed = _adaptive_rows(g, lo, lo + width, live, rel_tol,
-                                             max_panels, floor)
+                                             floor)
         panels[live] += used
         running = total[live] + block
         total[live] = running
@@ -232,23 +233,23 @@ def _one_row(f):
     return lambda x, rows: np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
 
 
-def adaptive_integral(f, a, b, rel_tol=1e-9, max_panels=_MAX_PANELS):
+def adaptive_integral(f, a, b, rel_tol=1e-9):
     """Integrate a vectorized integrand over [a, b] to a relative tolerance.
 
     The panel with the largest error estimate is bisected until the summed
     error estimate drops below ``rel_tol * |integral|``.
-    Raises :class:`QuadratureError` if ``max_panels`` panels do not suffice.
+    Raises :class:`QuadratureError` if ``_MAX_PANELS`` panels do not suffice.
     """
     if not b > a:
         raise ValueError(f"empty integration interval [{a}, {b}]")
     total, _, failures = _adaptive_rows(_one_row(f), a, b, _ONE_ROW, rel_tol,
-                                        max_panels, _NOISE_FLOOR)
+                                        _NOISE_FLOOR)
     if failures:
         raise failures[0]
     return float(total[0])
 
 
-def semi_infinite_integral(f, scale=1.0, rel_tol=1e-9, max_panels=_MAX_PANELS):
+def semi_infinite_integral(f, scale=1.0, rel_tol=1e-9):
     """Integrate f over [0, inf) for integrands decaying on the given scale.
 
     The axis is rescaled to the dimensionless variable u = x / scale and
@@ -256,8 +257,7 @@ def semi_infinite_integral(f, scale=1.0, rel_tol=1e-9, max_panels=_MAX_PANELS):
     consecutive blocks contribute below the running relative tolerance.
     The integrand must decay at least exponentially in u.
     """
-    total, _, failures = semi_infinite_rows(_one_row(f), 1, scale, rel_tol,
-                                            max_panels)
+    total, _, failures = semi_infinite_rows(_one_row(f), 1, scale, rel_tol)
     if failures:
         raise failures[0]
     return float(total[0])

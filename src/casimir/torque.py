@@ -248,14 +248,10 @@ def edge_energy(geom):
     return 0.0009 * hbar * c / geom.d3 ** 2 * overlap(geom).perimeter
 
 
-def edge_torque_ratio(geom, high_temperature=False):
+def edge_torque_ratio(geom):
     """Estimated |edge torque / main torque| ~ 0.066 * d3 * P'/S'.
 
     On the parallelogram branch P'/S' = 4/L exactly, so the ratio is the
-    constant 0.264 * d3 / L. The optional flag scales the estimate by 10
-    for the strongly thermal regime.
+    constant 0.264 * d3 / L.
     """
-    ratio = 0.066 * geom.d3 * perimeter_derivative(geom) / area_derivative(geom)
-    if high_temperature:
-        ratio *= 10.0
-    return ratio
+    return 0.066 * geom.d3 * perimeter_derivative(geom) / area_derivative(geom)

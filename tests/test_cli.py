@@ -186,7 +186,7 @@ def test_eps_table_unknown_grid(tmp_path, capsys):
 def test_eps_table_does_not_resolve_the_zero_mode(tmp_path):
     # the table holds n >= 1 only; plasma with no plasma frequency in sight
     # would be a config error for a sum, but the table never needs it
-    cfg = write_cfg(tmp_path, """
+    text = """
         [material.glass]
         model = constant
         epsilon = 2.25
@@ -198,11 +198,12 @@ def test_eps_table_does_not_resolve_the_zero_mode(tmp_path):
         [matsubara]
         n_max = 3
         zero_mode = plasma
-    """)
+    """
+    cfg = write_cfg(tmp_path, text)
     out, drude = tmp_path / "eps.csv", tmp_path / "drude.csv"
     assert main(["eps-table", "--config", cfg, "--out", str(out)]) == 0
-    assert main(["eps-table", "--config", cfg, "--out", str(drude),
-                 "--zero-mode", "drude"]) == 0
+    drude_cfg = write_cfg(tmp_path, text.replace("plasma", "drude"), "drude.ini")
+    assert main(["eps-table", "--config", drude_cfg, "--out", str(drude)]) == 0
     assert out.read_bytes() == drude.read_bytes()
 
 
@@ -799,7 +800,7 @@ def test_ambiguous_plasma_zero_mode(tmp_path, capsys):
     assert "ambiguous" in capsys.readouterr().err
 
 
-def test_quadrature_failure_exit_code(tmp_path, capsys):
+def test_quadrature_failure_exit_code(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, GOLD_SECTION + """
         [force]
         material = gold
@@ -813,8 +814,8 @@ def test_quadrature_failure_exit_code(tmp_path, capsys):
 
         [quadrature]
         rel_tol = 1e-9
-        max_panels = 8
     """)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 8)
     assert main(["force-sweep", "--config", cfg]) == 2
     assert "error:" in capsys.readouterr().err
 
@@ -888,3 +889,24 @@ def test_module_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# command line options
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("eps-table", ["--n-max", "--temperature-k"]),
+    ("force-sweep", ["--zero-mode", "--n-max", "--temperature-k"]),
+    ("torque-sweep", ["--zero-mode", "--n-max", "--temperature-k"]),
+    ("convergence", ["--zero-mode", "--temperature-k"]),
+    ("validate-data", []),
+])
+def test_each_command_takes_only_the_overrides_it_reads(capsys, command,
+                                                        overrides):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    shown = re.findall(r"--(?:zero-mode|n-max|temperature-k)\b",
+                       capsys.readouterr().out)
+    assert sorted(set(shown)) == sorted(overrides)

@@ -6,7 +6,7 @@ import pytest
 from scipy.constants import Boltzmann as k_B, c, hbar
 from scipy.special import zeta
 
-from casimir import lifshitz
+from casimir import lifshitz, quadrature
 from casimir.lifshitz import (MatsubaraConfig, QuadratureConfig,
                               energy_per_area_T,
                               energy_per_area_T0, matsubara_xi,
@@ -48,8 +48,6 @@ def test_config_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=1e-2)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_panels=4)
 
 
 def test_identical_layers_zero_energy():
@@ -213,12 +211,12 @@ def test_truncation_report_validation():
                           QuadratureConfig(), [50, 101])
 
 
-def test_quadrature_error_tagged_with_index():
+def test_quadrature_error_tagged_with_index(monkeypatch):
     stack = halfspace_stack(GOLD, 1e-7)
     mats = MatsubaraConfig(300.0, n_max=5, zero_mode=DrudeLike())
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 8)
     with pytest.raises(QuadratureError) as info:
-        energy_per_area_T(stack, mats, QuadratureConfig(rel_tol=1e-9,
-                                                        max_panels=8))
+        energy_per_area_T(stack, mats, QuadratureConfig(rel_tol=1e-9))
     assert info.value.matsubara_n >= 0
     assert "n=" in str(info.value)
     assert info.value.last_estimate is not None

@@ -232,8 +232,7 @@ def _band_reference(table, xi, rel_tol):
             return width * e_ref * (x / a) ** p * x / (x ** 2 + float(xi) ** 2)
 
         value, _, failures = quadrature._adaptive_rows(
-            f, 0.0, 1.0, np.arange(1), 0.0, quadrature._MAX_PANELS,
-            max(tol / s.size, 1e-280))
+            f, 0.0, 1.0, np.arange(1), 0.0, max(tol / s.size, 1e-280))
         assert not failures
         parts.append(value[0])
     return float(np.add.reduce(parts))

@@ -108,7 +108,13 @@ def test_panels_five_layer_gold_energy(monkeypatch):
 # ---------------------------------------------------------------------------
 # synthetic mode functions: ln G = -A(n) exp(-k), so term n = -pref * A(n)
 
-QUAD = QuadratureConfig(rel_tol=1e-9, max_panels=16)
+QUAD = QuadratureConfig(rel_tol=1e-9)
+
+
+@pytest.fixture
+def budget16(monkeypatch):
+    """The engine's panel budget cut to 16, which the kinked rows exceed."""
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 16)
 
 
 def _decaying(n):
@@ -140,8 +146,7 @@ def _alone(ln_g_sum, n):
     """Term n integrated on its own, as the term-by-term sum did."""
     xi = np.array([[matsubara_xi(n, T)]])
     return PREF * semi_infinite_integral(
-        lambda k: k * ln_g_sum(k[None, :], xi)[0], rel_tol=QUAD.rel_tol,
-        max_panels=QUAD.max_panels)
+        lambda k: k * ln_g_sum(k[None, :], xi)[0], rel_tol=QUAD.rel_tol)
 
 
 def _energy(ln_g_sum, n_max=100):
@@ -149,6 +154,7 @@ def _energy(ln_g_sum, n_max=100):
                             1.0)
 
 
+@pytest.mark.usefixtures("budget16")
 def test_early_stop_lands_inside_a_chunk():
     energy = _energy(_synthetic(_decaying))
     assert energy.n_stop == 38
@@ -165,6 +171,7 @@ def _one_pass(monkeypatch):
     monkeypatch.setattr(lifshitz, "_batch", lambda *args: 10 ** 9)
 
 
+@pytest.mark.usefixtures("budget16")
 def test_failing_row_past_the_stop_is_discarded(monkeypatch):
     kinked = _synthetic(_decaying, kinked=(40, 64))
     for n in (40, 64):
@@ -178,6 +185,7 @@ def test_failing_row_past_the_stop_is_discarded(monkeypatch):
     assert energy.n_stop == 38
 
 
+@pytest.mark.usefixtures("budget16")
 def test_lowest_failing_row_before_the_stop_raises():
     ln_g_sum = _synthetic(_decaying, kinked=(10, 20))
     with pytest.raises(QuadratureError) as info:
@@ -195,6 +203,7 @@ def test_lowest_failing_row_before_the_stop_raises():
     assert err.last_estimate != err.previous_estimate
 
 
+@pytest.mark.usefixtures("budget16")
 def test_sign_changing_terms():
     # like a mu != 1 stack: repulsive low-n terms, attractive beyond n = 4
     def amplitude(n):
@@ -222,7 +231,7 @@ def test_magnetic_stack_matches_term_by_term_sum():
         xi = matsubara_xi(n, T)
         ref = PREF * semi_infinite_integral(
             lambda k: k * sum(ln_g(stack, k, xi).values()),
-            scale=scale, rel_tol=quad.rel_tol, max_panels=quad.max_panels)
+            scale=scale, rel_tol=quad.rel_tol)
         assert energy.terms[n] == pytest.approx(ref, rel=1e-12)
 
 
@@ -360,6 +369,7 @@ def _two_stops(kinked=()):
     return with_zero_modes
 
 
+@pytest.mark.usefixtures("budget16")
 def test_configs_with_different_stops(monkeypatch):
     early = MatsubaraConfig(T, n_max=100, zero_mode=DrudeLike())
     late = MatsubaraConfig(T, n_max=100, zero_mode=FromModel())
@@ -380,6 +390,7 @@ def test_configs_with_different_stops(monkeypatch):
     assert sum(alone) - 1 >= 38
 
 
+@pytest.mark.usefixtures("budget16")
 def test_failing_row_between_the_stops_raises_for_the_later_config():
     early = MatsubaraConfig(T, n_max=100, zero_mode=DrudeLike())
     late = MatsubaraConfig(T, n_max=100, zero_mode=FromModel())
@@ -604,6 +615,7 @@ def test_bad_k_scale_raises_before_any_integral(monkeypatch, scale):
                              k_scale)
 
 
+@pytest.mark.usefixtures("budget16")
 def test_failing_row_names_its_system():
     # system 1 gets a kink at n = 10 that the 16-panel budget cannot resolve
     ln_g_sum = _synthetic(_decaying)
@@ -623,10 +635,11 @@ def test_failing_row_names_its_system():
     assert info.value.last_estimate == alone.value.last_estimate
 
 
+@pytest.mark.usefixtures("budget16")
 def test_failing_separation_is_named():
     # on this budget the plasma zero mode of 50 nm fails and 3 um does not
     mats = MatsubaraConfig(T, n_max=60, zero_mode=PlasmaLike(WP))
-    quad = QuadratureConfig(rel_tol=1e-7, max_panels=16)
+    quad = QuadratureConfig(rel_tol=1e-7)
     tangential_force_reduced(GOLD, VAC, 3e-6, mats, quad)
     with pytest.raises(QuadratureError) as alone:
         tangential_force_reduced(GOLD, VAC, 5e-8, mats, quad)

@@ -77,11 +77,12 @@ def test_determinism():
     assert len(runs) == 1
 
 
-def test_panel_budget_error_carries_estimates():
+def test_panel_budget_error_carries_estimates(monkeypatch):
     # a kink plus a tiny budget exhausts the panels
     f = lambda x: np.abs(x - 1.0 / 3.0) ** 0.51
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 8)
     with pytest.raises(QuadratureError) as info:
-        adaptive_integral(f, 0.0, 1.0, rel_tol=1e-13, max_panels=8)
+        adaptive_integral(f, 0.0, 1.0, rel_tol=1e-13)
     err = info.value
     assert err.last_estimate is not None
     assert err.previous_estimate is not None
@@ -116,12 +117,12 @@ def _stepped_family(k, rows):
 def test_failing_row_of_a_later_slice_keeps_its_index(monkeypatch):
     # 20 rows in slices of 8: row 13 fails in the second slice and is
     # reported under its own index, as when it runs alone
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 64)
     default, default_panels, _ = semi_infinite_rows(_stepped_family, 20,
-                                                    rel_tol=1e-11,
-                                                    max_panels=64)
+                                                    rel_tol=1e-11)
     alone = semi_infinite_rows(
         lambda k, rows: _stepped_family(k, np.full_like(rows, 13)), 1,
-        rel_tol=1e-11, max_panels=64)[2][0]
+        rel_tol=1e-11)[2][0]
     sizes = []
 
     def counted(k, rows):
@@ -129,8 +130,7 @@ def test_failing_row_of_a_later_slice_keeps_its_index(monkeypatch):
         return _stepped_family(k, rows)
 
     monkeypatch.setattr(quadrature, "_MAX_ROWS", 8)
-    values, panels, failures = semi_infinite_rows(counted, 20, rel_tol=1e-11,
-                                                  max_panels=64)
+    values, panels, failures = semi_infinite_rows(counted, 20, rel_tol=1e-11)
     assert max(sizes) == 8
     assert list(failures) == [13]
     assert str(failures[13]) == str(alone)
@@ -155,20 +155,20 @@ def test_rows_match_one_row_integrals():
                                           rel=1e-10)
 
 
-def test_row_budget_failure_is_recorded_not_raised():
+def test_row_budget_failure_is_recorded_not_raised(monkeypatch):
     kink = lambda k: np.abs(k - 1.0 / 3.0) ** 0.51 * np.exp(-k)
 
     def f(k, rows):
         smooth = np.exp(-k)
         return np.where((rows == 2)[:, None], kink(k), smooth)
 
-    values, _, failures = semi_infinite_rows(f, 4, rel_tol=1e-13,
-                                             max_panels=16)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 16)
+    values, _, failures = semi_infinite_rows(f, 4, rel_tol=1e-13)
     assert list(failures) == [2]
     for r in (0, 1, 3):
         assert values[r] == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(QuadratureError) as alone:
-        semi_infinite_integral(kink, rel_tol=1e-13, max_panels=16)
+        semi_infinite_integral(kink, rel_tol=1e-13)
     # the batched row stops where the row alone stops, with its estimates
     assert str(failures[2]) == str(alone.value)
     assert failures[2].last_estimate == pytest.approx(

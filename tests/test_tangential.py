@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.constants import c, hbar
 
+from casimir import quadrature
 from casimir.lifshitz import (MatsubaraConfig, QuadratureConfig,
                               energy_per_area_T)
 from casimir.materials import (Constant, Drude, DrudeTail, Permeability,
@@ -216,12 +217,13 @@ def test_tabulated_gold_variants_differ_most_when_close():
     assert gaps[0] > gaps[1] > gaps[2]
 
 
-def test_failing_energy_is_named():
+def test_failing_energy_is_named(monkeypatch):
     # the plasma zero mode of the full stack needs more than 10 panels
     stack = FiveLayerStack((GOLD, VAC, GOLD, VAC, GOLD), 1e-7, 1e-7, 1e-7)
     mats = MatsubaraConfig(300.0, n_max=60,
                            zero_mode=PlasmaLike(ev_to_radps(9.0)))
-    quad = QuadratureConfig(1e-9, max_panels=10)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 10)
+    quad = QuadratureConfig(1e-9)
     with pytest.raises(QuadratureError) as info:
         tangential_force_general(stack, mats, quad)
     err = info.value

@@ -6,6 +6,7 @@ import pytest
 from scipy.constants import c, hbar
 from scipy.integrate import quad
 
+from casimir import quadrature
 from casimir.lifshitz import (MatsubaraConfig, QuadratureConfig,
                               energy_per_area_T)
 from casimir.materials import (DrudeTail, Drude, Plasma, Tabulated, Vacuum,
@@ -302,17 +303,12 @@ def test_edge_torque_ratio_small_below_branch():
         assert 0.0 < r < 1.4e-5
 
 
-def test_edge_torque_ratio_high_temperature_factor():
-    g = geom(1.2)
-    assert edge_torque_ratio(g, high_temperature=True) == \
-        pytest.approx(10.0 * edge_torque_ratio(g), rel=1e-13)
-
-
-def test_failing_energy_is_named():
+def test_failing_energy_is_named(monkeypatch):
     # the plasma zero mode of the five-layer stack needs more than 10 panels
     mats = MatsubaraConfig(300.0, n_max=60,
                            zero_mode=PlasmaLike(ev_to_radps(9.0)))
-    budget = QuadratureConfig(1e-9, max_panels=10)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 10)
+    budget = QuadratureConfig(1e-9)
     with pytest.raises(QuadratureError) as info:
         torque_energy_density(GOLD, GOLD, VAC, D3, mats, budget)
     err = info.value
