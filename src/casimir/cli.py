@@ -7,8 +7,8 @@ Commands: eps-table, force-sweep, torque-sweep, convergence, validate-data;
 All numerical output is CSV with '#'-prefixed metadata lines and floats in
 scientific notation with 9 significant digits, so reruns are byte-identical.
 
-Exit codes: 0 success, 1 configuration or validation failure, 2 numerical
-non-convergence.
+Exit codes: 0 success, 1 usage, configuration, validation or file error,
+2 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .lifshitz import matsubara_xi, truncation_report
 from .materials import (DataFileError, Tabulated, fit_power_tail,
                         load_optical_data)
 from .quadrature import QuadratureError
-from .stack import StackSymmetryError
 from .tangential import tangential_force_reduced
 from .torque import (TorqueGeometry, area_derivative, edge_torque_ratio,
                      overlap, theta0, torque_energy_density)
@@ -223,6 +222,9 @@ def cmd_torque_sweep(args):
     points = get(cfg, "torque", "theta_points", int, 64)
     if points < 1:
         raise ConfigError("[torque] needs theta_points >= 1")
+    # checks the geometry before any integral runs
+    TorqueGeometry(plate_k, plate_l, plate_h, 0.0, d3)
+    branch = theta0(plate_k, plate_l)
 
     if plate_l < _MIN_WIDTH:
         _warn(f"plate width {plate_l:g} m is below {_MIN_WIDTH:g} m; "
@@ -235,7 +237,6 @@ def cmd_torque_sweep(args):
     density = torque_energy_density(plate_a, plate_b, medium, d3, mats, quad,
                                     plate_thickness=thickness)
 
-    branch = theta0(plate_k, plate_l)
     thetas = np.linspace(0.0, math.pi / 2.0, points + 1)[1:]
     rows = []
     for theta in thetas:
@@ -347,8 +348,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    # usage errors exit 1: exit code 2 means numerical non-convergence
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="casimir",
         description="Casimir energies, forces and torques for layered media")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -368,7 +376,7 @@ def main(argv=None):
     except QuadratureError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (ConfigError, DataFileError, StackSymmetryError, ValueError) as err:
+    except (ValueError, OSError) as err:  # ConfigError, DataFileError too
         print(f"error: {err}", file=sys.stderr)
         return 1
 

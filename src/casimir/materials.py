@@ -421,18 +421,23 @@ _BAND_SCRATCH = 256 * 1024
 
 
 def _drude_tail_integral(omega_p, gamma, w_hi, xi):
-    """Closed form of int_0^w_hi w*eps''_drude(w) / (w**2 + xi**2) dw."""
+    """Closed form of int_0^w_hi w*eps''_drude(w) / (w**2 + xi**2) dw, for
+    a scalar or an array of xi > 0."""
+    xi = np.asarray(xi, dtype=float)
     if gamma == 0.0:
-        return 0.0
+        return np.zeros(xi.shape)
     a = omega_p ** 2 * gamma
-    if abs(xi - gamma) > 1e-6 * (xi + gamma):
-        return (a / (xi ** 2 - gamma ** 2)
-                * (math.atan(w_hi / gamma) / gamma - math.atan(w_hi / xi) / xi))
     # Degenerate xi ~ gamma: both the numerator and xi**2 - gamma**2 vanish;
-    # evaluate the equal-parameter form at the midpoint instead.
+    # there the equal-parameter form is taken at the midpoint. np.where
+    # computes both forms, so the general form's 0/0 at xi = gamma is silenced.
     g = 0.5 * (xi + gamma)
-    return a * (w_hi / (2.0 * g ** 2 * (w_hi ** 2 + g ** 2))
-                + math.atan(w_hi / g) / (2.0 * g ** 3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            np.abs(xi - gamma) > 1e-6 * (xi + gamma),
+            a / (xi ** 2 - gamma ** 2)
+            * (np.arctan(w_hi / gamma) / gamma - np.arctan(w_hi / xi) / xi),
+            a * (w_hi / (2.0 * g ** 2 * (w_hi ** 2 + g ** 2))
+                 + np.arctan(w_hi / g) / (2.0 * g ** 3)))
 
 
 def _power_tail_integral(tail, w_max, xi, rel_tol):
@@ -564,9 +569,7 @@ def kk_transform(table, low_tail, high_tail, xi, rel_tol=1e-6):
     flat, low = xis.ravel(), 0.0
     if low_tail is not None:
         lo = min(table.omegas[0], ev_to_radps(low_tail.join_energy_ev))
-        # scalar math.atan per xi: np.arctan rounds some arguments otherwise
-        low = np.array([_drude_tail_integral(low_tail.omega_p, low_tail.gamma,
-                                             lo, x) for x in flat.tolist()])
+        low = _drude_tail_integral(low_tail.omega_p, low_tail.gamma, lo, flat)
     tails = _power_tail_integral(high_tail, table.omegas[-1], flat, rel_tol)
     total = low + _data_band_integral(table, flat, rel_tol)
     out = 1.0 + (2.0 / math.pi) * (total + tails)

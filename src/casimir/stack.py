@@ -25,7 +25,8 @@ from enum import Enum
 import numpy as np
 
 from .constants import c
-from .materials import Permeability, Plasma, Vacuum, ZeroFrequencyError
+from .materials import (Permeability, Plasma, Vacuum, ZeroFrequencyError,
+                        _require_drude)
 
 
 class Polarization(Enum):
@@ -125,8 +126,7 @@ class PlasmaLike:
     omega_p: float
 
     def __post_init__(self):
-        if not self.omega_p > 0.0:
-            raise ValueError("PlasmaLike omega_p must be positive")
+        _require_drude("PlasmaLike", self.omega_p)
 
 
 # ---------------------------------------------------------------------------

@@ -57,8 +57,8 @@ class TorqueGeometry:
                              "ends can truncate the overlap")
         if not 0.0 <= self.theta <= math.pi / 2.0:
             raise ValueError("theta must lie in [0, pi/2]")
-        if not self.d3 > 0.0:
-            raise ValueError("d3 must be positive")
+        if not 0.0 < self.d3 < math.inf:
+            raise ValueError("d3 must be positive and finite")
 
     @property
     def theta_branch(self):

@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import re
@@ -12,6 +13,9 @@ import casimir.cli as cli
 from casimir import quadrature
 from casimir.cli import main
 from casimir.materials import ev_to_radps
+
+# the module: casimir.torque, as an attribute of casimir, is the function
+torque_module = importlib.import_module("casimir.torque")
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{8}e[+-]\d{2,3}$")
 
@@ -521,6 +525,25 @@ def test_torque_sweep_branch_grid_hit(tmp_path, capsys, monkeypatch):
     assert thetas[2] != pytest.approx(hit, abs=1e-10)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("k_m", "5e-4", "K > L > 0"),                   # K < L
+    ("h_m", "2e-3", "H**2 must exceed"),            # H**2 <= K**2 + L**2
+    ("d3_m", "inf", "d3 must be positive and finite"),
+])
+def test_torque_sweep_bad_geometry_exits_before_any_integral(
+        tmp_path, capsys, monkeypatch, key, value, message):
+    def no_integrals(*args, **kwargs):
+        raise AssertionError("an energy was computed")
+
+    monkeypatch.setattr(torque_module, "energy_per_area_T", no_integrals)
+    cfg = torque_cfg(tmp_path)
+    text = open(cfg, encoding="utf-8").read()
+    with open(cfg, "w", encoding="utf-8") as fh:
+        fh.write(re.sub(rf"{key} = \S+", f"{key} = {value}", text))
+    assert main(["torque-sweep", "--config", cfg]) == 1
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # convergence
 
@@ -800,6 +823,21 @@ def test_ambiguous_plasma_zero_mode(tmp_path, capsys):
     assert "ambiguous" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("omega_p_ev, message", [
+    ("inf", "PlasmaLike omega_p must be finite"),
+    ("1e200", "PlasmaLike xi -> 0 coefficient overflows"),
+])
+def test_unusable_plasma_frequency_exits_before_any_integral(
+        tmp_path, capsys, monkeypatch, omega_p_ev, message):
+    def no_integrals(*args, **kwargs):
+        raise AssertionError("a force was computed")
+
+    monkeypatch.setattr(cli, "tangential_force_reduced", no_integrals)
+    cfg = force_cfg(tmp_path, extra=f"omega_p_ev = {omega_p_ev}")
+    assert main(["force-sweep", "--config", cfg, "--zero-mode", "plasma"]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_quadrature_failure_exit_code(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, GOLD_SECTION + """
         [force]
@@ -892,7 +930,7 @@ def test_module_entry_point(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# command line options
+# command line options; usage and file errors exit 1 (2 is non-convergence)
 
 
 @pytest.mark.parametrize("command, overrides", [
@@ -910,3 +948,29 @@ def test_each_command_takes_only_the_overrides_it_reads(capsys, command,
     shown = re.findall(r"--(?:zero-mode|n-max|temperature-k)\b",
                        capsys.readouterr().out)
     assert sorted(set(shown)) == sorted(overrides)
+
+
+@pytest.mark.parametrize("argv", [
+    ["force-sweep"],                                         # no --config
+    ["force-sweep", "--config", "x.ini", "--zero-mode", "bogus"],
+    ["force-sweep", "--config", "x.ini", "--n-max", "ten"],
+    ["eps-table", "--config", "x.ini", "--zero-mode", "drude"],
+    ["convergence", "--config", "x.ini", "--n-max", "5"],
+    ["validate-data", "--config", "x.ini", "--n-max", "5"],
+    ["no-such-command"],
+])
+def test_usage_errors_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_unwritable_output_exits_1(tmp_path, capsys):
+    drude_csv(tmp_path / "au.csv", 9.0, 0.035)
+    cfg = data_cfg(tmp_path, "au.csv")
+    out = tmp_path / "missing" / "report.txt"
+    assert main(["validate-data", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert str(out) in err

@@ -261,6 +261,31 @@ def test_kk_array_equals_scalar_calls():
     assert isinstance(kk_transform(tab, low, high, float(GAMMA)), float)
 
 
+def _drude_tail_reference(omega_p, gamma, w_hi, xi):
+    """The Drude low-tail closed form for one xi, on math.atan."""
+    a = omega_p ** 2 * gamma
+    if abs(xi - gamma) > 1e-6 * (xi + gamma):
+        return (a / (xi ** 2 - gamma ** 2)
+                * (math.atan(w_hi / gamma) / gamma - math.atan(w_hi / xi) / xi))
+    g = 0.5 * (xi + gamma)
+    return a * (w_hi / (2.0 * g ** 2 * (w_hi ** 2 + g ** 2))
+                + math.atan(w_hi / g) / (2.0 * g ** 3))
+
+
+def test_drude_tail_matches_the_scalar_closed_form():
+    # np.arctan and numpy's powers may round otherwise than math.atan and
+    # Python's float power: a few ulp, on both branches (xi near gamma)
+    tab, low, _ = _gold_kk()
+    lo = tab.omegas[0]
+    xi = np.concatenate([ev_to_radps(np.geomspace(1e-4, 1e4, 2001)),
+                         GAMMA * (1.0 + np.linspace(-3e-6, 3e-6, 61))])
+    reference = [_drude_tail_reference(low.omega_p, low.gamma, lo, x)
+                 for x in xi.tolist()]
+    np.testing.assert_allclose(
+        materials._drude_tail_integral(low.omega_p, low.gamma, lo, xi),
+        reference, rtol=8 * np.finfo(float).eps, atol=0.0)
+
+
 def test_kk_power_tail_past_the_engine_cap_equals_the_default(monkeypatch):
     # the power tail hands every xi to the quadrature engine, which runs
     # them as slices of at most _MAX_ROWS rows; no result moves

@@ -123,6 +123,19 @@ def test_reflection_zero_mode_values():
     assert -0.01 < r < 0.0
 
 
+def test_plasma_like_rejects_what_plasma_rejects():
+    # omega_p as Plasma checks it: positive, finite, and omega_p**2 finite
+    for bad, message in ((0.0, "omega_p must be positive"),
+                         (-W_P, "omega_p must be positive"),
+                         (math.nan, "omega_p must be finite"),
+                         (math.inf, "omega_p must be finite"),
+                         (1e160, "xi -> 0 coefficient overflows")):
+        with pytest.raises(ValueError, match=f"PlasmaLike {message}"):
+            PlasmaLike(bad)
+        with pytest.raises(ValueError):
+            Plasma(bad)
+
+
 # ---------------------------------------------------------------------------
 # mode functions
 

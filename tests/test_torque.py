@@ -74,6 +74,9 @@ def test_geometry_validation():
         TorqueGeometry(K, L, H, 2.0, D3)
     with pytest.raises(ValueError):
         TorqueGeometry(K, L, H, 0.5, 0.0)
+    for d3 in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="d3 must be positive and finite"):
+            TorqueGeometry(K, L, H, 0.5, d3)
 
 
 def test_overlap_perpendicular():
