@@ -64,8 +64,8 @@ def test_panels_gold_reduced_force(monkeypatch):
     points = _counted(monkeypatch)
     mats = MatsubaraConfig(T, n_max=500, zero_mode=DrudeLike())
     energy = energy_per_area_T(Stack((GOLD, VAC, GOLD), (1e-7,)), mats)
-    assert energy.panels == 1935
-    assert sum(points) == 32670
+    assert energy.panels == 1451
+    assert sum(points) == 25140
     assert energy.n_stop < 500
     _assert_padding(energy, 500)
 
@@ -80,7 +80,7 @@ def test_tangential_points_with_equal_inner_layers_merged(monkeypatch):
     tangential_force_general(stack, MatsubaraConfig(T, n_max=500,
                                                     zero_mode=DrudeLike()))
     assert len(points) == 21
-    assert sum(points) == 40530
+    assert sum(points) == 31530
 
 
 def test_panels_ideal_mirrors_10k(monkeypatch):
@@ -99,8 +99,8 @@ def test_panels_five_layer_gold_energy(monkeypatch):
     stack = FiveLayerStack((GOLD, VAC, GOLD, VAC, GOLD), 2e-7, 2e-7, 2e-7)
     mats = MatsubaraConfig(T, n_max=200, zero_mode=DrudeLike())
     energy = energy_per_area_T(stack, mats)
-    assert energy.panels == 1055
-    assert sum(points) == 16905
+    assert energy.panels == 796
+    assert sum(points) == 13155
     assert energy.n_stop < 200
     _assert_padding(energy, 200)
 
@@ -118,8 +118,9 @@ def budget16(monkeypatch):
 
 
 def _decaying(n):
-    # |term n| / |term 0| = 2 exp(-n) drops below 1e-15 at n = 36, so the
-    # third dead term in a row is n = 38
+    # the ratio of the terms is exp(-1) and the running sum -1.082 * pref,
+    # so the tail bound exp(-n) / (e - 1) falls to 1% of rel_tol of the sum
+    # at n = 25
     return np.exp(-n)
 
 
@@ -157,10 +158,10 @@ def _energy(ln_g_sum, n_max=100):
 @pytest.mark.usefixtures("budget16")
 def test_early_stop_lands_inside_a_chunk():
     energy = _energy(_synthetic(_decaying))
-    assert energy.n_stop == 38
+    assert energy.n_stop == 25
     _assert_padding(energy, 100)
     assert energy.terms[0] == pytest.approx(-0.5 * PREF, rel=1e-12)
-    for n in range(1, 39):
+    for n in range(1, 26):
         assert energy.terms[n] == pytest.approx(
             _alone(_synthetic(_decaying), n), rel=1e-13)
     assert energy.value == math.fsum(energy.terms)
@@ -173,8 +174,8 @@ def _one_pass(monkeypatch):
 
 @pytest.mark.usefixtures("budget16")
 def test_failing_row_past_the_stop_is_discarded(monkeypatch):
-    kinked = _synthetic(_decaying, kinked=(40, 64))
-    for n in (40, 64):
+    kinked = _synthetic(_decaying, kinked=(27, 64))
+    for n in (27, 64):
         with pytest.raises(QuadratureError):
             _alone(kinked, n)
     clean = _energy(_synthetic(_decaying))
@@ -182,7 +183,7 @@ def test_failing_row_past_the_stop_is_discarded(monkeypatch):
     energy = _energy(kinked)
     assert energy.terms == clean.terms
     assert energy.panels == clean.panels
-    assert energy.n_stop == 38
+    assert energy.n_stop == 25
 
 
 @pytest.mark.usefixtures("budget16")
@@ -270,10 +271,12 @@ def test_shared_pass_equals_separate_calls(stack, n_max):
         assert energy.terms == alone.terms
         assert energy.panels == alone.panels
         assert energy.n_stop == alone.n_stop
-    # the plasma n = 0 term differs from the Drude one, nothing else does
+    # the plasma n = 0 term differs from the Drude one, nothing else does;
+    # with it the running sum, so each may stop at its own index
     drude, plasma, _ = together
+    stop = min(drude.n_stop, plasma.n_stop)
     assert plasma.terms[0] != drude.terms[0]
-    assert plasma.terms[1:] == drude.terms[1:]
+    assert plasma.terms[1:stop + 1] == drude.terms[1:stop + 1]
 
 
 def test_one_element_tuple_is_the_single_call():
@@ -352,9 +355,10 @@ def test_mismatched_configs_raise_before_any_integral(monkeypatch):
         energy_per_area_T(stack, ())
 
 
-# Term 0 is -A0 * pref / 2. With A0 = 2e6 the largest term is 1e6 * pref
-# and exp(-n) falls below 1e-15 of it from n = 21, so the sum stops at 23;
-# with A0 = 1 it stops at 38, as in test_early_stop_lands_inside_a_chunk.
+# Term 0 is -A0 * pref / 2. With A0 = 2e6 the running sum is about
+# -1e6 * pref and the tail bound exp(-n) / (e - 1) falls below 1% of
+# rel_tol of it at n = 11, so the sum stops there; with A0 = 1 it stops at
+# 25, as in test_early_stop_lands_inside_a_chunk.
 _ZERO_AMPLITUDE = {DrudeLike(): 2e6, FromModel(): 1.0}
 
 
@@ -374,11 +378,11 @@ def test_configs_with_different_stops(monkeypatch):
     early = MatsubaraConfig(T, n_max=100, zero_mode=DrudeLike())
     late = MatsubaraConfig(T, n_max=100, zero_mode=FromModel())
     both = matsubara_energy(_two_stops(), (early, late), QUAD, 1.0)
-    assert [e.n_stop for e in both] == [23, 38]
+    assert [e.n_stop for e in both] == [11, 25]
     for mats, energy in zip((early, late), both):
         assert energy == matsubara_energy(_two_stops(), mats, QUAD, 1.0)
         _assert_padding(energy, 100)
-    assert both[0].terms[1:24] == both[1].terms[1:24]
+    assert both[0].terms[1:12] == both[1].terms[1:12]
     # the later stop drives the passes: the pair integrates the rows n >= 1
     # of the later config alone once, with one more n = 0 row
     sizes = _row_counter(monkeypatch)
@@ -387,20 +391,20 @@ def test_configs_with_different_stops(monkeypatch):
     sizes.clear()
     matsubara_energy(_two_stops(), (early, late), QUAD, 1.0)
     assert sizes == [alone[0] + 1] + alone[1:]
-    assert sum(alone) - 1 >= 38
+    assert sum(alone) - 1 >= 25
 
 
 @pytest.mark.usefixtures("budget16")
 def test_failing_row_between_the_stops_raises_for_the_later_config():
     early = MatsubaraConfig(T, n_max=100, zero_mode=DrudeLike())
     late = MatsubaraConfig(T, n_max=100, zero_mode=FromModel())
-    kinked = _two_stops(kinked=(30,))
+    kinked = _two_stops(kinked=(20,))
     clean = matsubara_energy(_two_stops(), early, QUAD, 1.0)
     assert matsubara_energy(kinked, early, QUAD, 1.0) == clean
     for mats in (late, (early, late), (late, early)):
         with pytest.raises(QuadratureError) as info:
             matsubara_energy(kinked, mats, QUAD, 1.0)
-        assert info.value.matsubara_n == 30
+        assert info.value.matsubara_n == 20
 
 
 # ---------------------------------------------------------------------------
