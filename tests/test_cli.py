@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import casimir.cli as cli
-from casimir import quadrature
+from casimir import lifshitz, quadrature
 from casimir.cli import main
 from casimir.materials import ev_to_radps
+from casimir.quadrature import QuadratureError
 
 # the module: casimir.torque, as an attribute of casimir, is the function
 torque_module = importlib.import_module("casimir.torque")
@@ -175,6 +176,18 @@ def test_eps_table_bad_grid(tmp_path, capsys):
         assert main(["eps-table", "--config", cfg, "--out", str(out)]) == 1
         assert "xi_max_rad_s < inf and points >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("override", [["--n-max", "3"],
+                                      ["--temperature-k", "1"]])
+def test_eps_table_log_grid_rejects_matsubara_overrides(tmp_path, capsys,
+                                                        override):
+    out = tmp_path / "eps.csv"
+    cfg = os.path.join(GOLDEN, "eps_log.ini")
+    assert main(["eps-table", "--config", cfg, "--out", str(out),
+                 *override]) == 1
+    assert "apply only to grid = matsubara" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eps_table_unknown_grid(tmp_path, capsys):
@@ -974,3 +987,38 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert str(out) in err
+
+
+@pytest.fixture
+def no_sums(monkeypatch):
+    """Every Matsubara sum raises a QuadratureError if it is called."""
+    def fail(*args, **kwargs):
+        raise QuadratureError("a sum ran", 0.0, 0.0)
+
+    monkeypatch.setattr(lifshitz, "_lockstep", fail)
+
+
+@pytest.mark.usefixtures("no_sums")
+@pytest.mark.parametrize("command, name", [
+    ("force-sweep", "force_sweep"), ("torque-sweep", "torque_equal"),
+    ("convergence", "convergence_five_layer")])
+def test_unwritable_output_fails_before_any_integral(tmp_path, capsys,
+                                                     command, name):
+    out = tmp_path / "missing" / "x.csv"
+    cfg = os.path.join(GOLDEN, f"{name}.ini")
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+
+
+@pytest.mark.usefixtures("no_sums")
+def test_failed_command_leaves_the_output_as_it_was(tmp_path, capsys):
+    cfg = os.path.join(GOLDEN, "force_sweep.ini")
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"earlier results\n")
+    new = tmp_path / "new.csv"
+    for out in (kept, new):
+        assert main(["force-sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert "a sum ran" in capsys.readouterr().err
+    assert kept.read_bytes() == b"earlier results\n"
+    assert not new.exists()

@@ -242,3 +242,81 @@ def test_single_config_observables_reject_a_tuple(monkeypatch):
         normal_pressure(stack, 3, pair)
     with pytest.raises(TypeError, match="one MatsubaraConfig, got tuple"):
         truncation_report(stack, pair, QuadratureConfig(), [10, 50])
+
+
+# ---------------------------------------------------------------------------
+# the stop on a geometric tail bound: truncation within 0.1 rel_tol
+
+
+def _ideal_mirror_mode(d):
+    """sum_pol ln G of ideal mirrors across a vacuum gap d."""
+    def ln_g_sum(k, xi, zero_mode=None):
+        return 2.0 * np.log1p(-np.exp(-2.0 * np.sqrt(k ** 2 + (xi / c) ** 2) * d))
+    return ln_g_sum
+
+
+def _ideal_mirror_terms(temperature, d, n_max):
+    """Closed-form terms n = 0 .. n_max of the ideal-mirror energy:
+    -kT/(4 pi d^2) sum_m exp(-2ma)(1 + 2ma)/m^3, a = xi_n d/c, n = 0 halved."""
+    a = matsubara_xi(np.arange(n_max + 1), temperature) * d / c
+    m = np.arange(1, 401)[:, None]
+    terms = -k_B * temperature / (4.0 * math.pi * d ** 2) * np.sum(
+        np.exp(-2.0 * m * a) * (1.0 + 2.0 * m * a) / m ** 3, axis=0)
+    terms[0] = -k_B * temperature / (8.0 * math.pi * d ** 2) * zeta(3)
+    return terms.tolist()
+
+
+@pytest.mark.parametrize("rel_tol", [1e-5, 1e-7, 1e-9])
+@pytest.mark.parametrize("d", [5e-8, 1e-7, 1e-6])
+def test_stop_truncates_ideal_mirrors_within_a_tenth_of_rel_tol(d, rel_tol):
+    exact = _ideal_mirror_terms(300.0, d, 6000)
+    total = math.fsum(exact)
+    energy = lifshitz.matsubara_energy(
+        _ideal_mirror_mode(d), MatsubaraConfig(300.0, n_max=3000),
+        QuadratureConfig(rel_tol), 1.0 / (2.0 * d))
+    assert energy.n_stop < 3000
+    truncated = abs(math.fsum(exact[energy.n_stop + 1:]))
+    assert truncated <= 0.1 * rel_tol * abs(total)
+    assert energy.value == pytest.approx(total, rel=rel_tol)
+    # the reported bound covers what the stop left out
+    assert truncated <= energy.tail <= 100.0 * truncated
+
+
+@pytest.mark.parametrize("rel_tol", [1e-7, 1e-9])
+def test_stop_sees_a_slow_layer_hidden_at_low_n(rel_tol):
+    # the weak 30 nm eps = 1.05 layer decays slower than the 300 nm gap, but
+    # its terms are buried under the gap's at low n: the ideal-mirror cap on
+    # the term ratio across 30 nm keeps the stop from ending on the gap's
+    stack = Stack((GOLD, Layer(Constant(1.05)), VAC, GOLD), (3e-8, 3e-7))
+    mats = MatsubaraConfig(300.0, n_max=3000, zero_mode=DrudeLike())
+    reference = energy_per_area_T(stack, mats, QuadratureConfig(1e-12))
+    energy = energy_per_area_T(stack, mats, QuadratureConfig(rel_tol))
+    assert energy.n_stop < reference.n_stop < 3000
+    truncated = abs(math.fsum(reference.terms[energy.n_stop + 1:]))
+    assert truncated <= 0.1 * rel_tol * abs(reference.value)
+
+
+def test_tail_covers_the_ideal_mirror_tail_at_n_max():
+    # criterion 1's sum (10 K, 100 nm) reaches n_max = 3000 first; the
+    # terms it leaves out are 6.0e-7 of the energy
+    d = 1e-7
+    energy = lifshitz.matsubara_energy(
+        _ideal_mirror_mode(d), MatsubaraConfig(10.0, n_max=3000),
+        QuadratureConfig(1e-9), 1.0 / (2.0 * d))
+    assert energy.n_stop == 3000
+    exact = _ideal_mirror_terms(10.0, d, 20000)
+    truncated = abs(math.fsum(exact[3001:]))
+    assert truncated / abs(energy.value) == pytest.approx(6.0e-7, rel=0.01)
+    assert truncated <= energy.tail <= 100.0 * truncated
+
+
+def test_no_tail_without_the_ratio_bound():
+    # an inner layer with eps * mu < 1 gives no decay length: the sum stops
+    # on three dead terms and reports no bound
+    stack = Stack((GOLD, Layer(Constant(0.5)), GOLD), (1e-7,))
+    assert lifshitz._mode_sum(stack)[2] == (0.0,)
+    energy = energy_per_area_T(stack, MatsubaraConfig(300.0, n_max=500))
+    assert energy.n_stop < 500 and energy.tail is None
+    largest = max(map(abs, energy.terms))
+    assert all(abs(t) <= 1e-15 * largest
+               for t in energy.terms[energy.n_stop - 2:energy.n_stop + 1])

@@ -220,6 +220,35 @@ def test_sign_changing_terms():
     assert energy.value == math.fsum(energy.terms)
 
 
+def _sign_changing_sum(case, rel_tol):
+    quad = QuadratureConfig(rel_tol)
+    if case == "synthetic":
+        return matsubara_energy(
+            _synthetic(lambda n: (n - 4.5) * np.exp(-0.5 * n)),
+            MatsubaraConfig(T, n_max=400), quad, 1.0)
+    if case == "magnetic":
+        stack = Stack((MAGNETIC, VAC, GOLD), (1e-7,))
+        return energy_per_area_T(stack, MatsubaraConfig(T, n_max=400), quad)
+    # the magnetodielectric plate of the convergence_five_layer golden
+    plate = Layer(Constant(5.0), Permeability(2.0))
+    stack = FiveLayerStack((GOLD, VAC, plate, VAC, GOLD), 1.5e-7, 2e-7, 2.5e-7)
+    return energy_per_area_T(
+        stack, MatsubaraConfig(T, n_max=400, zero_mode=DrudeLike()), quad)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-7, 1e-9])
+@pytest.mark.parametrize("case", ["magnetic", "five_layer_plate", "synthetic"])
+def test_sign_changing_sums_stop_within_rel_tol(case, rel_tol):
+    # terms that change sign fall back to the dead-term rule until they keep
+    # one sign; the terms the stop leaves out, taken from a sum at 1e-12,
+    # stay within a tenth of rel_tol
+    reference = _sign_changing_sum(case, 1e-12)
+    energy = _sign_changing_sum(case, rel_tol)
+    assert energy.n_stop < reference.n_stop < 400
+    truncated = abs(math.fsum(reference.terms[energy.n_stop + 1:]))
+    assert truncated <= 0.1 * rel_tol * abs(reference.value)
+
+
 def test_magnetic_stack_matches_term_by_term_sum():
     magnetic = Layer(Constant(3.0), Permeability(4.0))
     stack = FiveLayerStack((magnetic, VAC, GOLD, VAC, magnetic),
