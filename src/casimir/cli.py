@@ -66,15 +66,6 @@ def _material_label(layer):
     return repr(eps)
 
 
-def _probe_out(path):
-    """Fail on an unwritable ``--out`` before any integral runs: open it for
-    appending and close it again, removing the file if that created it."""
-    existed = os.path.lexists(path)
-    open(path, "a", encoding="utf-8").close()
-    if not existed:
-        os.remove(path)
-
-
 def _out_stream(args):
     if args.out:
         return open(args.out, "w", encoding="utf-8")
@@ -101,8 +92,7 @@ def cmd_eps_table(args):
         grid_columns = [ns.tolist(), matsubara_xi(ns, mats.temperature).tolist()]
     elif grid == "log":
         if args.n_max is not None or args.temperature_k is not None:
-            raise ConfigError("--n-max and --temperature-k apply only to "
-                              "grid = matsubara")
+            raise ConfigError("--n-max and --temperature-k apply only to grid = matsubara")
         lo = get(cfg, "eps_table", "xi_min_rad_s", float)
         hi = get(cfg, "eps_table", "xi_max_rad_s", float)
         points = get(cfg, "eps_table", "points", int)
@@ -385,8 +375,11 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.out:
-            _probe_out(args.out)
+        if args.out:   # an unwritable --out fails before any integral
+            existed = os.path.lexists(args.out)
+            open(args.out, "a", encoding="utf-8").close()
+            if not existed:
+                os.remove(args.out)
         return _COMMANDS[args.command][0](args)
     except QuadratureError as err:
         print(f"error: {err}", file=sys.stderr)

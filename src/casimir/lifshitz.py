@@ -92,9 +92,8 @@ class EnergyPerArea:
     (ascending-n) sum, so partial sums are reproducible regardless of how
     the terms were computed. ``n_stop`` is the last index evaluated: the
     terms after it are zero padding left by the early stop. ``panels``
-    counts the k-quadrature panels of terms 0 .. n_stop. ``tail`` is the
-    geometric bound |t_N|*rho/(1 - rho) on the terms after N = n_stop, or
-    None where it does not apply (see :class:`_RunningSum`).
+    counts the k-quadrature panels of terms 0 .. n_stop. ``tail`` bounds
+    the terms after n_stop, or is None (see :class:`_RunningSum`).
     """
 
     value: float
@@ -182,16 +181,13 @@ def _one_config(mats, caller):
 class _RunningSum:
     """One config's terms and panels, up to its own early stop.
 
-    A sum stops at the first n >= 2 where t_n and t_(n-1) share their sign,
-    rho = max(t_n / t_(n-1), q_n) < 1 and the geometric tail bound
-    |t_n|*rho/(1 - rho) is at most 1% of ``rel_tol`` of the running sum
-    (the half-weighted zero mode t_0, of any prescription, starts no ratio).
-    q_n = exp(-2a)(1 + 2(n + 1)a)/(1 + 2na), a = xi_1*L/c, is the term ratio
-    of ideal mirrors across the system's decay length L: no term ratio of a
-    stack whose inner layers all have eps*mu >= 1 is slower, so the bound
-    holds even where a slow component hides under a fast one at low n. With
-    a = 0 (no decay length) q_n = 1, and such sums, and sums whose terms
-    change sign, stop after three terms below 1e-15 of their largest.
+    From n = 2 on (t_0 starts no ratio), where t_n and t_(n-1) share their
+    sign, ``tail`` = |t_n|*rho/(1 - rho) bounds the terms after n, with
+    rho = max(t_n/t_(n-1), q_n) < 1; the sum stops once it is 1% of rel_tol
+    of the running sum. q_n = exp(-2a)(1 + 2(n+1)a)/(1 + 2na), a = xi_1*L/c,
+    is the term ratio of ideal mirrors across the decay length L: no layer's
+    terms fall slower, even where they hide at low n. Elsewhere, and for
+    L = 0 (q_n = 1), the sum stops after three terms below 1e-15 of its largest.
     """
 
     def __init__(self, term0, panels, a, rel_tol):
@@ -200,8 +196,7 @@ class _RunningSum:
         self.total = term0
         self.largest = abs(term0)
         self.dead = 0
-        self.a, self.rel_tol = a, rel_tol
-        self.tail = None
+        self.a, self.floor = a, 0.01 * rel_tol
 
     def add(self, term, panels):
         """Append a term; False once the sum has stopped."""
@@ -213,24 +208,21 @@ class _RunningSum:
         self.dead = self.dead + 1 if abs(term) <= 1e-15 * self.largest else 0
         cap = math.exp(-2.0 * a) * (1.0 + 2.0 * (n + 1) * a) / (1.0 + 2.0 * n * a)
         rho = max(term / last, cap) if n > 1 and term * last > 0.0 else 1.0
-        self.tail = abs(term) * rho / (1.0 - rho) if rho < 1.0 else None
-        converged = (self.tail is not None
-                     and self.tail <= 0.01 * self.rel_tol * abs(self.total))
-        return self.dead < 3 and not converged
+        self.tail = abs(term) * rho / (1.0 - rho) if rho < 1.0 else math.inf
+        return self.dead < 3 and self.tail > self.floor * abs(self.total)
 
     def energy(self, n_max):
         n_stop = len(self.terms) - 1
         terms = self.terms + [0.0] * (n_max - n_stop)
         return EnergyPerArea(math.fsum(terms), terms, self.panels, n_stop,
-                             self.tail)
+                             None if self.tail == math.inf else self.tail)
 
 
 def _batch(length, xi1, n_done, rel_tol):
     """Indices n >= 1 of a system's next batch: up to the stop predicted
     from its decay length ``length``, then at least as many as done."""
-    # terms fall like exp(-2 xi_n L / c) across the decay length L, to the
-    # stop's 1% of rel_tol near 2 xi_n L / c = ln(100 / rel_tol); with no
-    # decay length (L = 0) the batches double from one index
+    # terms fall like exp(-2 xi_n L / c), to the stop's 1% of rel_tol near
+    # 2 xi_n L / c = ln(100 / rel_tol); L = 0 doubles the batches from one
     predicted = (math.ceil(math.log(100.0 / rel_tol) * c / (2.0 * xi1 * length))
                  + 5 if length else 0)
     return max(predicted - n_done, n_done, 1)
@@ -255,8 +247,7 @@ def _lockstep(mode, configs, quad, scales, lengths):
     while live:
         batches = []
         for s in live:
-            size = min(_batch(lengths[s], xi1, done[s], quad.rel_tol),
-                       mats.n_max - done[s])
+            size = min(_batch(lengths[s], xi1, done[s], quad.rel_tol), mats.n_max - done[s])
             batches.append((s, range(done[s] + 1, done[s] + 1 + size)))
         system = np.concatenate([zero] + [[s] * len(b) for s, b in batches])
         ns = np.concatenate([0 * zero] + [b for _, b in batches])
@@ -308,9 +299,8 @@ def matsubara_energy(ln_g_sum, mats, quad, k_scale, *, _lengths=None):
     every (system, config) keeps its own early stop, and its result equals
     the one of a separate call bit for bit. A failing row raises
     :class:`QuadratureError` tagged with its ``matsubara_n`` and the index
-    of its ``system`` (0 for one k-scale). ``_lengths`` (by default half the
-    inverse k-scales) are the decay lengths of the systems, which cap the
-    ratio of their stop and predict where they stop (0 for none).
+    of its ``system`` (0 for one k-scale). ``_lengths`` are the systems'
+    decay lengths (:func:`_decay_length`), by default half the inverse k-scales.
     """
     configs = _shared_pass(mats)
     mode = ln_g_sum if isinstance(k_scale, tuple) else (
@@ -329,10 +319,19 @@ def matsubara_energy(ln_g_sum, mats, quad, k_scale, *, _lengths=None):
     return tuple(results) if isinstance(k_scale, tuple) else results[0]
 
 
-def _eps_mu_at_least_one(layer):
-    mu = layer.mu.value   # eps(i xi) >= 1 for every model but Constant
-    return mu >= 1.0 and (not isinstance(layer.eps, Constant)
-                          or layer.eps.value * mu >= 1.0)
+def _decay_length(stack):
+    """The thinnest inner layer, across which the terms fall at least like those of
+    ideal mirrors: a run of equal adjacent layers is one layer as thick as the run,
+    and a run that takes in a half-space is none. 0 where no inner layer is left or
+    one may have eps*mu < 1 (only a Constant eps(i xi) can be below 1)."""
+    for layer in stack.layers[1:-1]:
+        eps = layer.eps.value if isinstance(layer.eps, Constant) else 1.0
+        if min(eps, 1.0) * layer.mu.value < 1.0:
+            return 0.0
+    runs = [sum(d for _, d in run) for _, run in itertools.groupby(
+        zip(stack.layers, (math.inf, *stack.thicknesses, math.inf)),
+        key=lambda pair: pair[0])]
+    return min(runs[1:-1], default=0.0)
 
 
 def _mode_sum(stack, mode=ln_g):
@@ -377,18 +376,7 @@ def _mode_sum(stack, mode=ln_g):
     # which the geometrically growing blocks always reach. The reverse
     # choice would bury large-layer structure inside the first panel.
     scales = tuple(1.0 / (2.0 * max(s.thicknesses)) for s in stacks)
-    # the decay length is the thinnest inner layer: a run of equal adjacent
-    # layers is one layer as thick as the run, and a run that takes in a
-    # half-space is none. It is 0 where no inner layer is left, and where an
-    # inner layer may have eps*mu < 1, whose terms can decay slower.
-    def decay_length(s):
-        if not all(_eps_mu_at_least_one(layer) for layer in s.layers[1:-1]):
-            return 0.0
-        runs = [sum(d for _, d in run) for _, run in itertools.groupby(
-            zip(s.layers, (math.inf, *s.thicknesses, math.inf)),
-            key=lambda pair: pair[0])]
-        return min(runs[1:-1], default=0.0)
-    lengths = tuple(map(decay_length, stacks))
+    lengths = tuple(map(_decay_length, stacks))
     return mode_sum, scales if isinstance(stack, tuple) else scales[0], lengths
 
 
