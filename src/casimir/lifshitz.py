@@ -4,7 +4,9 @@ At finite temperature the interaction free energy per unit area is a sum
 over discrete imaginary frequencies xi_n = 2*pi*n*kB*T/hbar with the n = 0
 term at half weight; at T = 0 the sum becomes an integral over xi. Every
 frequency term is a semi-infinite integral over the transverse wavenumber
-of k * sum_pol ln G.
+of k times a mode function of the stack summed over polarizations: ln G
+for the energy, its thickness derivative for a normal pressure. One
+function, :func:`matsubara_energy`, runs that sum for every observable.
 
 The zero-mode prescriptions (Drude, plasma, model) differ only in the
 n = 0 term, so a tuple of configs that share temperature and n_max is
@@ -278,47 +280,6 @@ def _lockstep(mode, configs, quad, scales, lengths):
     return sums
 
 
-def matsubara_energy(ln_g_sum, mats, quad, k_scale, *, _lengths=None):
-    """Finite-temperature free energy per area of a generic mode function.
-
-    ``ln_g_sum(k, xi, zero_mode)`` returns sum_pol ln G(k, i*xi). It
-    receives k of shape (rows, points) with xi of shape (rows, 1) and
-    ``zero_mode=None`` for the frequencies n >= 1, and the scalar xi = 0.0
-    with a config's ``zero_mode`` for the zero mode. Terms are accumulated
-    in ascending n and summed with compensation, so the result is bitwise
-    stable for a fixed panel decomposition.
-
-    ``mats`` is one :class:`MatsubaraConfig` or a tuple of configs that
-    share temperature and n_max, which gives a tuple of results in its
-    order. ``k_scale`` is the k-scale of one system, or a tuple of the
-    k-scales of several systems (say, one stack per separation, or the
-    stacks of a difference of energies), which gives a tuple over the
-    systems. Then ``ln_g_sum(k, xi, zero_mode, system)`` also receives the
-    (rows, 1) column of system indices of the rows of k. All systems and
-    configs run in the same row-batched passes (see :func:`_lockstep`);
-    every (system, config) keeps its own early stop, and its result equals
-    the one of a separate call bit for bit. A failing row raises
-    :class:`QuadratureError` tagged with its ``matsubara_n`` and the index
-    of its ``system`` (0 for one k-scale). ``_lengths`` are the systems'
-    decay lengths (:func:`_decay_length`), by default half the inverse k-scales.
-    """
-    configs = _shared_pass(mats)
-    mode = ln_g_sum if isinstance(k_scale, tuple) else (
-        lambda k, xi, zero_mode, system: ln_g_sum(k, xi, zero_mode))
-    scales = np.array(k_scale if isinstance(k_scale, tuple) else (k_scale,),
-                      dtype=float)
-    if not scales.size:
-        raise ValueError("a Matsubara pass needs at least one system")
-    if not np.all((scales > 0.0) & np.isfinite(scales)):
-        raise ValueError("scale must be positive and finite")
-    lengths = (0.5 / scales).tolist() if _lengths is None else _lengths
-    results = []
-    for running in _lockstep(mode, configs, quad, scales, lengths):
-        energies = tuple(r.energy(configs[0].n_max) for r in running)
-        results.append(energies if isinstance(mats, tuple) else energies[0])
-    return tuple(results) if isinstance(k_scale, tuple) else results[0]
-
-
 def _decay_length(stack):
     """The thinnest inner layer, across which the terms fall at least like those of
     ideal mirrors: a run of equal adjacent layers is one layer as thick as the run,
@@ -334,18 +295,15 @@ def _decay_length(stack):
     return min(runs[1:-1], default=0.0)
 
 
-def _mode_sum(stack, mode=ln_g):
-    """``(f, k_scale, decay lengths)`` of a :class:`Stack`, or of a tuple
-    of stacks, for :func:`matsubara_energy`.
+def _mode_sum(stacks, mode=ln_g):
+    """``(f, k-scales, decay lengths)`` of a tuple of stacks.
 
-    ``f(k, xi, zero_mode=None, system=None)`` is the sum over polarizations
-    of ``mode`` (ln G by default), with the zero mode taken under
-    ``zero_mode``. For a tuple, ``k_scale`` has one entry per stack and
-    ``system`` picks the stack of each row of k. Consecutive stacks with
-    equal layers form one run, whose thicknesses become (rows, 1) columns
-    that broadcast against k like xi; ``mode`` is called once per run.
+    ``f(k, xi, zero_mode, system)`` is the sum over polarizations of
+    ``mode`` on the stacks ``system`` picks for the rows of k, with the
+    zero mode taken under ``zero_mode``. Consecutive stacks with equal
+    layers form one run, whose thicknesses become (rows, 1) columns that
+    broadcast against k like xi; ``mode`` is called once per run.
     """
-    stacks = stack if isinstance(stack, tuple) else (stack,)
     if not stacks:
         raise ValueError("a Matsubara pass needs at least one stack")
     # per run: (first stack, layers, thicknesses as (inner layer, member, 1))
@@ -356,9 +314,7 @@ def _mode_sum(stack, mode=ln_g):
         run_of += [len(runs) - 1] * len(members)
     run_of = np.array(run_of)
 
-    def mode_sum(k, xi, zero_mode=None, system=None):
-        if system is None or len(stacks) == 1:  # scalar thicknesses suffice
-            return sum(mode(stacks[0], k, xi, zero_mode).values())
+    def mode_sum(k, xi, zero_mode, system):
         # _lockstep and _adaptive_rows hand over rows sorted by system, so
         # each run is one contiguous slice of k, xi and system
         run = run_of[system[:, 0]]
@@ -375,40 +331,63 @@ def _mode_sum(stack, mode=ln_g):
     # visible: the slowest decay sits at u ~ 1 and faster ones at larger u,
     # which the geometrically growing blocks always reach. The reverse
     # choice would bury large-layer structure inside the first panel.
-    scales = tuple(1.0 / (2.0 * max(s.thicknesses)) for s in stacks)
-    lengths = tuple(map(_decay_length, stacks))
-    return mode_sum, scales if isinstance(stack, tuple) else scales[0], lengths
+    scales = np.array([1.0 / (2.0 * max(s.thicknesses)) for s in stacks])
+    return mode_sum, scales, tuple(map(_decay_length, stacks))
+
+
+def matsubara_energy(stack, mats, quad=QuadratureConfig(), mode=ln_g):
+    """Finite-temperature free energy per area of a mode function of a stack.
+
+    ``mode(stack, k, xi, zero_mode)`` returns ``{polarization: values}``
+    like :func:`ln_g` (the default) and :func:`d_ln_g`, for k of shape
+    (rows, points) with xi of shape (rows, 1) and ``zero_mode=None`` at
+    n >= 1, and with the scalar xi = 0.0 and a config's ``zero_mode`` at
+    n = 0. Terms are accumulated in ascending n and summed with
+    compensation, so the result is bitwise stable for a fixed panel
+    decomposition.
+
+    ``mats`` is one :class:`MatsubaraConfig` or a tuple of configs that
+    share temperature and n_max, and ``stack`` one stack or a tuple of
+    stacks of any layers; a tuple gives a tuple of results in its order
+    (over stacks, then configs). All run in the same row-batched passes
+    (see :func:`_lockstep`), each row on its stack's k-scale, and every
+    (stack, config) keeps its own early stop: each result equals the one
+    of a separate call bit for bit. A failing row raises
+    :class:`QuadratureError` tagged with its ``matsubara_n`` and its
+    stack's index as ``system``.
+    """
+    configs = _shared_pass(mats)
+    mode_sum, scales, lengths = _mode_sum(
+        stack if isinstance(stack, tuple) else (stack,), mode)
+    results = []
+    for running in _lockstep(mode_sum, configs, quad, scales, lengths):
+        energies = tuple(r.energy(configs[0].n_max) for r in running)
+        results.append(energies if isinstance(mats, tuple) else energies[0])
+    return tuple(results) if isinstance(stack, tuple) else results[0]
 
 
 def energy_per_area_T(stack, mats, quad=QuadratureConfig()):
-    """Finite-temperature interaction free energy per unit area in J/m^2.
-
-    ``mats`` is one :class:`MatsubaraConfig`, or a tuple of configs that
-    differ only in ``zero_mode``, which gives a tuple of energies from one
-    pass over the terms n >= 1. ``stack`` is one stack, or a tuple of
-    stacks of any layers, which gives a tuple over the stacks (of tuples,
-    for a tuple of configs): the stacks are rows of the same passes (see
-    :func:`matsubara_energy`).
-    """
-    ln_g_sum, k_scale, lengths = _mode_sum(stack)
-    return matsubara_energy(ln_g_sum, mats, quad, k_scale, _lengths=lengths)
+    """Finite-temperature interaction free energy per unit area in J/m^2:
+    :func:`matsubara_energy` of ln G, for one stack or a tuple of stacks of
+    any layers, and one config or a tuple of configs that differ only in
+    ``zero_mode`` (the terms n >= 1 are integrated once)."""
+    return matsubara_energy(stack, mats, quad)
 
 
 def energy_per_area_T0(stack, quad=QuadratureConfig()):
     """Zero-temperature energy per unit area: integral over xi instead of a sum."""
-    ln_g_sum, k_scale, _ = _mode_sum(stack)
-    scales = np.array([k_scale])
+    mode_sum, scales, _ = _mode_sum((stack,))
 
     def outer(xis):
         # every xi node of an outer panel is one row of the inner k pass
         values, _, failures = _k_pass(
-            ln_g_sum, [(xis.size, xis[:, None], None)],
+            mode_sum, [(xis.size, xis[:, None], None)],
             np.zeros(xis.size, int), scales, quad)
         if failures:
             raise failures[min(failures)]
         return values
 
-    integral = semi_infinite_integral(outer, scale=c * k_scale,
+    integral = semi_infinite_integral(outer, scale=c * scales[0],
                                       rel_tol=quad.rel_tol)
     return hbar / (4.0 * math.pi ** 2) * integral
 
@@ -423,10 +402,8 @@ def normal_pressure(stack, which, mats, quad=QuadratureConfig()):
     """
     _one_config(mats, "normal_pressure")
     _require_inner(stack, which)
-    d_ln_g_sum, k_scale, lengths = _mode_sum(
-        stack, functools.partial(d_ln_g, which=which))
-    return -matsubara_energy(d_ln_g_sum, mats, quad, k_scale,
-                             _lengths=lengths).value
+    return -matsubara_energy(stack, mats, quad,
+                             functools.partial(d_ln_g, which=which)).value
 
 
 @dataclass(frozen=True)

@@ -163,9 +163,10 @@ def test_one_evaluation_per_layer_per_node(mode):
     eps = [CountingPermittivity(value) for value in (2.0, 5.0, 11.0)]
     outer, gap, plate = (Layer(e) for e in eps)
     stack = Stack((outer, gap, plate, gap, outer), (1e-7, 2e-7, 1e-7))
-    mode_sum, _, _ = lifshitz._mode_sum(stack, mode=mode)
+    mode_sum, _, _ = lifshitz._mode_sum((stack,), mode=mode)
     xi = matsubara_xi(np.arange(1, 4), 300.0)[:, None]
-    assert np.all(mode_sum(np.full((3, 22), 1e7), xi) != 0.0)
+    system = np.zeros((3, 1), int)
+    assert np.all(mode_sum(np.full((3, 22), 1e7), xi, None, system) != 0.0)
     assert [e.calls for e in eps] == [1, 1, 1]
 
 
@@ -248,11 +249,10 @@ def test_single_config_observables_reject_a_tuple(monkeypatch):
 # the stop on a geometric tail bound: truncation within 0.1 rel_tol
 
 
-def _ideal_mirror_mode(d):
-    """sum_pol ln G of ideal mirrors across a vacuum gap d."""
-    def ln_g_sum(k, xi, zero_mode=None):
-        return 2.0 * np.log1p(-np.exp(-2.0 * np.sqrt(k ** 2 + (xi / c) ** 2) * d))
-    return ln_g_sum
+def _ideal_mirror_mode(stack, k, xi, zero_mode=None):
+    """sum_pol ln G of ideal mirrors across the vacuum gap of ``stack``."""
+    d = stack.thicknesses[0]
+    return {"sum": 2.0 * np.log1p(-np.exp(-2.0 * np.sqrt(k ** 2 + (xi / c) ** 2) * d))}
 
 
 def _ideal_mirror_terms(temperature, d, n_max):
@@ -272,8 +272,8 @@ def test_stop_truncates_ideal_mirrors_within_a_tenth_of_rel_tol(d, rel_tol):
     exact = _ideal_mirror_terms(300.0, d, 6000)
     total = math.fsum(exact)
     energy = lifshitz.matsubara_energy(
-        _ideal_mirror_mode(d), MatsubaraConfig(300.0, n_max=3000),
-        QuadratureConfig(rel_tol), 1.0 / (2.0 * d))
+        Stack((MIRROR, VAC, MIRROR), (d,)), MatsubaraConfig(300.0, n_max=3000),
+        QuadratureConfig(rel_tol), _ideal_mirror_mode)
     assert energy.n_stop < 3000
     truncated = abs(math.fsum(exact[energy.n_stop + 1:]))
     assert truncated <= 0.1 * rel_tol * abs(total)
@@ -301,8 +301,8 @@ def test_tail_covers_the_ideal_mirror_tail_at_n_max():
     # terms it leaves out are 6.0e-7 of the energy
     d = 1e-7
     energy = lifshitz.matsubara_energy(
-        _ideal_mirror_mode(d), MatsubaraConfig(10.0, n_max=3000),
-        QuadratureConfig(1e-9), 1.0 / (2.0 * d))
+        Stack((MIRROR, VAC, MIRROR), (d,)), MatsubaraConfig(10.0, n_max=3000),
+        QuadratureConfig(1e-9), _ideal_mirror_mode)
     assert energy.n_stop == 3000
     exact = _ideal_mirror_terms(10.0, d, 20000)
     truncated = abs(math.fsum(exact[3001:]))
@@ -314,7 +314,7 @@ def test_no_tail_without_the_ratio_bound():
     # an inner layer with eps * mu < 1 gives no decay length: the sum stops
     # on three dead terms and reports no bound
     stack = Stack((GOLD, Layer(Constant(0.5)), GOLD), (1e-7,))
-    assert lifshitz._mode_sum(stack)[2] == (0.0,)
+    assert lifshitz._decay_length(stack) == 0.0
     energy = energy_per_area_T(stack, MatsubaraConfig(300.0, n_max=500))
     assert energy.n_stop < 500 and energy.tail is None
     largest = max(map(abs, energy.terms))

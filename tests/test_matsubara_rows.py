@@ -109,6 +109,8 @@ def test_panels_five_layer_gold_energy(monkeypatch):
 # synthetic mode functions: ln G = -A(n) exp(-k), so term n = -pref * A(n)
 
 QUAD = QuadratureConfig(rel_tol=1e-9)
+# k-scale 1 and decay length 0.5; the synthetic modes ignore its materials
+SYNTHETIC = Stack((GOLD, VAC, GOLD), (0.5,))
 
 
 @pytest.fixture
@@ -125,34 +127,35 @@ def _decaying(n):
 
 
 def _synthetic(amplitude, kinked=()):
-    """ln_g_sum with term amplitudes A(n); rows in ``kinked`` get a kink
+    """A mode with term amplitudes A(n); rows in ``kinked`` get a kink
     that no 16-panel budget resolves to rel_tol = 1e-9."""
 
-    def ln_g_sum(k, xi, zero_mode=None):
+    def mode(stack, k, xi, zero_mode=None):
         if np.ndim(xi) == 0:   # the zero mode
-            return _zero(k)
+            return {"sum": _zero(k)}
         n = np.rint(xi / XI1)
         smooth = -amplitude(n) * np.exp(-k)
         kink = np.abs(k - 1.0 / 3.0) ** 0.51 * np.exp(-k)
-        return np.where(np.isin(n, kinked), kink, smooth)
+        return {"sum": np.where(np.isin(n, kinked), kink, smooth)}
 
-    return ln_g_sum
+    return mode
 
 
 def _zero(k):
     return -np.exp(-k)
 
 
-def _alone(ln_g_sum, n):
+def _alone(mode, n):
     """Term n integrated on its own, as the term-by-term sum did."""
     xi = np.array([[matsubara_xi(n, T)]])
     return PREF * semi_infinite_integral(
-        lambda k: k * ln_g_sum(k[None, :], xi)[0], rel_tol=QUAD.rel_tol)
+        lambda k: k * mode(SYNTHETIC, k[None, :], xi)["sum"][0],
+        rel_tol=QUAD.rel_tol)
 
 
-def _energy(ln_g_sum, n_max=100):
-    return matsubara_energy(ln_g_sum, MatsubaraConfig(T, n_max=n_max), QUAD,
-                            1.0)
+def _energy(mode, n_max=100):
+    return matsubara_energy(SYNTHETIC, MatsubaraConfig(T, n_max=n_max), QUAD,
+                            mode)
 
 
 @pytest.mark.usefixtures("budget16")
@@ -188,14 +191,14 @@ def test_failing_row_past_the_stop_is_discarded(monkeypatch):
 
 @pytest.mark.usefixtures("budget16")
 def test_lowest_failing_row_before_the_stop_raises():
-    ln_g_sum = _synthetic(_decaying, kinked=(10, 20))
+    mode = _synthetic(_decaying, kinked=(10, 20))
     with pytest.raises(QuadratureError) as info:
-        _energy(ln_g_sum)
+        _energy(mode)
     err = info.value
     assert err.matsubara_n == 10
     assert "n=10" in str(err)
     with pytest.raises(QuadratureError) as alone:
-        _alone(ln_g_sum, 10)
+        _alone(mode, 10)
     # the estimates carry the pref-free k-integral of row 10 alone
     assert err.last_estimate == pytest.approx(alone.value.last_estimate,
                                               rel=1e-13)
@@ -224,8 +227,8 @@ def _sign_changing_sum(case, rel_tol):
     quad = QuadratureConfig(rel_tol)
     if case == "synthetic":
         return matsubara_energy(
-            _synthetic(lambda n: (n - 4.5) * np.exp(-0.5 * n)),
-            MatsubaraConfig(T, n_max=400), quad, 1.0)
+            SYNTHETIC, MatsubaraConfig(T, n_max=400), quad,
+            _synthetic(lambda n: (n - 4.5) * np.exp(-0.5 * n)))
     if case == "magnetic":
         stack = Stack((MAGNETIC, VAC, GOLD), (1e-7,))
         return energy_per_area_T(stack, MatsubaraConfig(T, n_max=400), quad)
@@ -392,12 +395,13 @@ _ZERO_AMPLITUDE = {DrudeLike(): 2e6, FromModel(): 1.0}
 
 
 def _two_stops(kinked=()):
-    ln_g_sum = _synthetic(_decaying, kinked)
+    mode = _synthetic(_decaying, kinked)
 
-    def with_zero_modes(k, xi, zero_mode=None):
+    def with_zero_modes(stack, k, xi, zero_mode=None):
+        values = mode(stack, k, xi)["sum"]
         if np.ndim(xi) == 0:
-            return _ZERO_AMPLITUDE[zero_mode] * ln_g_sum(k, xi)
-        return ln_g_sum(k, xi)
+            return {"sum": _ZERO_AMPLITUDE[zero_mode] * values}
+        return {"sum": values}
 
     return with_zero_modes
 
@@ -406,19 +410,19 @@ def _two_stops(kinked=()):
 def test_configs_with_different_stops(monkeypatch):
     early = MatsubaraConfig(T, n_max=100, zero_mode=DrudeLike())
     late = MatsubaraConfig(T, n_max=100, zero_mode=FromModel())
-    both = matsubara_energy(_two_stops(), (early, late), QUAD, 1.0)
+    both = matsubara_energy(SYNTHETIC, (early, late), QUAD, _two_stops())
     assert [e.n_stop for e in both] == [11, 25]
     for mats, energy in zip((early, late), both):
-        assert energy == matsubara_energy(_two_stops(), mats, QUAD, 1.0)
+        assert energy == matsubara_energy(SYNTHETIC, mats, QUAD, _two_stops())
         _assert_padding(energy, 100)
     assert both[0].terms[1:12] == both[1].terms[1:12]
     # the later stop drives the passes: the pair integrates the rows n >= 1
     # of the later config alone once, with one more n = 0 row
     sizes = _row_counter(monkeypatch)
-    matsubara_energy(_two_stops(), late, QUAD, 1.0)
+    matsubara_energy(SYNTHETIC, late, QUAD, _two_stops())
     alone = list(sizes)
     sizes.clear()
-    matsubara_energy(_two_stops(), (early, late), QUAD, 1.0)
+    matsubara_energy(SYNTHETIC, (early, late), QUAD, _two_stops())
     assert sizes == [alone[0] + 1] + alone[1:]
     assert sum(alone) - 1 >= 25
 
@@ -428,11 +432,11 @@ def test_failing_row_between_the_stops_raises_for_the_later_config():
     early = MatsubaraConfig(T, n_max=100, zero_mode=DrudeLike())
     late = MatsubaraConfig(T, n_max=100, zero_mode=FromModel())
     kinked = _two_stops(kinked=(20,))
-    clean = matsubara_energy(_two_stops(), early, QUAD, 1.0)
-    assert matsubara_energy(kinked, early, QUAD, 1.0) == clean
+    clean = matsubara_energy(SYNTHETIC, early, QUAD, _two_stops())
+    assert matsubara_energy(SYNTHETIC, early, QUAD, kinked) == clean
     for mats in (late, (early, late), (late, early)):
         with pytest.raises(QuadratureError) as info:
-            matsubara_energy(kinked, mats, QUAD, 1.0)
+            matsubara_energy(SYNTHETIC, mats, QUAD, kinked)
         assert info.value.matsubara_n == 20
 
 
@@ -614,7 +618,7 @@ def test_one_mode_call_per_run_of_equal_layers():
     system = np.array([0, 0, 1, 2, 3, 3, 4])[:, None]
     k = np.linspace(1e6, 3e7, 22) * np.ones((system.size, 1))
     xi = matsubara_xi(np.arange(1, system.size + 1), T)[:, None]
-    together = mode_sum(k, xi, system=system)
+    together = mode_sum(k, xi, None, system)
     # runs: stack 0, stack 1, stacks 2 and 3 (equal layers), stack 4
     assert [(len(layers), rows) for layers, rows in calls] == \
         [(3, 2), (5, 1), (3, 3), (7, 1)]
@@ -636,35 +640,25 @@ def test_bad_separations_or_layers_raise_before_any_integral(monkeypatch):
         energy_per_area_T((), mats)
 
 
-@pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
-def test_bad_k_scale_raises_before_any_integral(monkeypatch, scale):
-    def no_integrals(*args, **kwargs):
-        raise AssertionError("an integral ran")
-
-    monkeypatch.setattr(lifshitz, "semi_infinite_rows", no_integrals)
-    for k_scale in (scale, (1.0, scale)):
-        with pytest.raises(ValueError, match="scale must be positive"):
-            matsubara_energy(_synthetic(_decaying), MatsubaraConfig(T), QUAD,
-                             k_scale)
-
-
 @pytest.mark.usefixtures("budget16")
 def test_failing_row_names_its_system():
-    # system 1 gets a kink at n = 10 that the 16-panel budget cannot resolve
-    ln_g_sum = _synthetic(_decaying)
+    # system 1 gets a kink at n = 10 that the 16-panel budget cannot resolve;
+    # its other outer layer leaves k-scale and decay length as SYNTHETIC's
+    other = Stack((GOLD, VAC, MAGNETIC), (0.5,))
+    clean = _synthetic(_decaying)
     kinked = _synthetic(_decaying, kinked=(10,))
 
-    def two_systems(k, xi, zero_mode, system):
-        return np.where(system == 1, kinked(k, xi, zero_mode),
-                        ln_g_sum(k, xi, zero_mode))
+    def two_systems(stack, k, xi, zero_mode=None):
+        mode = kinked if stack.layers == other.layers else clean
+        return mode(stack, k, xi, zero_mode)
 
     mats = MatsubaraConfig(T, n_max=100)
     with pytest.raises(QuadratureError) as info:
-        matsubara_energy(two_systems, mats, QUAD, (1.0, 1.0))
+        matsubara_energy((SYNTHETIC, other), mats, QUAD, two_systems)
     assert (info.value.matsubara_n, info.value.system) == (10, 1)
     assert "n=10" in str(info.value)
     with pytest.raises(QuadratureError) as alone:
-        matsubara_energy(kinked, mats, QUAD, 1.0)
+        matsubara_energy(SYNTHETIC, mats, QUAD, kinked)
     assert info.value.last_estimate == alone.value.last_estimate
 
 
