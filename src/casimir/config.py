@@ -31,7 +31,9 @@ class RunConfig(configparser.ConfigParser):
     def __init__(self, path):
         super().__init__(interpolation=None)
         self.base_dir = os.path.dirname(os.path.abspath(path))
-        self.read(path, encoding="utf-8")
+        # read() would skip a path it cannot open, such as a directory
+        with open(path, encoding="utf-8") as fh:
+            self.read_file(fh)
 
     def resolve(self, path):
         return os.path.join(self.base_dir, path)
@@ -44,14 +46,6 @@ def read_config(path):
         return RunConfig(path)
     except configparser.Error as err:
         raise ConfigError(f"{path}: {err}") from err
-
-
-def _checked(build, *args, **kwargs):
-    """``build(*args, **kwargs)``, with its ValueError raised as a ConfigError."""
-    try:
-        return build(*args, **kwargs)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
 
 
 def get(cfg, section, key, cast=str, default=_REQUIRED):
@@ -106,8 +100,8 @@ def build_layer(cfg, name):
 def build_stack(cfg):
     layers = tuple(build_layer(cfg, get(cfg, "stack", f"layer{i}", str))
                    for i in range(1, 6))
-    return _checked(FiveLayerStack, layers,
-                    *(get(cfg, "stack", f"d{i}_m", float) for i in (2, 3, 4)))
+    return FiveLayerStack(layers,
+                          *(get(cfg, "stack", f"d{i}_m", float) for i in (2, 3, 4)))
 
 
 def resolve_zero_mode(name, cfg, candidate_layers):
@@ -138,7 +132,7 @@ def matsubara_grid(cfg, n_max_override=None, temperature_override=None):
         else get(cfg, "matsubara", "temperature_k", float, 300.0)
     n_max = n_max_override if n_max_override is not None \
         else get(cfg, "matsubara", "n_max", int, 500)
-    return _checked(MatsubaraConfig, temperature, n_max=n_max)
+    return MatsubaraConfig(temperature, n_max=n_max)
 
 
 def build_matsubara(cfg, candidate_layers, zero_mode_override=None,
@@ -151,5 +145,5 @@ def build_matsubara(cfg, candidate_layers, zero_mode_override=None,
 
 
 def build_quadrature(cfg, default_rel_tol=1e-9):
-    return _checked(QuadratureConfig,
-                    get(cfg, "quadrature", "rel_tol", float, default_rel_tol))
+    return QuadratureConfig(get(cfg, "quadrature", "rel_tol", float,
+                                default_rel_tol))

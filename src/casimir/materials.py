@@ -522,9 +522,7 @@ def _data_band_integral(table, xi, rel_tol):
     segment. Each xi gets its one-xi result bit for bit.
     """
     xis = np.atleast_1d(np.asarray(xi, dtype=float))
-    # Python's float power (libm pow), as the one-xi code squared xi:
-    # numpy's square rounds ~0.1% of arguments the other way
-    xi2 = np.array([x ** 2 for x in xis.tolist()])
+    xi2 = xis * xis
     band = table._kk_band
     chunk = max(1, _BAND_SCRATCH // band[4].nbytes)
     scratch = np.empty(min(chunk, xis.size) * band[4].size)

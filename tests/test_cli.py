@@ -12,7 +12,8 @@ import pytest
 import casimir.cli as cli
 from casimir import lifshitz, quadrature
 from casimir.cli import main
-from casimir.materials import ev_to_radps
+from casimir.config import build_layer, read_config
+from casimir.materials import Permeability, Vacuum, ev_to_radps
 from casimir.quadrature import QuadratureError
 
 # the module: casimir.torque, as an attribute of casimir, is the function
@@ -316,6 +317,17 @@ def test_force_sweep_zero_mode_override(tmp_path):
     meta, columns, _ = read_table(out)
     assert columns == ["d_m", "force_gold_drude_n_per_m"]
     assert meta["n_max"] == "40"
+
+
+def test_force_sweep_linear_spacing(tmp_path):
+    cfg = force_cfg(tmp_path, force_extra="spacing = linear")
+    out = tmp_path / "f.csv"
+    assert main(["force-sweep", "--config", cfg, "--out", str(out),
+                 "--zero-mode", "drude"]) == 0
+    meta, columns, rows = read_table(out)
+    assert meta["spacing"] == "linear"
+    assert column(rows, columns, "d_m", str) == [
+        cli._fmt(d) for d in np.linspace(1e-7, 1e-6, 3).tolist()]
 
 
 def test_force_sweep_identical_media_zero(tmp_path):
@@ -681,6 +693,65 @@ def test_missing_section(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[matsubara]\nn_max = 5\n")
     assert main(["eps-table", "--config", cfg]) == 1
     assert "missing config section [eps_table]" in capsys.readouterr().err
+
+
+def test_config_that_is_a_directory_is_named(tmp_path, capsys):
+    assert main(["convergence", "--config", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+    assert "missing config section" not in err
+
+
+# one config that every key below breaks for the command named with it
+LIBRARY_CHECKED = GOLD_SECTION + """
+        [stack]
+        layer1 = gold
+        layer2 = vacuum
+        layer3 = gold
+        layer4 = vacuum
+        layer5 = gold
+        d2_m = 2e-7
+        d3_m = 2e-7
+        d4_m = 2e-7
+
+        [force]
+        material = gold
+        d_min_m = 1e-7
+        d_max_m = 1e-6
+        points = 3
+
+        [matsubara]
+        n_max = 80
+
+        [quadrature]
+        rel_tol = 1e-7
+"""
+
+
+@pytest.mark.usefixtures("no_sums")
+@pytest.mark.parametrize("command, key, value, message", [
+    ("convergence", "d2_m", "-1e-7",
+     "d2 must be positive and finite, got -1e-07"),
+    ("force-sweep", "n_max", "0", "n_max must be at least 1"),
+    ("force-sweep", "rel_tol", "0", "rel_tol must lie in (0, 1e-3]"),
+], ids=["d2_m", "n_max", "rel_tol"])
+def test_library_checks_of_config_values_exit_1(tmp_path, capsys, command,
+                                                key, value, message):
+    # the stack and config classes check these values; main reports them
+    cfg = write_cfg(tmp_path, re.sub(rf"{key} = \S+", f"{key} = {value}",
+                                     LIBRARY_CHECKED))
+    assert main([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_vacuum_section_keeps_its_mu(tmp_path):
+    cfg = read_config(write_cfg(tmp_path, """
+        [material.magnetic_gap]
+        model = vacuum
+        mu = 2.5
+    """))
+    layer = build_layer(cfg, "magnetic_gap")
+    assert layer.eps == Vacuum() and layer.mu == Permeability(2.5)
 
 
 def test_unknown_material(tmp_path, capsys):

@@ -211,11 +211,12 @@ def _band_reference(table, xi, rel_tol):
     then, if their summed error misses the tolerance, each segment on its own
     engine row over t in [0, 1], to an equal share of the tolerance."""
     w, e2 = table.omegas, np.maximum(table.eps2, 1e-300)
+    xi2 = float(xi) * float(xi)   # as the band squares xi
     s = np.diff(np.log(e2)) / np.diff(np.log(w))
     half = 0.5 * np.diff(w)
     x = 0.5 * (w[:-1] + w[1:])[:, None] + half[:, None] * quadrature._K15_X
     y = (e2[:-1, None] * (x / w[:-1, None]) ** s[:, None] * x
-         / (x ** 2 + float(xi) ** 2))
+         / (x ** 2 + xi2))
     k15 = half * (y @ quadrature._K15_W)
     err = np.abs(k15 - half * (y[:, 1::2] @ quadrature._G7_W))
     total = float(np.sum(k15))
@@ -229,7 +230,7 @@ def _band_reference(table, xi, rel_tol):
 
         def f(t, rows):
             x = a + width * t
-            return width * e_ref * (x / a) ** p * x / (x ** 2 + float(xi) ** 2)
+            return width * e_ref * (x / a) ** p * x / (x ** 2 + xi2)
 
         value, _, failures = quadrature._adaptive_rows(
             f, 0.0, 1.0, np.arange(1), 0.0, max(tol / s.size, 1e-280))
@@ -319,7 +320,7 @@ def test_kk_data_band_matches_segment_formula_bitwise():
     half = 0.5 * (w[1:] - w[:-1])
     x = 0.5 * (w[:-1] + w[1:])[:, None] + half[:, None] * quadrature._K15_X
     for xi in ev_to_radps(np.geomspace(1e-3, 1e4, 8)):
-        y = e2[:-1, None] * (x / w[:-1, None]) ** s * x / (x ** 2 + xi ** 2)
+        y = e2[:-1, None] * (x / w[:-1, None]) ** s * x / (x ** 2 + xi * xi)
         reference = float(np.sum(half * (y @ quadrature._K15_W)))
         assert materials._data_band_integral(tab, float(xi), 1e-6) == reference
 
