@@ -251,8 +251,8 @@ def test_single_config_observables_reject_a_tuple(monkeypatch):
 
 def _ideal_mirror_mode(stack, k, xi, zero_mode=None):
     """sum_pol ln G of ideal mirrors across the vacuum gap of ``stack``."""
-    d = stack.thicknesses[0]
-    return {"sum": 2.0 * np.log1p(-np.exp(-2.0 * np.sqrt(k ** 2 + (xi / c) ** 2) * d))}
+    kappa = np.sqrt(k ** 2 + (xi / c) ** 2)
+    return {"sum": 2.0 * np.log1p(-np.exp(-2.0 * kappa * stack.thicknesses[0]))}
 
 
 def _ideal_mirror_terms(temperature, d, n_max):
