@@ -114,26 +114,48 @@ def k_integral(f, quad, scale=1.0):
     return semi_infinite_integral(f, scale=scale, rel_tol=quad.rel_tol)
 
 
-def _k_pass(mode, parts, system, scales, quad):
-    """:func:`semi_infinite_rows` of ``k * mode`` for the rows ``system``
-    (indices into ``scales``), each on the k-scale of its system. ``parts``
-    are consecutive ranges ``(end row, xi, zero_mode)`` of the rows, each
-    one ``mode(k, xi, zero_mode, system column)`` call; ``xi`` is one value
-    or a (rows, 1) column."""
-    column = system[:, None]
-    ends = [end for end, _, _ in parts]
+def _k_scale(stack):
+    # Rescaling by the largest thickness keeps structure from every layer
+    # visible: the slowest decay sits at u ~ 1 and faster ones at larger u,
+    # which the geometrically growing blocks always reach. The reverse
+    # choice would bury large-layer structure inside the first panel.
+    return 1.0 / (2.0 * max(stack.thicknesses))
+
+
+def _k_pass(mode, stacks, system, xi, zero, zero_modes, quad):
+    """:func:`semi_infinite_rows` of k times ``mode`` summed over polarizations:
+    row r on ``stacks[system[r]]`` at ``xi[r]`` or, where ``zero[r] >= 0``, at
+    xi = 0 under ``zero_modes[zero[r]]``, each on its stack's k-scale. Consecutive
+    stacks with equal layers form one run, whose thicknesses become (rows, 1)
+    columns that broadcast against k like xi; an integrand call makes one
+    ``mode`` call per run and zero mode of its rows."""
+    # per run: (first stack, layers, thicknesses as (inner layer, member, 1))
+    runs, run_of = [], []
+    for layers, group in itertools.groupby(stacks, key=lambda s: s.layers):
+        members = np.array([s.thicknesses for s in group], dtype=float)
+        runs.append((len(run_of), layers, members.T[..., None]))
+        run_of += [len(runs) - 1] * len(members)
+    run = np.array(run_of)[system]
+    # one key per (run, zero mode or none): the rows of a key are one call
+    key = run * (len(zero_modes) + 1) + zero + 1
+    column = xi[:, None]
 
     def f(k, rows):
-        # rows arrive ascending, so each range is one contiguous slice
-        cuts = [0] + np.searchsorted(rows, ends).tolist()
-        out = [k[a:b] * mode(k[a:b], xi if np.ndim(xi) == 0 else xi[rows[a:b]],
-                             zero_mode, column[rows[a:b]])
-               for (_, xi, zero_mode), a, b in zip(parts, cuts, cuts[1:])
-               if b > a]
+        # _lockstep orders its rows by config, then by stack, so the
+        # rows of a key are one contiguous slice of the ascending rows
+        edges = [0, *(np.flatnonzero(np.diff(key[rows])) + 1).tolist(), rows.size]
+        out = []
+        for a, b in zip(edges, edges[1:]):
+            at, z = rows[a:b], zero[rows[a]]
+            first, layers, thickness = runs[run[at[0]]]
+            # the member stacks were checked when they were built
+            members = Stack._unchecked(layers, thickness[:, system[at] - first])
+            at_xi, zero_mode = (0.0, zero_modes[z]) if z >= 0 else (column[at], None)
+            out.append(k[a:b] * sum(mode(members, k[a:b], at_xi, zero_mode).values()))
         return out[0] if len(out) == 1 else np.concatenate(out)
 
-    return semi_infinite_rows(f, system.size, scale=scales[system],
-                              rel_tol=quad.rel_tol)
+    scales = np.array([_k_scale(s) for s in stacks])[system]
+    return semi_infinite_rows(f, system.size, scale=scales, rel_tol=quad.rel_tol)
 
 
 def _tagged(err, n, system):
@@ -230,22 +252,29 @@ def _batch(length, xi1, n_done, rel_tol):
     return max(predicted - n_done, n_done, 1)
 
 
-def _lockstep(mode, configs, quad, scales, lengths):
-    """``[[_RunningSum per config] per system]`` of the systems of ``scales``.
+def _lockstep(mode, stacks, configs, quad):
+    """``[[_RunningSum per config] per stack]`` of ``mode`` on ``stacks``.
 
-    The first pass holds the n = 0 rows of every config (config by config,
-    each by system), then each system's first :func:`_batch` of indices
-    n >= 1; later passes the next batch of each system that has not
-    stopped. The rows n >= 1 of a pass are sorted by system, then by n.
-    The quadrature engine bounds the rows of each integrand call.
+    Each pass is one :func:`_k_pass` of ``matsubara_xi(ns, T)`` with the
+    stack index of every row and its index into ``configs`` for its zero
+    mode, -1 for n >= 1. The first pass holds the n = 0 rows of every
+    config (config by config, each by stack), then each stack's first
+    :func:`_batch` of indices n >= 1; later passes the next batch of each
+    stack that has not stopped. The rows n >= 1 of a pass are sorted by
+    stack, then by n. The quadrature engine bounds the rows of each
+    integrand call.
     """
+    if not stacks:
+        raise ValueError("a Matsubara pass needs at least one stack")
     mats = configs[0]
     xi1 = matsubara_xi(1, mats.temperature)
     pref = k_B * mats.temperature / (2.0 * math.pi)
-    sums = [[] for _ in range(scales.size)]
+    lengths = [_decay_length(s) for s in stacks]
+    zero_modes = tuple(cfg.zero_mode for cfg in configs)
+    sums = [[] for _ in stacks]
     live = dict(enumerate(sums))      # running sums before their stop
-    done = dict.fromkeys(live, 0)     # last index integrated per system
-    zero = np.tile(np.arange(scales.size), len(configs))   # n = 0 rows
+    done = dict.fromkeys(live, 0)     # last index integrated per stack
+    zero = np.tile(np.arange(len(stacks)), len(configs))   # n = 0 rows
     while live:
         batches = []
         for s in live:
@@ -253,11 +282,10 @@ def _lockstep(mode, configs, quad, scales, lengths):
             batches.append((s, range(done[s] + 1, done[s] + 1 + size)))
         system = np.concatenate([zero] + [[s] * len(b) for s, b in batches])
         ns = np.concatenate([0 * zero] + [b for _, b in batches])
-        parts = [((i + 1) * scales.size, 0.0, cfg.zero_mode)
-                 for i, cfg in enumerate(configs) if zero.size]
-        xi = matsubara_xi(ns, mats.temperature)[:, None]
+        config = np.where(ns == 0, np.arange(ns.size) // len(stacks), -1)
         values, panels, failures = _k_pass(
-            mode, parts + [(ns.size, xi, None)], system, scales, quad)
+            mode, stacks, system, matsubara_xi(ns, mats.temperature), config,
+            zero_modes, quad)
         values, panels = values.tolist(), panels.tolist()
         if failures and min(failures) < zero.size:
             row = min(failures)
@@ -295,46 +323,6 @@ def _decay_length(stack):
     return min(runs[1:-1], default=0.0)
 
 
-def _mode_sum(stacks, mode=ln_g):
-    """``(f, k-scales, decay lengths)`` of a tuple of stacks.
-
-    ``f(k, xi, zero_mode, system)`` is the sum over polarizations of
-    ``mode`` on the stacks ``system`` picks for the rows of k, with the
-    zero mode taken under ``zero_mode``. Consecutive stacks with equal
-    layers form one run, whose thicknesses become (rows, 1) columns that
-    broadcast against k like xi; ``mode`` is called once per run.
-    """
-    if not stacks:
-        raise ValueError("a Matsubara pass needs at least one stack")
-    # per run: (first stack, layers, thicknesses as (inner layer, member, 1))
-    runs, run_of = [], []
-    for layers, group in itertools.groupby(stacks, key=lambda s: s.layers):
-        members = np.array([s.thicknesses for s in group], dtype=float)
-        runs.append((len(run_of), layers, members.T[..., None]))
-        run_of += [len(runs) - 1] * len(members)
-    run_of = np.array(run_of)
-
-    def mode_sum(k, xi, zero_mode, system):
-        # _lockstep and _adaptive_rows hand over rows sorted by system, so
-        # each run is one contiguous slice of k, xi and system
-        run = run_of[system[:, 0]]
-        edges = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), run.size]
-        parts = []
-        for a, b in zip(edges, edges[1:]):
-            first, layers, thickness = runs[run[a]]
-            # the member stacks were checked when they were built
-            rows = Stack._unchecked(layers, thickness[:, system[a:b, 0] - first])
-            parts.append(sum(mode(rows, k[a:b], xi if np.ndim(xi) == 0
-                                  else xi[a:b], zero_mode).values()))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-    # Rescaling by the largest thickness keeps structure from every layer
-    # visible: the slowest decay sits at u ~ 1 and faster ones at larger u,
-    # which the geometrically growing blocks always reach. The reverse
-    # choice would bury large-layer structure inside the first panel.
-    scales = np.array([1.0 / (2.0 * max(s.thicknesses)) for s in stacks])
-    return mode_sum, scales, tuple(map(_decay_length, stacks))
-
-
 def matsubara_energy(stack, mats, quad=QuadratureConfig(), mode=ln_g):
     """Finite-temperature free energy per area of a mode function of a stack.
 
@@ -357,10 +345,9 @@ def matsubara_energy(stack, mats, quad=QuadratureConfig(), mode=ln_g):
     stack's index as ``system``.
     """
     configs = _shared_pass(mats)
-    mode_sum, scales, lengths = _mode_sum(
-        stack if isinstance(stack, tuple) else (stack,), mode)
+    stacks = stack if isinstance(stack, tuple) else (stack,)
     results = []
-    for running in _lockstep(mode_sum, configs, quad, scales, lengths):
+    for running in _lockstep(mode, stacks, configs, quad):
         energies = tuple(r.energy(configs[0].n_max) for r in running)
         results.append(energies if isinstance(mats, tuple) else energies[0])
     return tuple(results) if isinstance(stack, tuple) else results[0]
@@ -376,18 +363,15 @@ def energy_per_area_T(stack, mats, quad=QuadratureConfig()):
 
 def energy_per_area_T0(stack, quad=QuadratureConfig()):
     """Zero-temperature energy per unit area: integral over xi instead of a sum."""
-    mode_sum, scales, _ = _mode_sum((stack,))
-
     def outer(xis):
         # every xi node of an outer panel is one row of the inner k pass
-        values, _, failures = _k_pass(
-            mode_sum, [(xis.size, xis[:, None], None)],
-            np.zeros(xis.size, int), scales, quad)
+        values, _, failures = _k_pass(ln_g, (stack,), np.zeros(xis.size, int),
+                                      xis, np.full(xis.size, -1), (), quad)
         if failures:
             raise failures[min(failures)]
         return values
 
-    integral = semi_infinite_integral(outer, scale=c * scales[0],
+    integral = semi_infinite_integral(outer, scale=c * _k_scale(stack),
                                       rel_tol=quad.rel_tol)
     return hbar / (4.0 * math.pi ** 2) * integral
 

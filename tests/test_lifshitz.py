@@ -82,6 +82,25 @@ def test_t0_scaling():
     assert e2 / e1 == pytest.approx(8.0, rel=2e-3)
 
 
+def test_t0_failing_k_row_raises(monkeypatch):
+    # a k row of an inner pass that runs out of panels fails the T = 0
+    # energy with that row's own error
+    failures = []
+    k_pass = lifshitz._k_pass
+
+    def recorded(*args):
+        result = k_pass(*args)
+        failures.extend(result[2].values())
+        return result
+
+    monkeypatch.setattr(lifshitz, "_k_pass", recorded)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 3)
+    with pytest.raises(QuadratureError) as info:
+        energy_per_area_T0(Stack((GOLD, VAC, GOLD), (1e-7,)))
+    assert any(info.value is err for err in failures)
+    assert "within 3 panels" in str(info.value)
+
+
 def test_finite_temperature_ideal_mirrors_regression():
     # frozen after first computation; n_max=2000 reproduced it bit-for-bit
     mats = MatsubaraConfig(300.0, n_max=500, zero_mode=FromModel())
@@ -158,15 +177,19 @@ class CountingPermittivity:
 
 @pytest.mark.parametrize("mode", [ln_g, functools.partial(d_ln_g, which=3)],
                          ids=["ln_g", "d_ln_g"])
-def test_one_evaluation_per_layer_per_node(mode):
+def test_one_evaluation_per_layer_per_node(monkeypatch, mode):
     # both polarizations come from one evaluation of each distinct layer
     eps = [CountingPermittivity(value) for value in (2.0, 5.0, 11.0)]
     outer, gap, plate = (Layer(e) for e in eps)
     stack = Stack((outer, gap, plate, gap, outer), (1e-7, 2e-7, 1e-7))
-    mode_sum, _, _ = lifshitz._mode_sum((stack,), mode=mode)
-    xi = matsubara_xi(np.arange(1, 4), 300.0)[:, None]
-    system = np.zeros((3, 1), int)
-    assert np.all(mode_sum(np.full((3, 22), 1e7), xi, None, system) != 0.0)
+    # the k pass makes one integrand call on all of its rows
+    monkeypatch.setattr(lifshitz, "semi_infinite_rows",
+                        lambda f, n_rows, **_: f(np.full((n_rows, 22), 1e7),
+                                                 np.arange(n_rows)))
+    xi = matsubara_xi(np.arange(1, 4), 300.0)
+    values = lifshitz._k_pass(mode, (stack,), np.zeros(3, int), xi,
+                              np.full(3, -1), (), QuadratureConfig())
+    assert values.shape == (3, 22) and np.all(values != 0.0)
     assert [e.calls for e in eps] == [1, 1, 1]
 
 

@@ -74,8 +74,8 @@ def test_tangential_points_with_equal_inner_layers_merged(monkeypatch):
     # the retracted stack gold | 3 x 200 nm vacuum | gold predicts its stop
     # from one 600 nm gap, not from a 200 nm layer
     stack = FiveLayerStack((GOLD, VAC, GOLD, VAC, GOLD), 2e-7, 2e-7, 2e-7)
-    _, _, lengths = lifshitz._mode_sum((stack, retracted_stack(stack)))
-    assert lengths == (2e-7, 6e-7)
+    lengths = [lifshitz._decay_length(s) for s in (stack, retracted_stack(stack))]
+    assert lengths == [2e-7, 6e-7]
     points = _counted(monkeypatch)
     tangential_force_general(stack, MatsubaraConfig(T, n_max=500,
                                                     zero_mode=DrudeLike()))
@@ -577,9 +577,9 @@ def test_zero_rows_past_the_row_cap_split_into_groups(monkeypatch):
     zeros = []   # rows n = 0 of every pass
     k_pass = lifshitz._k_pass
 
-    def counted(mode, parts, system, *args):
-        zeros.append(parts[-2][0] if len(parts) > 1 else 0)
-        return k_pass(mode, parts, system, *args)
+    def counted(mode, stacks, system, xi, zero, *args):
+        zeros.append(int(np.count_nonzero(zero >= 0)))
+        return k_pass(mode, stacks, system, xi, zero, *args)
 
     monkeypatch.setattr(lifshitz, "_k_pass", counted)
     sizes = _rows_per_call(monkeypatch)
@@ -605,26 +605,36 @@ def test_batch_sizes_never_change_a_result(monkeypatch, batch):
     assert len(sizes) == (stops if batch == "one_index" else 1)
 
 
-def test_one_mode_call_per_run_of_equal_layers():
+def test_one_mode_call_per_run_of_equal_layers(monkeypatch):
     stacks = _mixed_stacks()
     calls = []
 
     def counted(stack, k, xi, zero_mode=None):
-        calls.append((stack.layers, k.shape[0]))
+        calls.append((len(stack.layers), k.shape[0], zero_mode))
         return ln_g(stack, k, xi, zero_mode)
 
-    mode_sum, scales, lengths = lifshitz._mode_sum(stacks, mode=counted)
-    assert len(scales) == len(lengths) == len(stacks)
-    system = np.array([0, 0, 1, 2, 3, 3, 4])[:, None]
-    k = np.linspace(1e6, 3e7, 22) * np.ones((system.size, 1))
-    xi = matsubara_xi(np.arange(1, system.size + 1), T)[:, None]
-    together = mode_sum(k, xi, None, system)
-    # runs: stack 0, stack 1, stacks 2 and 3 (equal layers), stack 4
-    assert [(len(layers), rows) for layers, rows in calls] == \
-        [(3, 2), (5, 1), (3, 3), (7, 1)]
-    for row, s in enumerate(system[:, 0].tolist()):
-        alone = sum(ln_g(stacks[s], k[row:row + 1], xi[row:row + 1]).values())
-        assert np.array_equal(together[row:row + 1], alone)
+    k = np.linspace(1e6, 3e7, 22)
+    # the k pass makes one integrand call on all of its rows
+    monkeypatch.setattr(lifshitz, "semi_infinite_rows",
+                        lambda f, n_rows, **_: f(k * np.ones((n_rows, 1)),
+                                                 np.arange(n_rows)))
+    modes = (DrudeLike(), PlasmaLike(WP))
+    # rows n = 0 of one config on stacks 0, 2 and 3 and of another on
+    # stack 0, then rows n >= 1; the last row n = 0 and the first row
+    # n >= 1 are in runs next to each other
+    system = np.array([0, 2, 3, 0, 1, 1, 2, 3, 3, 4])
+    zero = np.array([0, 0, 0, 1] + [-1] * 6)
+    xi = matsubara_xi(np.maximum(np.arange(system.size) - 3, 0), T)
+    together = lifshitz._k_pass(counted, stacks, system, xi, zero, modes,
+                                QuadratureConfig())
+    # runs: stack 0, stack 1, stacks 2 and 3 (equal layers), stack 4; one
+    # call per run and zero mode, the rows n >= 1 with no zero mode
+    assert calls == [(3, 1, modes[0]), (3, 2, modes[0]), (3, 1, modes[1]),
+                     (5, 2, None), (3, 3, None), (7, 1, None)]
+    for row, (s, z) in enumerate(zip(system.tolist(), zero.tolist())):
+        at = (0.0, modes[z]) if z >= 0 else (xi[row:row + 1, None], None)
+        alone = sum(ln_g(stacks[s], k[None], *at).values())
+        assert np.array_equal(together[row:row + 1], k * alone)
 
 
 def test_bad_separations_or_layers_raise_before_any_integral(monkeypatch):
