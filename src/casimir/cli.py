@@ -276,8 +276,9 @@ def cmd_convergence(args):
     if min(d2, d4) > _MAX_GAP:
         _warn(f"min(d2, d4) = {min(d2, d4):g} m exceeds "
               f"{_MAX_GAP:g} m; boundary corrections may not be negligible")
-    raw = get(cfg, "convergence", "checkpoints", str, "100,500")
-    checkpoints = [int(t) for t in raw.split(",") if t.strip()]
+    checkpoints = get(cfg, "convergence", "checkpoints",
+                      lambda raw: [int(t) for t in raw.split(",") if t.strip()],
+                      [100, 500])
     # the sum runs to the last checkpoint (the largest, when they ascend);
     # truncation_report rejects empty, unsorted or out-of-range checkpoints
     mats, zero_mode_name = build_matsubara(cfg, list(stack.layers),

@@ -680,6 +680,32 @@ def test_validate_data_missing_file(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def _power_csv(path, eps2):
+    """A table on 0.1 .. 10 eV with eps1 = 1 and the given eps2(energy)."""
+    energies = np.geomspace(0.1, 10.0, 21)
+    path.write_text("energy_ev,eps1,eps2\n" + "".join(
+        f"{e!r},1.0,{eps2(e)!r}\n" for e in energies.tolist()), encoding="utf-8")
+
+
+def test_validate_data_zero_tail(tmp_path, capsys):
+    # eps2 vanishes in the top decade (1 .. 10 eV): the tail is zero
+    _power_csv(tmp_path / "t.csv", lambda e: 0.5 if e < 1.0 else 0.0)
+    assert main(["validate-data", "--config", data_cfg(tmp_path, "t.csv")]) == 0
+    output = capsys.readouterr().out
+    assert "ok: high-frequency tail is zero (eps2 vanishes in the top decade)" \
+        in output
+    assert output.splitlines()[-1].startswith("PASS: ")
+
+
+def test_validate_data_tail_that_does_not_decay(tmp_path, capsys):
+    # eps2 ~ w**-0.5 gives no integrable power tail
+    _power_csv(tmp_path / "t.csv", lambda e: e ** -0.5)
+    assert main(["validate-data", "--config", data_cfg(tmp_path, "t.csv")]) == 1
+    output = capsys.readouterr().out
+    assert "error: tail fit: PowerTail exponent must exceed 1 " in output
+    assert output.splitlines()[-1].startswith("FAIL: ")
+
+
 # ---------------------------------------------------------------------------
 # error handling and formatting
 
@@ -742,6 +768,33 @@ def test_library_checks_of_config_values_exit_1(tmp_path, capsys, command,
                                      LIBRARY_CHECKED))
     assert main([command, "--config", cfg]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _golden_convergence(tmp_path, pattern, replacement):
+    """The convergence golden's config with ``pattern`` replaced."""
+    with open(os.path.join(GOLDEN, "convergence_five_layer.ini"),
+              encoding="utf-8") as fh:
+        text = fh.read()
+    assert re.search(pattern, text, flags=re.M)
+    return write_cfg(tmp_path, re.sub(pattern, replacement, text, flags=re.M))
+
+
+@pytest.mark.usefixtures("no_sums")
+@pytest.mark.parametrize("pattern, replacement, message", [
+    (r"^checkpoints = .*$", "checkpoints = 15,x",
+     "error: [convergence] checkpoints = '15,x': "
+     "invalid literal for int() with base 10: 'x'\n"),
+    (r"^d3_m = .*\n", "", "error: missing key 'd3_m' in section [stack]\n"),
+    (r"^model = drude$", "model = banana",
+     "error: [material.gold] unknown model 'banana'\n"),
+    (r"^zero_mode = drude$", "zero_mode = foo",
+     "error: unknown zero mode 'foo' (use drude, plasma or model)\n"),
+], ids=["checkpoints", "missing_key", "unknown_model", "unknown_zero_mode"])
+def test_bad_convergence_config_exits_1(tmp_path, capsys, pattern,
+                                        replacement, message):
+    cfg = _golden_convergence(tmp_path, pattern, replacement)
+    assert main(["convergence", "--config", cfg]) == 1
+    assert capsys.readouterr().err == message
 
 
 def test_vacuum_section_keeps_its_mu(tmp_path):
