@@ -27,7 +27,9 @@ import contextlib
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .constants import c, hbar, k_B
 from .materials import Constant
 from .quadrature import (QuadratureError, semi_infinite_integral,
                          semi_infinite_rows)
-from .stack import FromModel, Stack, _require_inner, d_ln_g, ln_g
+from .stack import FromModel, Layer, Stack, _require_inner, d_ln_g, ln_g
 # perfbench/tracing.py patches these names here; nothing in this module calls them
 from .stack import g_full_thickness_derivative, ln_g_full  # noqa: F401
 
@@ -65,6 +67,8 @@ class MatsubaraConfig:
         if not (self.temperature > 0.0 and math.isfinite(self.temperature)):
             raise ValueError(
                 f"temperature must be positive and finite, got {self.temperature}")
+        if not isinstance(self.n_max, numbers.Integral):
+            raise ValueError(f"n_max must be an integer, got {self.n_max!r}")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
 
@@ -122,13 +126,21 @@ def _k_scale(stack):
     return 1.0 / (2.0 * max(stack.thicknesses))
 
 
+def _sampled(eps, mu):
+    """A stand-in layer that answers eps(i xi) with ``eps`` and mu(i xi) with ``mu``."""
+    return Layer(SimpleNamespace(eps_imag_axis=lambda _: eps),
+                 SimpleNamespace(mu_imag_axis=lambda _: mu))
+
+
 def _k_pass(mode, stacks, system, xi, zero, zero_modes, quad):
     """:func:`semi_infinite_rows` of k times ``mode`` summed over polarizations:
     row r on ``stacks[system[r]]`` at ``xi[r]`` or, where ``zero[r] >= 0``, at
     xi = 0 under ``zero_modes[zero[r]]``, each on its stack's k-scale. Consecutive
     stacks with equal layers form one run, whose thicknesses become (rows, 1)
     columns that broadcast against k like xi; an integrand call makes one
-    ``mode`` call per run and zero mode of its rows."""
+    ``mode`` call per run and zero mode of its rows. Each distinct layer answers
+    eps and mu once per pass, on the distinct xi of the rows n >= 1, and the mode
+    calls on those rows see stand-ins that return their rows' values as columns."""
     # per run: (first stack, layers, thicknesses as (inner layer, member, 1))
     runs, run_of = [], []
     for layers, group in itertools.groupby(stacks, key=lambda s: s.layers):
@@ -139,6 +151,12 @@ def _k_pass(mode, stacks, system, xi, zero, zero_modes, quad):
     # one key per (run, zero mode or none): the rows of a key are one call
     key = run * (len(zero_modes) + 1) + zero + 1
     column = xi[:, None]
+    nodes, inverse = np.unique(xi[zero < 0], return_inverse=True)
+    node = np.zeros(xi.size, int)   # row -> its xi in nodes, at n >= 1
+    node[zero < 0] = inverse
+    distinct = {id(layer): layer for _, layers, _ in runs for layer in layers}
+    response = {i: (layer.eps.eps_imag_axis(nodes), layer.mu.mu_imag_axis(nodes))
+                for i, layer in distinct.items()}
 
     def f(k, rows):
         # _lockstep orders its rows by config, then by stack, so the
@@ -148,9 +166,13 @@ def _k_pass(mode, stacks, system, xi, zero, zero_modes, quad):
         for a, b in zip(edges, edges[1:]):
             at, z = rows[a:b], zero[rows[a]]
             first, layers, thickness = runs[run[at[0]]]
+            at_xi, zero_mode = (0.0, zero_modes[z]) if z >= 0 else (column[at], None)
+            if z < 0:
+                stand_in = {i: _sampled(eps[node[at, None]], mu[node[at, None]])
+                            for i, (eps, mu) in response.items()}
+                layers = tuple(stand_in[id(layer)] for layer in layers)
             # the member stacks were checked when they were built
             members = Stack._unchecked(layers, thickness[:, system[at] - first])
-            at_xi, zero_mode = (0.0, zero_modes[z]) if z >= 0 else (column[at], None)
             out.append(k[a:b] * sum(mode(members, k[a:b], at_xi, zero_mode).values()))
         return out[0] if len(out) == 1 else np.concatenate(out)
 
@@ -330,9 +352,11 @@ def matsubara_energy(stack, mats, quad=QuadratureConfig(), mode=ln_g):
     like :func:`ln_g` (the default) and :func:`d_ln_g`, for k of shape
     (rows, points) with xi of shape (rows, 1) and ``zero_mode=None`` at
     n >= 1, and with the scalar xi = 0.0 and a config's ``zero_mode`` at
-    n = 0. Terms are accumulated in ascending n and summed with
-    compensation, so the result is bitwise stable for a fixed panel
-    decomposition.
+    n = 0. At n >= 1 the stack holds stand-in layers (see :func:`_k_pass`):
+    a mode reads eps and mu through ``eps_imag_axis`` and ``mu_imag_axis``
+    and must not compare layer objects. Terms are accumulated in ascending
+    n and summed with compensation, so the result is bitwise stable for a
+    fixed panel decomposition.
 
     ``mats`` is one :class:`MatsubaraConfig` or a tuple of configs that
     share temperature and n_max, and ``stack`` one stack or a tuple of
@@ -405,7 +429,9 @@ def truncation_report(stack, mats, quad, checkpoints):
     one :class:`MatsubaraConfig`.
     """
     _one_config(mats, "truncation_report")
-    checkpoints = [int(n) for n in checkpoints]
+    checkpoints = list(checkpoints)
+    if not all(isinstance(n, numbers.Integral) for n in checkpoints):
+        raise ValueError(f"checkpoints must be integers, got {checkpoints}")
     if not checkpoints or sorted(checkpoints) != checkpoints:
         raise ValueError("checkpoints must be a non-empty ascending list")
     if checkpoints[0] < 0 or checkpoints[-1] > mats.n_max:

@@ -109,11 +109,7 @@ def _constant_response(value, xi):
     if np.ndim(xi) == 0 and xi == 0.0:
         return value
     _require_positive(xi, "frequencies must be positive")
-    if np.ndim(xi) == 0:
-        return value
-    out = np.empty(np.shape(xi))
-    out.fill(value)
-    return out
+    return value if np.ndim(xi) == 0 else np.full(np.shape(xi), value, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -574,33 +570,19 @@ def kk_transform(table, low_tail, high_tail, xi, rel_tol=1e-6):
     return float(out[0]) if xis.ndim == 0 else out.reshape(xis.shape)
 
 
+@dataclass(frozen=True)
 class Tabulated:
-    """Permittivity model backed by measured data via the transform above.
+    """Permittivity model backed by measured data via the transform above:
+    ``eps_imag_axis`` of a scalar or an array of xi is one :func:`kk_transform`
+    call at that function's default tolerance, with no cache. The Matsubara
+    sums ask each layer once per k-pass, for all of the pass's distinct xi."""
 
-    Evaluations are cached per xi value, so Matsubara sweeps touching the
-    same frequency grid pay the transform cost once per material.
-    ``eps_imag_axis`` takes a scalar or an array of frequencies and
-    transforms all of its cache misses in one :func:`kk_transform` call,
-    at that function's default tolerance, so they share the batched round 0
-    of the data band.
-    """
-
-    def __init__(self, table, low_tail=None, high_tail=None):
-        self.table = table
-        self.low_tail = low_tail
-        self.high_tail = high_tail
-        self._cache = {}
+    table: OpticalDataTable
+    low_tail: DrudeTail | None = None
+    high_tail: PowerTail | None = None
 
     def eps_imag_axis(self, xi):
-        keys = np.asarray(xi, dtype=float).ravel().tolist()
-        missing = list(dict.fromkeys(x for x in keys if x not in self._cache))
-        if missing:
-            values = kk_transform(self.table, self.low_tail, self.high_tail,
-                                  np.array(missing))
-            self._cache.update(zip(missing, values.tolist()))
-        if np.ndim(xi) == 0:
-            return self._cache[keys[0]]
-        return np.array([self._cache[x] for x in keys]).reshape(np.shape(xi))
+        return kk_transform(self.table, self.low_tail, self.high_tail, xi)
 
     def zero_limit(self):
         if self.low_tail is not None and self.low_tail.gamma > 0.0:
@@ -611,15 +593,6 @@ class Tabulated:
     def _static_eps(self):
         # eps(0) without the low tail: a full transform, so computed once
         return kk_transform(self.table, None, self.high_tail, 0.0)
-
-    def __eq__(self, other):
-        if not isinstance(other, Tabulated):
-            return NotImplemented
-        return (self.table == other.table and self.low_tail == other.low_tail
-                and self.high_tail == other.high_tail)
-
-    def __repr__(self):
-        return f"Tabulated({self.table!r}, {self.low_tail!r}, {self.high_tail!r})"
 
 
 def plasma_frequency_of(model):

@@ -50,6 +50,14 @@ def test_config_validation():
         QuadratureConfig(rel_tol=1e-2)
 
 
+def test_n_max_must_be_an_integer():
+    # a fractional n_max would fail deep in the sum with a bare TypeError
+    for bad in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            MatsubaraConfig(300.0, n_max=bad)
+    assert MatsubaraConfig(300.0, n_max=np.int64(3)).n_max == 3
+
+
 def test_identical_layers_zero_energy():
     stack = FiveLayerStack((VAC,) * 5, 1e-7, 1e-7, 1e-7)
     assert energy_per_area_T(stack, MatsubaraConfig(300.0, n_max=5)).value == 0.0
@@ -182,14 +190,18 @@ def test_one_evaluation_per_layer_per_node(monkeypatch, mode):
     eps = [CountingPermittivity(value) for value in (2.0, 5.0, 11.0)]
     outer, gap, plate = (Layer(e) for e in eps)
     stack = Stack((outer, gap, plate, gap, outer), (1e-7, 2e-7, 1e-7))
-    # the k pass makes one integrand call on all of its rows
-    monkeypatch.setattr(lifshitz, "semi_infinite_rows",
-                        lambda f, n_rows, **_: f(np.full((n_rows, 22), 1e7),
-                                                 np.arange(n_rows)))
+    # the k pass makes two integrand calls, on rows [:2] and [2:]
+    def two_calls(f, n_rows, **_):
+        k = np.full((n_rows, 22), 1e7)
+        return np.concatenate([f(k[:2], np.arange(2)),
+                               f(k[2:], np.arange(2, n_rows))])
+
+    monkeypatch.setattr(lifshitz, "semi_infinite_rows", two_calls)
     xi = matsubara_xi(np.arange(1, 4), 300.0)
     values = lifshitz._k_pass(mode, (stack,), np.zeros(3, int), xi,
                               np.full(3, -1), (), QuadratureConfig())
     assert values.shape == (3, 22) and np.all(values != 0.0)
+    # one evaluation per pass, not per integrand call
     assert [e.calls for e in eps] == [1, 1, 1]
 
 
@@ -233,6 +245,19 @@ def test_truncation_report_validation():
     with pytest.raises(ValueError):
         truncation_report(halfspace_stack(GOLD, 1e-6), mats,
                           QuadratureConfig(), [50, 101])
+
+
+def test_truncation_report_rejects_fractional_checkpoints(monkeypatch):
+    # [1.7, 20.9] once gave the rows n = 1 and n = 20 without a word
+    def no_integration(*args, **kwargs):
+        raise AssertionError("the Matsubara sum started")
+
+    monkeypatch.setattr(lifshitz, "matsubara_energy", no_integration)
+    mats = MatsubaraConfig(300.0, n_max=100)
+    for bad in ([1.7, 20.9], [1, 20.0]):
+        with pytest.raises(ValueError, match="checkpoints must be integers"):
+            truncation_report(halfspace_stack(GOLD, 1e-6), mats,
+                              QuadratureConfig(), bad)
 
 
 def test_quadrature_error_tagged_with_index(monkeypatch):

@@ -441,13 +441,15 @@ def test_tabulated_array_misses_in_one_transform(monkeypatch):
     xi = ev_to_radps(np.geomspace(0.01, 50.0, 40))
     grid = np.concatenate([xi, xi[:5]])[:, None]
     transforms = _counting(monkeypatch, "kk_transform")
-    first = model.eps_imag_axis(grid)
-    assert len(transforms) == 1
-    assert transforms[0][3].tolist() == xi.tolist()  # distinct misses, in order
-    second = model.eps_imag_axis(grid)
-    assert model.eps_imag_axis(float(xi[3])) == first[3, 0]
-    assert len(transforms) == 1
-    assert second.tobytes() == first.tobytes()
+    values = model.eps_imag_axis(grid)
+    # one transform per array call, on the array as given; no cache
+    assert len(transforms) == 1 and transforms[0][3] is grid
+    assert values.shape == grid.shape
+    # equal xi get equal values, and a scalar call equals its element
+    assert values[40:].tobytes() == values[:5].tobytes()
+    for i in (0, 3, 39):
+        assert model.eps_imag_axis(float(xi[i])) == values[i, 0]
+    assert len(transforms) == 4
 
 
 def test_tabulated_zero_limit_transforms_once(monkeypatch):

@@ -659,7 +659,9 @@ def test_failing_row_names_its_system():
     kinked = _synthetic(_decaying, kinked=(10,))
 
     def two_systems(stack, k, xi, zero_mode=None):
-        mode = kinked if stack.layers == other.layers else clean
+        # at n >= 1 the mode sees stand-in layers, one per distinct layer
+        # object: SYNTHETIC has 2 of them, other 3
+        mode = kinked if len(set(map(id, stack.layers))) == 3 else clean
         return mode(stack, k, xi, zero_mode)
 
     mats = MatsubaraConfig(T, n_max=100)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.constants import c, hbar
 
-from casimir import quadrature
+from casimir import lifshitz, materials, quadrature
 from casimir.lifshitz import (MatsubaraConfig, QuadratureConfig,
                               energy_per_area_T)
 from casimir.materials import (Constant, Drude, DrudeTail, Permeability,
@@ -233,3 +233,39 @@ def test_failing_energy_is_named(monkeypatch):
         energy_per_area_T(stack, mats, quad)
     assert err.last_estimate == alone.value.last_estimate
     assert err.previous_estimate == alone.value.previous_estimate
+
+
+def test_one_transform_per_k_pass(monkeypatch):
+    # a tabulated layer answers once per k-pass, on the pass's distinct xi,
+    # not once per integrand call
+    transforms, evaluations, per_pass = [], [], []
+    kk_transform, k_pass = materials.kk_transform, lifshitz._k_pass
+    eps_imag_axis = Tabulated.eps_imag_axis
+
+    def counted_transform(table, low_tail, high_tail, xi, *args):
+        transforms.append(np.array(xi))
+        return kk_transform(table, low_tail, high_tail, xi, *args)
+
+    def counted_eps(model, xi):
+        evaluations.append(xi)
+        return eps_imag_axis(model, xi)
+
+    def counted_pass(*args):
+        before = len(transforms), len(evaluations)
+        result = k_pass(*args)
+        per_pass.append((len(transforms) - before[0], len(evaluations) - before[1]))
+        return result
+
+    monkeypatch.setattr(materials, "kk_transform", counted_transform)
+    monkeypatch.setattr(Tabulated, "eps_imag_axis", counted_eps)
+    monkeypatch.setattr(lifshitz, "_k_pass", counted_pass)
+    wp = ev_to_radps(9.0)
+    mats = (MatsubaraConfig(300.0, n_max=300, zero_mode=DrudeLike()),
+            MatsubaraConfig(300.0, n_max=300, zero_mode=PlasmaLike(wp)))
+    results = tangential_force_reduced(tabulated_gold(9.0, 0.035), VAC,
+                                       (1e-7, 3e-7, 1e-6), mats,
+                                       QuadratureConfig(1e-7))
+    assert len(results) == 3 and per_pass and per_pass == [(1, 1)] * len(per_pass)
+    assert len(transforms) == len(per_pass)
+    for xi in transforms:
+        assert xi.ndim == 1 and np.all(np.diff(xi) > 0.0)
