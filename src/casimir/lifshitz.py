@@ -168,8 +168,9 @@ def _k_pass(mode, stacks, system, xi, zero, zero_modes, quad):
             first, layers, thickness = runs[run[at[0]]]
             at_xi, zero_mode = (0.0, zero_modes[z]) if z >= 0 else (column[at], None)
             if z < 0:
-                stand_in = {i: _sampled(eps[node[at, None]], mu[node[at, None]])
-                            for i, (eps, mu) in response.items()}
+                idx = node[at, None]
+                stand_in = {i: _sampled(response[i][0][idx], response[i][1][idx])
+                            for i in dict.fromkeys(map(id, layers))}
                 layers = tuple(stand_in[id(layer)] for layer in layers)
             # the member stacks were checked when they were built
             members = Stack._unchecked(layers, thickness[:, system[at] - first])

@@ -3,12 +3,11 @@
 Prints the total lines of every ``.py`` file under ``src/``, then its code
 lines: lines that hold a token other than a comment, with the docstrings of
 modules, classes and functions left out. Blank lines count only in the
-total. Run from anywhere: ``python tools/src_lines.py [SRC_DIR]``.
+total. Run from anywhere: ``python tools/src_lines.py``.
 """
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -41,8 +40,8 @@ def count(path):
     return len(text.splitlines()), len(code - docstrings)
 
 
-def main(argv):
-    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).parent.parent / "src"
+def main():
+    root = Path(__file__).parent.parent / "src"
     total = code = 0
     for path in sorted(root.rglob("*.py")):
         lines, code_lines = count(path)
@@ -52,4 +51,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    main(sys.argv)
+    main()
