@@ -141,6 +141,10 @@ def cmd_force_sweep(args):
     if reference_name == bounding_name:
         raise ConfigError(f"[force] reference '{reference_name}' is the "
                           "material itself")
+    if reference_name == "plasma" and {"drude", "plasma"} <= set(treatments):
+        # its drude ratio column would repeat the plasma/drude ratio's name
+        raise ConfigError(f"[force] reference 'plasma' repeats the column "
+                          f"ratio_{bounding_name}_plasma_drude")
 
     d_min = get(cfg, "force", "d_min_m", float)
     d_max = get(cfg, "force", "d_max_m", float)
@@ -169,34 +173,28 @@ def cmd_force_sweep(args):
                for name, layer in targets}
     quad = build_quadrature(cfg, default_rel_tol=1e-7)
 
-    columns = ["d_m"]
-    for mat_name, _ in targets:
-        columns += [f"force_{mat_name}_{t}_n_per_m" for t in treatments]
-    if {"drude", "plasma"} <= set(treatments):
-        columns.append(f"ratio_{bounding_name}_plasma_drude")
-    if reference is not None:
-        columns += [f"ratio_{bounding_name}_{reference_name}_{t}" for t in treatments]
-
     # one call per material: the separations are rows of the same passes,
     # and all treatments share the terms n >= 1
     separations = tuple(grid.tolist())
-    forces = {}   # (material, treatment) -> one force per separation
+    table = {"d_m": separations}   # column name -> one value per separation
     for mat_name, layer in targets:
         results = tangential_force_reduced(layer, gap, separations,
                                            configs[mat_name], quad)
         for j, t in enumerate(treatments):
-            forces[(mat_name, t)] = [r[j].force_per_width for r in results]
-    rows = []
-    for i, d in enumerate(separations):
-        force = {key: values[i] for key, values in forces.items()}
-        row = [d] + list(force.values())
-        if {"drude", "plasma"} <= set(treatments):
-            row.append(_ratio(force[(bounding_name, "plasma")],
-                              force[(bounding_name, "drude")]))
-        if reference is not None:
-            row += [_ratio(force[(bounding_name, t)], force[(reference_name, t)])
-                    for t in treatments]
-        rows.append(row)
+            table[f"force_{mat_name}_{t}_n_per_m"] = [r[j].force_per_width
+                                                      for r in results]
+
+    def force(name, t):
+        return table[f"force_{name}_{t}_n_per_m"]
+
+    if {"drude", "plasma"} <= set(treatments):
+        table[f"ratio_{bounding_name}_plasma_drude"] = list(map(
+            _ratio, force(bounding_name, "plasma"), force(bounding_name, "drude")))
+    if reference is not None:
+        for t in treatments:
+            table[f"ratio_{bounding_name}_{reference_name}_{t}"] = list(map(
+                _ratio, force(bounding_name, t), force(reference_name, t)))
+    columns, rows = list(table), zip(*table.values())
 
     mats = configs[bounding_name][0]
     metadata = [("material", bounding_name),

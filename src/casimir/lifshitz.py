@@ -126,9 +126,13 @@ def _k_scale(stack):
     return 1.0 / (2.0 * max(stack.thicknesses))
 
 
-def _sampled(eps, mu):
-    """A stand-in layer that answers eps(i xi) with ``eps`` and mu(i xi) with ``mu``."""
-    return Layer(SimpleNamespace(eps_imag_axis=lambda _: eps),
+def _stand_in(layer, nodes):
+    """A stand-in for ``layer`` that answers eps(i xi) at any xi of the ascending
+    ``nodes`` from one evaluation on them, its layer's own xi -> 0 limit, and
+    its layer's constant mu."""
+    eps, mu = layer.eps.eps_imag_axis(nodes), layer.mu.value
+    return Layer(SimpleNamespace(eps_imag_axis=lambda xi: eps[np.searchsorted(nodes, xi)],
+                                 zero_limit=layer.eps.zero_limit),
                  SimpleNamespace(mu_imag_axis=lambda _: mu))
 
 
@@ -138,25 +142,26 @@ def _k_pass(mode, stacks, system, xi, zero, zero_modes, quad):
     xi = 0 under ``zero_modes[zero[r]]``, each on its stack's k-scale. Consecutive
     stacks with equal layers form one run, whose thicknesses become (rows, 1)
     columns that broadcast against k like xi; an integrand call makes one
-    ``mode`` call per run and zero mode of its rows. Each distinct layer answers
-    eps and mu once per pass, on the distinct xi of the rows n >= 1, and the mode
-    calls on those rows see stand-ins that return their rows' values as columns."""
-    # per run: (first stack, layers, thicknesses as (inner layer, member, 1))
+    ``mode`` call per run and zero mode of its rows. Before the first integrand
+    call each distinct layer gets one stand-in (see :func:`_stand_in`), whose
+    eps comes from one evaluation on the distinct xi of the rows n >= 1; every
+    mode call of the pass, xi = 0 rows included, sees its run's stand-ins."""
+    nodes = np.unique(xi[zero < 0], return_inverse=True)[0]
+    stand_in = {}   # id of a distinct layer -> its stand-in
+    # per run: (first stack, stand-ins, thicknesses as (inner layer, member, 1))
     runs, run_of = [], []
     for layers, group in itertools.groupby(stacks, key=lambda s: s.layers):
         members = np.array([s.thicknesses for s in group], dtype=float)
-        runs.append((len(run_of), layers, members.T[..., None]))
+        for layer in layers:
+            if id(layer) not in stand_in:
+                stand_in[id(layer)] = _stand_in(layer, nodes)
+        runs.append((len(run_of), tuple(stand_in[id(layer)] for layer in layers),
+                     members.T[..., None]))
         run_of += [len(runs) - 1] * len(members)
     run = np.array(run_of)[system]
     # one key per (run, zero mode or none): the rows of a key are one call
     key = run * (len(zero_modes) + 1) + zero + 1
     column = xi[:, None]
-    nodes, inverse = np.unique(xi[zero < 0], return_inverse=True)
-    node = np.zeros(xi.size, int)   # row -> its xi in nodes, at n >= 1
-    node[zero < 0] = inverse
-    distinct = {id(layer): layer for _, layers, _ in runs for layer in layers}
-    response = {i: (layer.eps.eps_imag_axis(nodes), layer.mu.mu_imag_axis(nodes))
-                for i, layer in distinct.items()}
 
     def f(k, rows):
         # _lockstep orders its rows by config, then by stack, so the
@@ -167,11 +172,6 @@ def _k_pass(mode, stacks, system, xi, zero, zero_modes, quad):
             at, z = rows[a:b], zero[rows[a]]
             first, layers, thickness = runs[run[at[0]]]
             at_xi, zero_mode = (0.0, zero_modes[z]) if z >= 0 else (column[at], None)
-            if z < 0:
-                idx = node[at, None]
-                stand_in = {i: _sampled(response[i][0][idx], response[i][1][idx])
-                            for i in dict.fromkeys(map(id, layers))}
-                layers = tuple(stand_in[id(layer)] for layer in layers)
             # the member stacks were checked when they were built
             members = Stack._unchecked(layers, thickness[:, system[at] - first])
             out.append(k[a:b] * sum(mode(members, k[a:b], at_xi, zero_mode).values()))
@@ -353,11 +353,13 @@ def matsubara_energy(stack, mats, quad=QuadratureConfig(), mode=ln_g):
     like :func:`ln_g` (the default) and :func:`d_ln_g`, for k of shape
     (rows, points) with xi of shape (rows, 1) and ``zero_mode=None`` at
     n >= 1, and with the scalar xi = 0.0 and a config's ``zero_mode`` at
-    n = 0. At n >= 1 the stack holds stand-in layers (see :func:`_k_pass`):
-    a mode reads eps and mu through ``eps_imag_axis`` and ``mu_imag_axis``
-    and must not compare layer objects. Terms are accumulated in ascending
-    n and summed with compensation, so the result is bitwise stable for a
-    fixed panel decomposition.
+    n = 0. Every mode call, n = 0 included, sees a stack of stand-in layers,
+    one per distinct layer, built before the first integrand call of the
+    pass (see :func:`_k_pass`): a mode reads eps and mu through
+    ``eps_imag_axis``, ``zero_limit`` and ``mu_imag_axis`` and must not
+    compare layer objects. Terms are accumulated in ascending n and summed
+    with compensation, so the result is bitwise stable for a fixed panel
+    decomposition.
 
     ``mats`` is one :class:`MatsubaraConfig` or a tuple of configs that
     share temperature and n_max, and ``stack`` one stack or a tuple of

@@ -509,7 +509,7 @@ def _band_bisect(band, xi, xi2, tol, round0, rel_tol):
 
 def _data_band_integral(table, xi, rel_tol):
     """int over the tabulated range of w*eps''(w) / (w**2 + xi**2) dw, for a
-    scalar or 1-d array xi.
+    1-d array xi.
 
     eps'' is interpolated log-log between samples, so each sample segment
     carries an analytic power law. Round 0, one K15 panel per segment on
@@ -517,22 +517,21 @@ def _data_band_integral(table, xi, rel_tol):
     leaves unconverged go to the quadrature engine together, one row per
     segment. Each xi gets its one-xi result bit for bit.
     """
-    xis = np.atleast_1d(np.asarray(xi, dtype=float))
-    xi2 = xis * xis
+    xi2 = xi * xi
     band = table._kk_band
     chunk = max(1, _BAND_SCRATCH // band[4].nbytes)
-    scratch = np.empty(min(chunk, xis.size) * band[4].size)
-    out, tol = np.empty((2, xis.size))
-    done = np.empty(xis.size, dtype=bool)
-    for start in range(0, xis.size, chunk):
+    scratch = np.empty(min(chunk, xi.size) * band[4].size)
+    out, tol = np.empty((2, xi.size))
+    done = np.empty(xi.size, dtype=bool)
+    for start in range(0, xi.size, chunk):
         rows = slice(start, start + chunk)
         out[rows], tol[rows], done[rows] = _band_round(band, xi2[rows],
                                                        rel_tol, scratch)
     failed = np.flatnonzero(~done)
     if failed.size:
-        out[failed] = _band_bisect(band, xis[failed], xi2[failed], tol[failed],
+        out[failed] = _band_bisect(band, xi[failed], xi2[failed], tol[failed],
                                    out[failed], rel_tol)
-    return float(out[0]) if np.ndim(xi) == 0 else out
+    return out
 
 
 def kk_transform(table, low_tail, high_tail, xi, rel_tol=1e-6):

@@ -721,6 +721,16 @@ def test_missing_section(tmp_path, capsys):
     assert "missing config section [eps_table]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "d_min_m = 1e-7\n",
+    "[force]\npoints = 3\n\n[force]\npoints = 4\n",
+], ids=["no_section_header", "duplicate_section"])
+def test_unparsable_config_is_named(tmp_path, capsys, text):
+    cfg = write_cfg(tmp_path, text)
+    assert main(["eps-table", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+
+
 def test_config_that_is_a_directory_is_named(tmp_path, capsys):
     assert main(["convergence", "--config", str(tmp_path)]) == 1
     err = capsys.readouterr().err
@@ -845,6 +855,15 @@ def test_force_sweep_rejects_duplicate_columns(tmp_path, capsys, monkeypatch):
                                           "        reference = gold")
     assert main(["force-sweep", "--config", cfg]) == 1
     assert "reference 'gold' is the material itself" in capsys.readouterr().err
+    # the drude ratio to a reference named plasma is named like the
+    # plasma/drude ratio of the material
+    cfg = force_cfg(tmp_path, force_extra="reference = plasma\n"
+                                          "        [material.plasma]\n"
+                                          "        model = plasma\n"
+                                          "        omega_p_ev = 9.0")
+    assert main(["force-sweep", "--config", cfg]) == 1
+    assert ("reference 'plasma' repeats the column ratio_gold_plasma_drude"
+            in capsys.readouterr().err)
 
 
 def _force_columns(path):

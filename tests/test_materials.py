@@ -322,7 +322,7 @@ def test_kk_data_band_matches_segment_formula_bitwise():
     for xi in ev_to_radps(np.geomspace(1e-3, 1e4, 8)):
         y = e2[:-1, None] * (x / w[:-1, None]) ** s * x / (x ** 2 + xi * xi)
         reference = float(np.sum(half * (y @ quadrature._K15_W)))
-        assert materials._data_band_integral(tab, float(xi), 1e-6) == reference
+        assert materials._data_band_integral(tab, np.array([xi]), 1e-6)[0] == reference
 
 
 def test_kk_array_row_with_band_refinement(monkeypatch):
@@ -476,6 +476,10 @@ def test_table_arrays_read_only():
 
 
 def test_table_validation():
+    with pytest.raises(DataFileError, match="columns differ in length"):
+        OpticalDataTable(np.array([1.0, 2.0]), np.ones(3), np.zeros(2))
+    with pytest.raises(DataFileError, match="photon energies must be positive"):
+        OpticalDataTable(np.array([0.0, 1.0]), np.ones(2), np.zeros(2))
     with pytest.raises(ValueError):
         OpticalDataTable(np.array([1.0]), np.array([1.0]), np.array([0.0]))
     with pytest.raises(ValueError) as info:
@@ -526,6 +530,31 @@ def test_load_optical_data_errors(tmp_path):
         load_optical_data(p)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("energy_ev,eps1,eps2\n1.0,2.0,0.5\n2.0,x,0.25\n",
+     "line 3: could not parse '2.0,x,0.25'"),
+    ("# a comment and nothing else\n\n", "no header row found"),
+    ("energy_ev,eps1,eps2\n1.0,2.0,0.5\n", "need at least two data rows, got 1"),
+], ids=["unparsable_cell", "no_header", "one_row"])
+def test_load_optical_data_names_what_is_wrong(tmp_path, text, message):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(DataFileError, match=re.escape(f"{p}: {message}")):
+        load_optical_data(p)
+
+
+def test_replace_below_needs_a_sample_below_the_cutoff():
+    hi = drude_synthetic_table(9.0, 0.035, 0.01, 100.0, per_decade=20)
+    with pytest.raises(DataFileError, match="no samples below 0.005 eV"):
+        hi.replace_below(hi, 0.005)
+
+
+def test_fit_power_tail_with_one_positive_sample_in_the_top_decade():
+    tab = OpticalDataTable(np.array([1.0, 5.0, 10.0, 20.0]), np.ones(4),
+                           np.array([0.5, 0.0, 0.0, 0.25]))
+    assert fit_power_tail(tab) == PowerTail(0.25, 3.0)
+
+
 def test_replace_below():
     hi = drude_synthetic_table(9.0, 0.035, 0.01, 100.0, per_decade=20)
     lo = drude_synthetic_table(8.45, 0.047, 0.01, 100.0, per_decade=20)
@@ -562,6 +591,10 @@ def test_tail_validation():
     with pytest.raises(ValueError, match="must be finite"):
         PowerTail(1.0, math.inf)
     assert PowerTail(0.0, 0.5).amplitude == 0.0  # explicit zero tail is fine
+    with pytest.raises(ValueError, match="join energy must be positive"):
+        DrudeTail(W_P, GAMMA, 0.0)
+    with pytest.raises(ValueError, match="amplitude must be non-negative"):
+        PowerTail(-1.0, 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +626,14 @@ def test_kk_zero_absorption():
     for xi in (1e13, 1e15, 1e17):
         assert model.eps_imag_axis(xi) == 1.0
     assert model.zero_limit() == (0, 1.0)
+
+
+def test_kk_drude_tail_without_damping_adds_nothing():
+    # gamma = 0 puts no absorption below the data
+    tab, _, high = _gold_kk()
+    xi = ev_to_radps(np.geomspace(1e-3, 1e2, 6))
+    assert np.array_equal(kk_transform(tab, DrudeTail(W_P, 0.0, 0.01), high, xi),
+                          kk_transform(tab, None, high, xi))
 
 
 def test_kk_monotone_decrease_to_one():

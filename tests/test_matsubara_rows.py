@@ -637,6 +637,34 @@ def test_one_mode_call_per_run_of_equal_layers(monkeypatch):
         assert np.array_equal(together[row:row + 1], k * alone)
 
 
+def test_one_stand_in_per_distinct_layer_for_every_call(monkeypatch):
+    # the pass builds its layer table before its first integrand call, so
+    # every mode call, at xi = 0 and at n >= 1, sees the same stand-ins
+    stacks = _mixed_stacks()   # distinct layers: GOLD, VAC, MAGNETIC
+    seen, calls = {}, []   # seen keeps each object alive, so no id is reused
+
+    def recording(stack, k, xi, zero_mode=None):
+        seen.update((id(layer), layer) for layer in stack.layers)
+        calls.append(zero_mode)
+        return ln_g(stack, k, xi, zero_mode)
+
+    # two integrand calls, on rows [:6] and [6:], both holding rows n >= 1
+    def two_calls(f, n_rows, **_):
+        k = np.full((n_rows, 22), 1e7)
+        return np.concatenate([f(k[:6], np.arange(6)),
+                               f(k[6:], np.arange(6, n_rows))])
+
+    monkeypatch.setattr(lifshitz, "semi_infinite_rows", two_calls)
+    modes = (DrudeLike(), PlasmaLike(WP))
+    system = np.array([0, 2, 3, 0, 1, 1, 2, 3, 3, 4])
+    zero = np.array([0, 0, 0, 1] + [-1] * 6)
+    xi = matsubara_xi(np.maximum(np.arange(system.size) - 3, 0), T)
+    lifshitz._k_pass(recording, stacks, system, xi, zero, modes,
+                     QuadratureConfig())
+    assert calls == [modes[0], modes[0], modes[1], None, None, None]
+    assert len(seen) == 3
+
+
 def test_bad_separations_or_layers_raise_before_any_integral(monkeypatch):
     def no_integrals(*args, **kwargs):
         raise AssertionError("an integral ran")

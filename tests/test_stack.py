@@ -121,6 +121,9 @@ def test_reflection_zero_mode_values():
     # PlasmaLike magnetic reflection interpolates toward 0 at large k
     r = reflection_zero_mode(Polarization.ALPHA, PlasmaLike(W_P), 100.0 * W_P / c)
     assert -0.01 < r < 0.0
+    # each model's own limit is no prescription for a vacuum-metal interface
+    with pytest.raises(TypeError, match="unsupported zero-mode prescription"):
+        reflection_zero_mode(Polarization.BETA, FromModel(), 1e6)
 
 
 def test_plasma_like_rejects_what_plasma_rejects():
