@@ -127,9 +127,8 @@ def _k_scale(stack):
 
 
 def _stand_in(layer, nodes):
-    """A stand-in for ``layer`` that answers eps(i xi) at any xi of the ascending
-    ``nodes`` from one evaluation on them, its layer's own xi -> 0 limit, and
-    its layer's constant mu."""
+    """``layer`` as a stand-in: eps(i xi) at any xi of the ascending ``nodes``
+    from one evaluation on them, the layer's own xi -> 0 limit and constant mu."""
     eps, mu = layer.eps.eps_imag_axis(nodes), layer.mu.value
     return Layer(SimpleNamespace(eps_imag_axis=lambda xi: eps[np.searchsorted(nodes, xi)],
                                  zero_limit=layer.eps.zero_limit),
@@ -143,9 +142,10 @@ def _k_pass(mode, stacks, system, xi, zero, zero_modes, quad):
     stacks with equal layers form one run, whose thicknesses become (rows, 1)
     columns that broadcast against k like xi; an integrand call makes one
     ``mode`` call per run and zero mode of its rows. Before the first integrand
-    call each distinct layer gets one stand-in (see :func:`_stand_in`), whose
-    eps comes from one evaluation on the distinct xi of the rows n >= 1; every
-    mode call of the pass, xi = 0 rows included, sees its run's stand-ins."""
+    call each distinct layer becomes one :func:`_stand_in` on the distinct xi
+    of the rows n >= 1; every mode call of the pass, xi = 0 rows included,
+    sees its run's stand-ins."""
+    # with return_inverse: the plain np.unique imports numpy.ma on numpy >= 2.3
     nodes = np.unique(xi[zero < 0], return_inverse=True)[0]
     stand_in = {}   # id of a distinct layer -> its stand-in
     # per run: (first stack, stand-ins, thicknesses as (inner layer, member, 1))
