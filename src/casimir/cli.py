@@ -8,7 +8,9 @@ All numerical output is CSV with '#'-prefixed metadata lines and floats in
 scientific notation with 9 significant digits, so reruns are byte-identical.
 
 Exit codes: 0 success, 1 usage, configuration, validation or file error,
-2 numerical non-convergence.
+2 numerical non-convergence. A Matsubara sum cut at n_max before it
+converged prints ``warning: ...`` on stderr and changes neither the CSV nor
+the exit code.
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ import contextlib
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from .config import (ConfigError, build_layer, build_matsubara, build_quadrature,
                      build_stack, get, matsubara_grid, read_config)
-from .lifshitz import matsubara_xi, truncation_report
+from .lifshitz import TruncationWarning, matsubara_xi, truncation_report
 from .materials import (DataFileError, Tabulated, fit_power_tail,
                         load_optical_data)
 from .quadrature import QuadratureError
@@ -379,7 +382,15 @@ def main(argv=None):
             open(args.out, "a", encoding="utf-8").close()
             if not existed:
                 os.remove(args.out)
-        return _COMMANDS[args.command][0](args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", TruncationWarning)
+            status = _COMMANDS[args.command][0](args)
+        for w in caught:
+            if issubclass(w.category, TruncationWarning):
+                _warn(w.message)
+            else:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        return status
     except QuadratureError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -90,9 +90,14 @@ def build_layer(cfg, name):
                                       source_label=os.path.basename(merge_path))
             table = table.replace_below(other, cutoff)
         omega_p_ev = get(cfg, section, "omega_p_ev", float, None)
-        low_tail = None if omega_p_ev is None else DrudeTail(
-            ev_to_radps(omega_p_ev), ev_to_radps(get(cfg, section, "gamma_ev", float)),
-            get(cfg, section, "join_energy_ev", float, table.e_min_ev))
+        low_tail = None
+        if omega_p_ev is not None:
+            tail = (ev_to_radps(omega_p_ev), ev_to_radps(get(cfg, section, "gamma_ev", float)),
+                    get(cfg, section, "join_energy_ev", float, table.e_min_ev))
+            try:
+                low_tail = DrudeTail(*tail)
+            except ValueError as err:
+                raise ConfigError(f"[{section}] {err}") from err
         return Layer(Tabulated(table, low_tail, fit_power_tail(table)), mu)
     raise ConfigError(f"[{section}] unknown model '{model}'")
 

@@ -28,6 +28,7 @@ import functools
 import itertools
 import math
 import numbers
+import warnings
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -49,6 +50,11 @@ def matsubara_xi(n, temperature):
     floating point.
     """
     return n * (2.0 * math.pi * k_B * temperature / hbar)
+
+
+class TruncationWarning(UserWarning):
+    """A Matsubara sum ended at n_max before its tail bound fell to rel_tol
+    of its value: the terms after n_max may be missing from the result."""
 
 
 @dataclass(frozen=True)
@@ -135,7 +141,7 @@ def _stand_in(layer, nodes):
                  SimpleNamespace(mu_imag_axis=lambda _: mu))
 
 
-def _k_pass(mode, stacks, system, xi, zero, zero_modes, quad):
+def _k_pass(mode, stacks, system, xi, zero, zero_modes, quad, share=None):
     """:func:`semi_infinite_rows` of k times ``mode`` summed over polarizations:
     row r on ``stacks[system[r]]`` at ``xi[r]`` or, where ``zero[r] >= 0``, at
     xi = 0 under ``zero_modes[zero[r]]``, each on its stack's k-scale. Consecutive
@@ -144,7 +150,12 @@ def _k_pass(mode, stacks, system, xi, zero, zero_modes, quad):
     ``mode`` call per run and zero mode of its rows. Before the first integrand
     call each distinct layer becomes one :func:`_stand_in` on the distinct xi
     of the rows n >= 1; every mode call of the pass, xi = 0 rows included,
-    sees its run's stand-ins."""
+    sees its run's stand-ins.
+
+    ``share``, if given, is the engine's ``share(first)``: each row's absolute
+    floor from the first panels of the pass (see :func:`_lockstep`). A row
+    also stops on the mode's a-priori bound of its omitted k-tail, where the
+    mode has one (:func:`_k_tail`)."""
     # with return_inverse: the plain np.unique imports numpy.ma on numpy >= 2.3
     nodes = np.unique(xi[zero < 0], return_inverse=True)[0]
     stand_in = {}   # id of a distinct layer -> its stand-in
@@ -178,7 +189,38 @@ def _k_pass(mode, stacks, system, xi, zero, zero_modes, quad):
         return out[0] if len(out) == 1 else np.concatenate(out)
 
     scales = np.array([_k_scale(s) for s in stacks])[system]
-    return semi_infinite_rows(f, system.size, scale=scales, rel_tol=quad.rel_tol)
+    return semi_infinite_rows(f, system.size, scale=scales, rel_tol=quad.rel_tol,
+                              share=share, tail=_k_tail(mode, stacks, runs, run,
+                                                        system, xi, zero))
+
+
+def _k_tail(mode, stacks, runs, run, system, xi, zero):
+    """``tail(k, rows)`` of a k pass: ``mode.k_tail`` summed over each row's
+    runs of equal inner layers (:func:`_inner_runs`), or inf where an inner
+    layer has eps*mu < 1 at the row's xi, read from the pass's layer table;
+    None for a mode without ``k_tail``."""
+    k_tail = getattr(mode, "k_tail", None)
+    if k_tail is None:
+        return None
+    # per stack its runs' thicknesses, padded with nan, which nansum drops
+    inner = [[sum(s.thicknesses[j] for j in ids) for ids in _inner_runs(s.layers)]
+             for s in stacks]
+    width = max(map(len, inner))
+    thickness = np.array([d + [np.nan] * (width - len(d)) for d in inner])[system]
+    bounded = np.ones(system.size, dtype=bool)
+    for r, (_, layers, _) in enumerate(runs):
+        at = np.flatnonzero((run == r) & (zero < 0))
+        for layer in layers[1:-1]:
+            bounded[at] &= (layer.eps.eps_imag_axis(xi[at])
+                            * layer.mu.mu_imag_axis(xi[at]) >= 1.0)
+    kappa_xi = (xi / c) ** 2
+
+    def tail(k, rows):
+        kappa = np.sqrt(k ** 2 + kappa_xi[rows])[:, None]
+        bound = np.nansum(k_tail(thickness[rows], kappa), axis=1)
+        return np.where(bounded[rows], bound, np.inf)
+
+    return tail
 
 
 def _tagged(err, n, system):
@@ -265,13 +307,18 @@ class _RunningSum:
                              None if self.tail == math.inf else self.tail)
 
 
+def _terms(length, xi1, rel_tol):
+    """Terms n >= 1 a sum of decay length ``length`` > 0 needs: they fall like
+    exp(-2 xi_n L / c), to the stop's 1% of rel_tol near 2 xi_n L / c =
+    ln(100 / rel_tol)."""
+    return math.ceil(math.log(100.0 / rel_tol) * c / (2.0 * xi1 * length))
+
+
 def _batch(length, xi1, n_done, rel_tol):
     """Indices n >= 1 of a system's next batch: up to the stop predicted
     from its decay length ``length``, then at least as many as done."""
-    # terms fall like exp(-2 xi_n L / c), to the stop's 1% of rel_tol near
-    # 2 xi_n L / c = ln(100 / rel_tol); L = 0 doubles the batches from one
-    predicted = (math.ceil(math.log(100.0 / rel_tol) * c / (2.0 * xi1 * length))
-                 + 5 if length else 0)
+    # L = 0 doubles the batches from one
+    predicted = _terms(length, xi1, rel_tol) + 5 if length else 0
     return max(predicted - n_done, n_done, 1)
 
 
@@ -286,6 +333,14 @@ def _lockstep(mode, stacks, configs, quad):
     stack that has not stopped. The rows n >= 1 of a pass are sorted by
     stack, then by n. The quadrature engine bounds the rows of each
     integrand call.
+
+    Every row of a stack s, n = 0 included, takes the floor
+    a_s = rel_tol * |first panel of its n = 1 row| / N_s, its share of the
+    sum's tolerance, with N_s the terms :func:`_terms` predicts from the
+    decay length alone; a stack of decay length 0 takes none. The n = 1
+    rows are all in the first pass, and a_s depends on stack s alone, so
+    neither batches, row slices nor the other stacks and configs of a pass
+    move a result.
     """
     if not stacks:
         raise ValueError("a Matsubara pass needs at least one stack")
@@ -298,6 +353,14 @@ def _lockstep(mode, stacks, configs, quad):
     live = dict(enumerate(sums))      # running sums before their stop
     done = dict.fromkeys(live, 0)     # last index integrated per stack
     zero = np.tile(np.arange(len(stacks)), len(configs))   # n = 0 rows
+    terms = np.array([_terms(L, xi1, quad.rel_tol) if L else math.inf
+                      for L in lengths])
+    floor = np.zeros(len(stacks))   # a_s, set by the first pass
+
+    def share(first, system, one):
+        floor[system[one]] = quad.rel_tol * np.abs(first[one]) / terms[system[one]]
+        return floor[system]
+
     while live:
         batches = []
         for s in live:
@@ -308,7 +371,7 @@ def _lockstep(mode, stacks, configs, quad):
         config = np.where(ns == 0, np.arange(ns.size) // len(stacks), -1)
         values, panels, failures = _k_pass(
             mode, stacks, system, matsubara_xi(ns, mats.temperature), config,
-            zero_modes, quad)
+            zero_modes, quad, functools.partial(share, system=system, one=ns == 1))
         values, panels = values.tolist(), panels.tolist()
         if failures and min(failures) < zero.size:
             row = min(failures)
@@ -331,19 +394,25 @@ def _lockstep(mode, stacks, configs, quad):
     return sums
 
 
+def _inner_runs(layers):
+    """Runs of equal adjacent inner layers as lists of thickness indices; a
+    run that takes in a half-space is none."""
+    runs = [[j - 1 for j, _ in run] for _, run in itertools.groupby(
+        enumerate(layers), key=lambda pair: pair[1])]
+    return runs[1:-1]
+
+
 def _decay_length(stack):
     """The thinnest inner layer, across which the terms fall at least like those of
-    ideal mirrors: a run of equal adjacent layers is one layer as thick as the run,
-    and a run that takes in a half-space is none. 0 where no inner layer is left or
-    one may have eps*mu < 1 (only a Constant eps(i xi) can be below 1)."""
+    ideal mirrors: a run of equal adjacent layers is one layer as thick as the run
+    (:func:`_inner_runs`). 0 where no inner layer is left or one may have
+    eps*mu < 1 (only a Constant eps(i xi) can be below 1)."""
     for layer in stack.layers[1:-1]:
         eps = layer.eps.value if isinstance(layer.eps, Constant) else 1.0
         if min(eps, 1.0) * layer.mu.value < 1.0:
             return 0.0
-    runs = [sum(d for _, d in run) for _, run in itertools.groupby(
-        zip(stack.layers, (math.inf, *stack.thicknesses, math.inf)),
-        key=lambda pair: pair[0])]
-    return min(runs[1:-1], default=0.0)
+    return min((sum(stack.thicknesses[j] for j in run)
+                for run in _inner_runs(stack.layers)), default=0.0)
 
 
 def matsubara_energy(stack, mats, quad=QuadratureConfig(), mode=ln_g):
@@ -369,13 +438,22 @@ def matsubara_energy(stack, mats, quad=QuadratureConfig(), mode=ln_g):
     (stack, config) keeps its own early stop: each result equals the one
     of a separate call bit for bit. A failing row raises
     :class:`QuadratureError` tagged with its ``matsubara_n`` and its
-    stack's index as ``system``.
+    stack's index as ``system``. A sum that ends at n_max with its ``tail``
+    None or above rel_tol of its value warns with :class:`TruncationWarning`.
     """
     configs = _shared_pass(mats)
     stacks = stack if isinstance(stack, tuple) else (stack,)
+    n_max = configs[0].n_max
     results = []
     for running in _lockstep(mode, stacks, configs, quad):
-        energies = tuple(r.energy(configs[0].n_max) for r in running)
+        energies = tuple(r.energy(n_max) for r in running)
+        for e in energies:
+            if e.n_stop == n_max and not (e.tail is not None
+                                          and e.tail <= quad.rel_tol * abs(e.value)):
+                tail = "none" if e.tail is None else f"{e.tail:.3g} J/m^2"
+                warnings.warn(f"Matsubara sum truncated at n_max = {n_max}: "
+                              f"value {e.value:.6g} J/m^2, tail bound {tail}; "
+                              f"raise n_max", TruncationWarning, stacklevel=2)
         results.append(energies if isinstance(mats, tuple) else energies[0])
     return tuple(results) if isinstance(stack, tuple) else results[0]
 
@@ -441,7 +519,9 @@ def truncation_report(stack, mats, quad, checkpoints):
         raise ValueError(f"checkpoints must lie within [0, n_max={mats.n_max}]")
     run = MatsubaraConfig(mats.temperature, n_max=max(checkpoints[-1], 1),
                           zero_mode=mats.zero_mode)
-    energy = energy_per_area_T(stack, run, quad)
+    with warnings.catch_warnings():   # the report tabulates the truncation
+        warnings.simplefilter("ignore", TruncationWarning)
+        energy = energy_per_area_T(stack, run, quad)
     rows = []
     previous = None
     for n in checkpoints:

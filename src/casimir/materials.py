@@ -355,6 +355,10 @@ class DrudeTail:
 
     def __post_init__(self):
         _require_drude("DrudeTail", self.omega_p, self.gamma)
+        if self.gamma == 0.0:
+            # eps'' would vanish at every w > 0 and drop the lossless
+            # omega_p**2/xi**2 term, which sits in a delta function at w = 0
+            raise ValueError("DrudeTail gamma must be positive")
         _require_finite("DrudeTail", join_energy_ev=self.join_energy_ev)
         if not self.join_energy_ev > 0.0:
             raise ValueError("DrudeTail join energy must be positive")

@@ -11,6 +11,13 @@ exactly the panel sequence of a scalar worst-panel-first bisection, in
 slices of at most ``_MAX_ROWS`` rows. ``adaptive_integral`` and
 ``semi_infinite_integral`` are its one-row case. The engine owns its
 budgets (``_MAX_ROWS``, ``_MAX_BLOCKS``, ``_MAX_PANELS``), read at call time.
+
+Rows that are the terms of one sum need not each be solved to rel_tol of
+their own value: ``semi_infinite_rows`` takes a per-row absolute floor, the
+row's share of the sum's tolerance, and an a-priori bound on each row's
+omitted tail, and spends panels on the sum's error, the global strategy of
+M. A. Malcolm & R. B. Simpson, "Local versus global strategies for adaptive
+quadrature", ACM TOMS 1(2), 129 (1975).
 """
 
 from __future__ import annotations
@@ -85,7 +92,17 @@ _NOISE_FLOOR = 1e-280
 _STORE_SLOTS = 33
 
 
-def _adaptive_rows(f, a, b, rows, rel_tol, floor):
+def _first_panels(f, a, b, rows):
+    """(K15 values, |K15 - G7|) of the one panel [a, b] of every row in
+    ``rows``, in slices of at most ``_MAX_ROWS`` rows."""
+    half = 0.5 * (b - a)
+    x = 0.5 * (a + b) + half * _K15_ROW
+    parts = [_estimates(_evaluate(f, x, rows[i:i + _MAX_ROWS]), half)
+             for i in range(0, rows.size, _MAX_ROWS)]
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _adaptive_rows(f, a, b, rows, rel_tol, floor, first=None):
     """Integrate every row in ``rows`` over [a, b] to its own tolerance.
 
     ``f(x, rows)`` returns the integrands of ``rows`` at nodes ``x`` (see
@@ -93,6 +110,7 @@ def _adaptive_rows(f, a, b, rows, rel_tol, floor):
     estimate, ties going to the older panel, until its summed error
     estimate drops below ``max(rel_tol * |integral|, floor)``, where
     ``floor`` (a scalar or one per row) already includes the noise floor.
+    ``first``, if given, is :func:`_first_panels` of the rows on [a, b].
     Returns the integrals, the panel counts and ``{position in rows:
     QuadratureError}`` for the rows that ran out of ``_MAX_PANELS``.
 
@@ -101,15 +119,16 @@ def _adaptive_rows(f, a, b, rows, rel_tol, floor):
     """
     if rows.size > _MAX_ROWS:
         floor = np.broadcast_to(floor, rows.shape)
-        parts = [(i, *_adaptive_rows(f, a, b, rows[i:i + _MAX_ROWS], rel_tol,
-                                     floor[i:i + _MAX_ROWS]))
-                 for i in range(0, rows.size, _MAX_ROWS)]
+        cut = [slice(i, i + _MAX_ROWS) for i in range(0, rows.size, _MAX_ROWS)]
+        parts = [(at.start, *_adaptive_rows(
+                      f, a, b, rows[at], rel_tol, floor[at],
+                      None if first is None else (first[0][at], first[1][at])))
+                 for at in cut]
         return (np.concatenate([value for _, value, _, _ in parts]),
                 np.concatenate([used for _, _, used, _ in parts]),
                 {i + r: e for i, *_, fail in parts for r, e in fail.items()})
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _K15_ROW
-    total, total_err = _estimates(_evaluate(f, x, rows), half)
+    total, total_err = (_first_panels(f, a, b, rows) if first is None
+                        else (first[0].copy(), first[1].copy()))
 
     def over_budget():
         return total_err > np.maximum(rel_tol * np.abs(total), floor)
@@ -169,7 +188,7 @@ def _adaptive_rows(f, a, b, rows, rel_tol, floor):
     return total, panels, failures
 
 
-def semi_infinite_rows(f, n_rows, scale=1.0, rel_tol=1e-9):
+def semi_infinite_rows(f, n_rows, scale=1.0, rel_tol=1e-9, share=None, tail=None):
     """Integrate ``n_rows`` integrands over [0, inf) in one lockstep pass.
 
     ``f(x, rows)`` returns the integrands of the row indices ``rows`` at
@@ -178,8 +197,22 @@ def semi_infinite_rows(f, n_rows, scale=1.0, rel_tol=1e-9):
     result must broadcast to (len(rows), points). Row i is rescaled to
     u = x / scale_i, where ``scale`` is one value for all rows or one per
     row, and every row is covered by the same geometrically growing blocks
-    in u; a row stops once two consecutive blocks contribute below its
-    running relative tolerance, and fails after ``_MAX_BLOCKS`` blocks.
+    in u, and fails after ``_MAX_BLOCKS`` blocks.
+
+    Each row has an absolute floor a: ``share(first)`` of the K15 values
+    ``first`` of every row's first panel on block 0, one per row, or 0
+    without ``share``. A row refines each block until its error estimate is
+    at most max(rel_tol * |block|, 0.25 * rel_tol * |running|, a), and it
+    stops once what it leaves out is at most
+    max(0.5 * rel_tol * |running|, a): after two consecutive blocks that
+    each add at most that much, or as soon as ``tail(k, rows)``, a bound on
+    the integral of each row over [k, inf) (inf where none holds), is at
+    most that much at the end k of a block. So each row is accurate to the
+    looser of rel_tol of its own value and a few a: where the rows are the
+    terms of one sum and each a is the row's share of the sum's tolerance,
+    the sum's error stays within rel_tol of its terms' magnitudes plus a
+    few times the sum of their a.
+
     Returns ``(integrals, panels, failures)``: per-row integrals and panel
     counts, and ``{row: QuadratureError}`` for the rows that did not
     converge. A failed row's integral is meaningless.
@@ -202,17 +235,25 @@ def semi_infinite_rows(f, n_rows, scale=1.0, rel_tol=1e-9):
     live = np.arange(n_rows)
     lo = 0.0
     width = 8.0
+    first = _first_panels(g, lo, width, live)
+    floor = np.zeros(n_rows) if share is None else np.asarray(share(first[0]), dtype=float)
     for _ in range(_MAX_BLOCKS):
-        floor = np.maximum(0.25 * rel_tol * np.abs(total[live]), _NOISE_FLOOR)
-        block, used, failed = _adaptive_rows(g, lo, lo + width, live, rel_tol,
-                                             floor)
+        a = floor[live]
+        block, used, failed = _adaptive_rows(
+            g, lo, lo + width, live, rel_tol,
+            np.maximum(np.maximum(0.25 * rel_tol * np.abs(total[live]), a), _NOISE_FLOOR),
+            first)
+        first = None
         panels[live] += used
         running = total[live] + block
         total[live] = running
-        small = ((np.abs(block) <= 0.5 * rel_tol * np.abs(running))
-                 | (running == 0.0))
+        allowed = np.maximum(0.5 * rel_tol * np.abs(running), a)
+        small = (np.abs(block) <= allowed) | (running == 0.0)
         negligible[live] = np.where(small, negligible[live] + 1, 0)
         done = negligible[live] >= 2
+        if tail is not None:
+            bound = tail((lo + width) * (scale[live] if scale.ndim else scale), live)
+            done |= bound <= allowed
         for p, error in failed.items():
             failures[int(live[p])] = error
             done[p] = True

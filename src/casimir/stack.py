@@ -307,6 +307,24 @@ def ln_g(stack, k_par, xi, zero_mode=None):
     return out
 
 
+def _ln_g_k_tail(thickness, kappa):
+    """Bound on the integral over k in [K, inf) of k * sum_pol |ln G| from
+    one run of equal inner layers of total ``thickness``, at
+    kappa = sqrt(K**2 + xi**2/c**2), for a row whose inner layers all have
+    eps(i xi)*mu(i xi) >= 1 (every row at xi = 0).
+
+    Passive layers keep |R_j * r_{j,j+1}| <= 1 (Tomas, above), and within a
+    run r = 0, so the run's one term has |log1p(-y)| <= e/(1 - e) with
+    e = exp(-2*kappa_run*d) and kappa_run >= kappa. With k dk = kappa dkappa,
+    2 polarizations * integral of kappa*e/(1 - e(K)) gives this closed form.
+    """
+    x = 2.0 * thickness * kappa
+    return 2.0 * np.exp(-x) * (x + 1.0) / (4.0 * thickness ** 2 * -np.expm1(-x))
+
+
+ln_g.k_tail = _ln_g_k_tail
+
+
 def d_ln_g(stack, k_par, xi, zero_mode=None, *, which):
     """``{pol: d ln G / d d_which}`` for an inner layer 2 <= which <= N - 1.
 

@@ -1030,6 +1030,47 @@ def test_non_finite_temperature_exit_code(tmp_path, capsys):
     assert "temperature must be positive and finite" in capsys.readouterr().err
 
 
+def test_drude_tail_without_damping_names_its_section(tmp_path, capsys):
+    drude_csv(tmp_path / "gold.csv", 9.0, 0.035, per_decade=10)
+    cfg = write_cfg(tmp_path, """
+        [material.gold_data]
+        model = tabulated
+        data_path = gold.csv
+        omega_p_ev = 9.0
+        gamma_ev = 0
+
+        [eps_table]
+        material = gold_data
+    """)
+    assert main(["eps-table", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "[material.gold_data]" in err and "gamma must be positive" in err
+
+
+def test_sum_cut_at_n_max_warns_on_stderr(tmp_path, capsys):
+    # Drude gold at 10 K, 100 nm, plasma zero mode, n_max = 20: the sum is
+    # cut far from convergence; the table is written and the exit code is 0
+    cfg = write_cfg(tmp_path, GOLD_SECTION + """
+        [force]
+        material = gold
+        treatments = plasma
+        d_min_m = 1e-7
+        d_max_m = 1e-7
+        points = 1
+
+        [matsubara]
+        temperature_k = 10
+        n_max = 20
+    """)
+    out = tmp_path / "f.csv"
+    assert main(["force-sweep", "--config", cfg, "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: Matsubara sum truncated at n_max = 20")
+    assert err.count("\n") == 1
+    _, columns, rows = read_table(out)
+    assert len(rows) == 1 and column(rows, columns, "force_gold_plasma_n_per_m")[0] > 0
+
+
 def test_non_finite_material_parameter_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, """
         [material.gold]

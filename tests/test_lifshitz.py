@@ -8,13 +8,13 @@ from scipy.special import zeta
 
 from casimir import lifshitz, quadrature
 from casimir.lifshitz import (MatsubaraConfig, QuadratureConfig,
-                              energy_per_area_T,
+                              TruncationWarning, energy_per_area_T,
                               energy_per_area_T0, matsubara_xi,
                               normal_pressure, truncation_report)
 from casimir.materials import Constant, Drude, Plasma, Vacuum, ev_to_radps
 from casimir.quadrature import QuadratureError
-from casimir.stack import (DrudeLike, FiveLayerStack, FromModel, Layer, Stack,
-                           d_ln_g, ln_g)
+from casimir.stack import (DrudeLike, FiveLayerStack, FromModel, Layer,
+                           PlasmaLike, Stack, d_ln_g, ln_g)
 
 VAC = Layer(Vacuum())
 GOLD = Layer(Drude(ev_to_radps(9.0), ev_to_radps(0.035)))
@@ -216,6 +216,25 @@ def test_truncation_report():
     assert rows[1].value == pytest.approx(
         energy_per_area_T(halfspace_stack(GOLD, 3e-7), mats, quad).value,
         rel=1e-12)
+
+
+def test_sum_cut_at_n_max_warns(recwarn):
+    # Drude gold at 10 K, 100 nm, plasma zero mode: 20 terms leave out about
+    # nine tenths of the energy, and the tail bound says so
+    stack = Stack((GOLD, VAC, GOLD), (1e-7,))
+    plasma = PlasmaLike(ev_to_radps(9.0))
+    quad = QuadratureConfig(rel_tol=1e-7)
+    cut = MatsubaraConfig(10.0, n_max=20, zero_mode=plasma)
+    with pytest.warns(TruncationWarning, match="truncated at n_max = 20") as caught:
+        energy = energy_per_area_T(stack, cut, quad)
+    assert len(caught) == 1
+    assert energy.n_stop == 20 and energy.tail > quad.rel_tol * abs(energy.value)
+    # a sum that converges before n_max, and a report that tabulates the
+    # truncation on purpose, stay silent
+    energy_per_area_T(stack, MatsubaraConfig(300.0, n_max=500, zero_mode=plasma), quad)
+    rows = truncation_report(stack, cut, quad, [10, 20])
+    assert rows[-1].value == energy.value
+    assert not [w for w in recwarn if issubclass(w.category, TruncationWarning)]
 
 
 def test_truncation_report_single_checkpoint():

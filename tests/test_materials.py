@@ -628,12 +628,11 @@ def test_kk_zero_absorption():
     assert model.zero_limit() == (0, 1.0)
 
 
-def test_kk_drude_tail_without_damping_adds_nothing():
-    # gamma = 0 puts no absorption below the data
-    tab, _, high = _gold_kk()
-    xi = ev_to_radps(np.geomspace(1e-3, 1e2, 6))
-    assert np.array_equal(kk_transform(tab, DrudeTail(W_P, 0.0, 0.01), high, xi),
-                          kk_transform(tab, None, high, xi))
+def test_drude_tail_without_damping_is_rejected():
+    # gamma = 0 would put no absorption below the data and so drop the
+    # lossless omega_p**2/xi**2 term without a word
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        DrudeTail(W_P, 0.0, 0.01)
 
 
 def test_kk_monotone_decrease_to_one():
