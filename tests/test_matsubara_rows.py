@@ -64,8 +64,8 @@ def test_panels_gold_reduced_force(monkeypatch):
     points = _counted(monkeypatch)
     mats = MatsubaraConfig(T, n_max=500, zero_mode=DrudeLike())
     energy = energy_per_area_T(Stack((GOLD, VAC, GOLD), (1e-7,)), mats)
-    assert energy.panels == 1451
-    assert sum(points) == 25140
+    assert energy.panels == 689
+    assert sum(points) == 11085
     assert energy.n_stop < 500
     _assert_padding(energy, 500)
 
@@ -79,8 +79,8 @@ def test_tangential_points_with_equal_inner_layers_merged(monkeypatch):
     points = _counted(monkeypatch)
     tangential_force_general(stack, MatsubaraConfig(T, n_max=500,
                                                     zero_mode=DrudeLike()))
-    assert len(points) == 21
-    assert sum(points) == 31530
+    assert len(points) == 18
+    assert sum(points) == 15345
 
 
 def test_panels_ideal_mirrors_10k(monkeypatch):
@@ -88,9 +88,9 @@ def test_panels_ideal_mirrors_10k(monkeypatch):
     mats = MatsubaraConfig(10.0, n_max=3000, zero_mode=FromModel())
     mirror = Layer(Plasma(1e20))
     energy = energy_per_area_T(Stack((mirror, VAC, mirror), (1e-7,)), mats)
-    assert energy.panels == 33715
+    assert energy.panels == 24283
     # the sum runs to n_max: no row past a stop, 15 points per panel
-    assert sum(points) == 15 * 33715
+    assert sum(points) == 15 * 24283
     _assert_padding(energy, 3000)
 
 
@@ -99,8 +99,8 @@ def test_panels_five_layer_gold_energy(monkeypatch):
     stack = FiveLayerStack((GOLD, VAC, GOLD, VAC, GOLD), 2e-7, 2e-7, 2e-7)
     mats = MatsubaraConfig(T, n_max=200, zero_mode=DrudeLike())
     energy = energy_per_area_T(stack, mats)
-    assert energy.panels == 796
-    assert sum(points) == 13155
+    assert energy.panels == 376
+    assert sum(points) == 5910
     assert energy.n_stop < 200
     _assert_padding(energy, 200)
 
