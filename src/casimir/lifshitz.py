@@ -448,8 +448,8 @@ def matsubara_energy(stack, mats, quad=QuadratureConfig(), mode=ln_g):
     for running in _lockstep(mode, stacks, configs, quad):
         energies = tuple(r.energy(n_max) for r in running)
         for e in energies:
-            if e.n_stop == n_max and not (e.tail is not None
-                                          and e.tail <= quad.rel_tol * abs(e.value)):
+            if e.n_stop == n_max and (e.tail is None
+                                      or e.tail > quad.rel_tol * abs(e.value)):
                 tail = "none" if e.tail is None else f"{e.tail:.3g} J/m^2"
                 warnings.warn(f"Matsubara sum truncated at n_max = {n_max}: "
                               f"value {e.value:.6g} J/m^2, tail bound {tail}; "

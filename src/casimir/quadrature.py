@@ -98,7 +98,7 @@ def _first_panels(f, a, b, rows):
     half = 0.5 * (b - a)
     x = 0.5 * (a + b) + half * _K15_ROW
     parts = [_estimates(_evaluate(f, x, rows[i:i + _MAX_ROWS]), half)
-             for i in range(0, rows.size, _MAX_ROWS)]
+             for i in range(0, max(rows.size, 1), _MAX_ROWS)]
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
