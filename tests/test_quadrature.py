@@ -227,3 +227,36 @@ def test_row_scales_are_checked():
             semi_infinite_rows(f, 2, scale=np.array([1.0, bad]))
         with pytest.raises(ValueError, match="positive and finite"):
             semi_infinite_rows(f, 2, scale=bad)
+
+
+def test_empty_row_set():
+    values, panels, failures = semi_infinite_rows(lambda k, rows: np.exp(-k), 0)
+    assert values.size == panels.size == 0 and failures == {}
+
+
+def test_floor_and_tail_bound_end_rows_early():
+    # integral of exp(-k) over [K, inf) is exp(-K), a bound the rule of two
+    # negligible blocks cannot use: it stops after [24, 56] and [56, 120]
+    def f(k, rows):
+        return np.exp(-k) + 0.0 * rows[:, None]
+
+    def exact_tail(k, rows):
+        return np.exp(-k)
+
+    rel_tol = 1e-9
+    plain, plain_panels, _ = semi_infinite_rows(f, 2, rel_tol=rel_tol)
+    # a bound that holds nowhere leaves the block rule as it is
+    same, same_panels, _ = semi_infinite_rows(
+        f, 2, rel_tol=rel_tol, tail=lambda k, rows: np.full(rows.size, np.inf))
+    assert np.array_equal(same, plain) and np.array_equal(same_panels, plain_panels)
+    bounded, bounded_panels, _ = semi_infinite_rows(f, 2, rel_tol=rel_tol,
+                                                    tail=exact_tail)
+    assert np.all(bounded_panels < plain_panels)
+    assert np.all(np.abs(bounded - 1.0) <= 0.5 * rel_tol)
+    # an absolute floor of 1e-4 on row 1 alone: fewer panels, error of a few
+    # floors at most, and row 0 as it was
+    floored, floored_panels, _ = semi_infinite_rows(
+        f, 2, rel_tol=rel_tol, share=lambda first: np.array([0.0, 1e-4]))
+    assert floored[0] == plain[0] and floored_panels[0] == plain_panels[0]
+    assert floored_panels[1] < plain_panels[1]
+    assert abs(floored[1] - 1.0) <= 3e-4
