@@ -382,15 +382,17 @@ def main(argv=None):
             open(args.out, "a", encoding="utf-8").close()
             if not existed:
                 os.remove(args.out)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", TruncationWarning)
-            status = _COMMANDS[args.command][0](args)
-        for w in caught:
-            if issubclass(w.category, TruncationWarning):
-                _warn(w.message)
-            else:
-                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-        return status
+        caught = []
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", TruncationWarning)
+                return _COMMANDS[args.command][0](args)
+        finally:   # a sum cut at n_max is reported even if a later one fails
+            for w in caught:
+                if issubclass(w.category, TruncationWarning):
+                    _warn(w.message)
+                else:
+                    warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     except QuadratureError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -1069,6 +1070,23 @@ def test_sum_cut_at_n_max_warns_on_stderr(tmp_path, capsys):
     assert err.count("\n") == 1
     _, columns, rows = read_table(out)
     assert len(rows) == 1 and column(rows, columns, "force_gold_plasma_n_per_m")[0] > 0
+
+
+def test_truncation_is_reported_before_a_later_failure(tmp_path, capsys,
+                                                       monkeypatch):
+    # a command whose first sum is cut at n_max and whose second fails
+    def cut_then_fail(args):
+        warnings.warn("Matsubara sum truncated at n_max = 20",
+                      lifshitz.TruncationWarning)
+        raise QuadratureError("quadrature did not reach rel_tol")
+
+    monkeypatch.setitem(cli._COMMANDS, "force-sweep",
+                        (cut_then_fail, cli._COMMANDS["force-sweep"][1]))
+    cfg = write_cfg(tmp_path, GOLD_SECTION)
+    assert main(["force-sweep", "--config", cfg]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: Matsubara sum truncated at n_max = 20",
+        "error: quadrature did not reach rel_tol"]
 
 
 def test_non_finite_material_parameter_exit_code(tmp_path, capsys):
