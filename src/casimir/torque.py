@@ -6,9 +6,17 @@ center. The interaction energy is the overlap area S(theta) times the
 parallel-plate energy per area, so the torque is M = -S'(theta) times
 that (negative) energy density: negative torque drives theta toward 0.
 
-The overlap changes character at theta_0 = arcsin(2KL/(K**2+L**2)):
-above it only the two width-L strips matter and the overlap is a
-parallelogram; below it the shorter plate's ends truncate the shape.
+The overlap changes character at theta_0 = arcsin(2KL/(K**2+L**2)).
+Above it only the two width-L strips matter and the overlap is a
+parallelogram: S = L**2/sin(theta), P = 4L/sin(theta). Below it the ends
+of the shorter plate (K x L) truncate the shape: it is that plate less two
+corner triangles, cut off by the long edges of the other plate, with legs
+
+    a = K/2 - L(1 - cos(theta))/(2 sin(theta)),
+    b = L/2 - (L - K sin(theta))/(2 cos(theta)),
+
+so S = KL - ab and P = 2K + 2L - 2(a + b) + 2 sqrt(a**2 + b**2). At
+theta = 0 the overlap is the whole shorter plate: S = KL, P = 2(K + L).
 S'(theta) is continuous across theta_0 but P'(theta) is not, so the
 derivative operations reject theta = theta_0 exactly.
 """
@@ -17,8 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .constants import c, hbar
 from .lifshitz import QuadratureConfig, _naming_systems, energy_per_area_T
@@ -67,90 +73,27 @@ class TorqueGeometry:
 
 @dataclass(frozen=True)
 class OverlapShape:
-    """Convex overlap polygon with its exact area and perimeter."""
+    """Area and perimeter of the overlap of the two plates."""
 
-    vertices: tuple
     area: float
     perimeter: float
 
 
-def _rectangle(length, width):
-    hx, hy = 0.5 * length, 0.5 * width
-    return [(-hx, -hy), (hx, -hy), (hx, hy), (-hx, hy)]
-
-
-def _rotate(polygon, theta):
-    ct, st = math.cos(theta), math.sin(theta)
-    return [(ct * x - st * y, st * x + ct * y) for x, y in polygon]
-
-
-def _clip(subject, clip_polygon):
-    """Sutherland-Hodgman intersection of convex polygons (CCW vertex order)."""
-    output = list(subject)
-    n = len(clip_polygon)
-    for i in range(n):
-        if not output:
-            return []
-        ax, ay = clip_polygon[i]
-        bx, by = clip_polygon[(i + 1) % n]
-        ex, ey = bx - ax, by - ay
-        inputs = output
-        output = []
-        prev = inputs[-1]
-        prev_in = ex * (prev[1] - ay) - ey * (prev[0] - ax) >= 0.0
-        for cur in inputs:
-            cur_in = ex * (cur[1] - ay) - ey * (cur[0] - ax) >= 0.0
-            if cur_in != prev_in:
-                # edge crossing: intersect the segment with the clip line
-                dx, dy = cur[0] - prev[0], cur[1] - prev[1]
-                denom = ex * dy - ey * dx
-                t = (ey * (prev[0] - ax) - ex * (prev[1] - ay)) / denom
-                output.append((prev[0] + t * dx, prev[1] + t * dy))
-            if cur_in:
-                output.append(cur)
-            prev, prev_in = cur, cur_in
-    return output
-
-
-def _dedupe(polygon, tol):
-    cleaned = []
-    for p in polygon:
-        if not cleaned or math.hypot(p[0] - cleaned[-1][0], p[1] - cleaned[-1][1]) > tol:
-            cleaned.append(p)
-    if len(cleaned) > 1 and math.hypot(cleaned[0][0] - cleaned[-1][0],
-                                       cleaned[0][1] - cleaned[-1][1]) <= tol:
-        cleaned.pop()
-    return cleaned
-
-
 def overlap(geom):
-    """Overlap region of the two co-centered plates at the given angle."""
-    fixed = _rectangle(geom.plate_k, geom.plate_l)
-    rotated = _rotate(_rectangle(geom.plate_h, geom.plate_l), geom.theta)
-    poly = _dedupe(_clip(fixed, rotated), 1e-12 * geom.plate_l)
-    area = 0.0
-    perimeter = 0.0
-    n = len(poly)
-    for i in range(n):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % n]
-        area += x0 * y1 - x1 * y0
-        perimeter += math.hypot(x1 - x0, y1 - y0)
-    return OverlapShape(tuple(poly), 0.5 * abs(area), perimeter)
-
-
-def area_closed_form(geom):
-    """S(theta) = L**2 / sin(theta) on the parallelogram branch."""
-    if not geom.theta > geom.theta_branch:
-        raise BranchPointError("closed form S = L**2/sin(theta) holds only above theta_0")
-    return geom.plate_l ** 2 / math.sin(geom.theta)
-
-
-def perimeter_closed_form(geom):
-    """P(theta) = 4L / sin(theta) on the parallelogram branch."""
-    if not geom.theta > geom.theta_branch:
-        raise BranchPointError("closed form P = 4L/sin(theta) holds only above theta_0")
-    return 4.0 * geom.plate_l / math.sin(geom.theta)
+    """Overlap of the two co-centered plates at the given angle."""
+    th = geom.theta
+    kl, ll = geom.plate_k, geom.plate_l
+    if th == 0.0:
+        return OverlapShape(kl * ll, 2.0 * (kl + ll))
+    st, ct = math.sin(th), math.cos(th)
+    if th > geom.theta_branch:
+        return OverlapShape(ll ** 2 / st, 4.0 * ll / st)
+    # the K x L plate less two corner triangles with legs a and b
+    a = kl / 2.0 - ll * (1.0 - ct) / (2.0 * st)
+    b = ll / 2.0 - (ll - kl * st) / (2.0 * ct)
+    return OverlapShape(kl * ll - a * b,
+                        2.0 * kl + 2.0 * ll - 2.0 * (a + b)
+                        + 2.0 * math.sqrt(a ** 2 + b ** 2))
 
 
 def _require_off_branch(geom):

@@ -14,11 +14,11 @@ from casimir.materials import (DrudeTail, Drude, Plasma, Tabulated, Vacuum,
                                fit_power_tail, plasma_frequency_of)
 from casimir.quadrature import QuadratureError
 from casimir.stack import DrudeLike, Layer, PlasmaLike, Stack
-from casimir.torque import (BranchPointError, TorqueGeometry, area_closed_form,
+from casimir.torque import (BranchPointError, OverlapShape, TorqueGeometry,
                             area_derivative, edge_energy, edge_torque_ratio,
-                            overlap, perimeter_closed_form,
-                            perimeter_derivative, theta0, torque,
+                            overlap, perimeter_derivative, theta0, torque,
                             torque_energy, torque_energy_density)
+from clipped_overlap import clipped_overlap
 
 VAC = Layer(Vacuum())
 GOLD = Layer(Drude(ev_to_radps(9.0), ev_to_radps(0.035)))
@@ -85,20 +85,20 @@ def test_overlap_perpendicular():
     assert shape.perimeter == pytest.approx(4.0 * L, rel=1e-12)
 
 
+def test_overlap_perpendicular_is_the_square_exactly():
+    assert overlap(geom(math.pi / 2.0)) == OverlapShape(L ** 2, 4.0 * L)
+
+
+def test_overlap_aligned_is_the_shorter_plate_exactly():
+    assert overlap(geom(0.0)) == OverlapShape(K * L, 2.0 * (K + L))
+
+
 def test_overlap_matches_parallelogram_closed_forms():
     for th in (1.0, 1.2, 1.5):
         g = geom(th)
-        shape = overlap(g)
-        assert shape.area == pytest.approx(area_closed_form(g), rel=1e-12)
-        assert shape.perimeter == pytest.approx(perimeter_closed_form(g),
-                                                rel=1e-12)
-
-
-def test_closed_forms_rejected_below_branch():
-    with pytest.raises(BranchPointError):
-        area_closed_form(geom(0.5))
-    with pytest.raises(BranchPointError):
-        perimeter_closed_form(geom(0.5))
+        shape, clipped = overlap(g), clipped_overlap(g)
+        assert shape.area == pytest.approx(clipped.area, rel=1e-12)
+        assert shape.perimeter == pytest.approx(clipped.perimeter, rel=1e-12)
 
 
 def test_overlap_small_angle_covers_shorter_plate():
@@ -117,9 +117,10 @@ def test_area_from_integrated_derivative():
 @pytest.mark.parametrize("th", [0.3, 0.6, 0.9, 1.0, 1.2, 1.5])
 def test_derivatives_match_clipped_overlap(th):
     h = 1e-6
-    s_fd = (overlap(geom(th + h)).area - overlap(geom(th - h)).area) / (2 * h)
-    p_fd = (overlap(geom(th + h)).perimeter
-            - overlap(geom(th - h)).perimeter) / (2 * h)
+    ahead = clipped_overlap(geom(th + h))
+    behind = clipped_overlap(geom(th - h))
+    s_fd = (ahead.area - behind.area) / (2 * h)
+    p_fd = (ahead.perimeter - behind.perimeter) / (2 * h)
     assert area_derivative(geom(th)) == pytest.approx(s_fd, rel=1e-6)
     assert perimeter_derivative(geom(th)) == pytest.approx(p_fd, rel=1e-6)
 

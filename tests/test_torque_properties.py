@@ -1,18 +1,19 @@
 """Properties of the crossed-plate overlap that hold for any valid geometry.
 
 Random plates with K > L, H**2 > K**2 + L**2 and an angle off theta_0, on
-both branches. The clipped overlap polygon is the reference: its area is
-bounded by the fixed plate, equals the parallelogram closed form above
-theta_0, and its area and perimeter change at the rates the analytic
-derivatives give.
+both branches. The clipped overlap polygon of ``clipped_overlap`` is the
+reference: the closed-form overlap matches it and is bounded by the fixed
+plate, and the polygon's area and perimeter change at the rates the
+analytic derivatives give.
 """
 
 import math
 
 from hypothesis import given, settings, strategies as st
 
-from casimir.torque import (TorqueGeometry, area_closed_form, area_derivative,
-                            overlap, perimeter_derivative, theta0)
+from casimir.torque import (TorqueGeometry, area_derivative, overlap,
+                            perimeter_derivative, theta0)
+from clipped_overlap import clipped_overlap
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -38,8 +39,8 @@ def _at(geom, theta):
 
 
 def _central_difference(geom, quantity):
-    ahead = quantity(overlap(_at(geom, geom.theta + H)))
-    behind = quantity(overlap(_at(geom, geom.theta - H)))
+    ahead = quantity(clipped_overlap(_at(geom, geom.theta + H)))
+    behind = quantity(clipped_overlap(_at(geom, geom.theta - H)))
     return (ahead - behind) / (2.0 * H)
 
 
@@ -54,8 +55,16 @@ def test_overlap_area_is_bounded_by_the_fixed_plate(geom):
 @given(geometries())
 def test_overlap_area_is_the_parallelogram_above_theta0(geom):
     if geom.theta > geom.theta_branch:
-        assert math.isclose(overlap(geom).area, area_closed_form(geom),
+        assert math.isclose(overlap(geom).area, clipped_overlap(geom).area,
                             rel_tol=1e-12)
+
+
+@PROPERTY
+@given(geometries())
+def test_overlap_matches_the_clipped_polygon(geom):
+    shape, clipped = overlap(geom), clipped_overlap(geom)
+    assert math.isclose(shape.area, clipped.area, rel_tol=1e-13)
+    assert math.isclose(shape.perimeter, clipped.perimeter, rel_tol=1e-13)
 
 
 @PROPERTY
