@@ -65,6 +65,7 @@ def test_identical_layers_zero_energy():
     assert normal_pressure(stack, 3, MatsubaraConfig(300.0, n_max=5)) == 0.0
 
 
+@pytest.mark.filterwarnings("ignore::casimir.lifshitz.TruncationWarning")
 def test_zero_mode_closed_form():
     # DrudeLike n=0 term for metal half-spaces: -kB T zeta(3) / (16 pi d^2)
     d = 1e-6
@@ -128,6 +129,7 @@ def test_energy_terms_decay():
     assert energy.value == pytest.approx(math.fsum(energy.terms), rel=0.0)
 
 
+@pytest.mark.filterwarnings("ignore::casimir.lifshitz.TruncationWarning")
 def test_pressure_ideal_mirrors():
     # T -> 0 proxy: T chosen so xi_1 d / c << 1, n_max past the decay scale
     d = 1e-6
@@ -290,6 +292,7 @@ def test_quadrature_error_tagged_with_index(monkeypatch):
     assert info.value.last_estimate is not None
 
 
+@pytest.mark.filterwarnings("ignore::casimir.lifshitz.TruncationWarning")
 def test_determinism():
     mats = MatsubaraConfig(300.0, n_max=50, zero_mode=DrudeLike())
     stack = halfspace_stack(GOLD, 2e-7)
@@ -367,9 +370,11 @@ def test_tail_covers_the_ideal_mirror_tail_at_n_max():
     # criterion 1's sum (10 K, 100 nm) reaches n_max = 3000 first; the
     # terms it leaves out are 6.0e-7 of the energy
     d = 1e-7
-    energy = lifshitz.matsubara_energy(
-        Stack((MIRROR, VAC, MIRROR), (d,)), MatsubaraConfig(10.0, n_max=3000),
-        QuadratureConfig(1e-9), _ideal_mirror_mode)
+    with pytest.warns(TruncationWarning, match="n_max = 3000"):
+        energy = lifshitz.matsubara_energy(
+            Stack((MIRROR, VAC, MIRROR), (d,)),
+            MatsubaraConfig(10.0, n_max=3000), QuadratureConfig(1e-9),
+            _ideal_mirror_mode)
     assert energy.n_stop == 3000
     exact = _ideal_mirror_terms(10.0, d, 20000)
     truncated = abs(math.fsum(exact[3001:]))

@@ -15,8 +15,8 @@ from scipy.constants import Boltzmann as k_B
 
 from casimir import lifshitz, quadrature
 from casimir.lifshitz import (MatsubaraConfig, QuadratureConfig,
-                              energy_per_area_T, matsubara_energy,
-                              matsubara_xi)
+                              TruncationWarning, energy_per_area_T,
+                              matsubara_energy, matsubara_xi)
 from casimir.materials import (Constant, Drude, DrudeTail, Permeability,
                                Plasma, Tabulated, Vacuum,
                                drude_synthetic_table, ev_to_radps,
@@ -87,7 +87,9 @@ def test_panels_ideal_mirrors_10k(monkeypatch):
     points = _counted(monkeypatch)
     mats = MatsubaraConfig(10.0, n_max=3000, zero_mode=FromModel())
     mirror = Layer(Plasma(1e20))
-    energy = energy_per_area_T(Stack((mirror, VAC, mirror), (1e-7,)), mats)
+    with pytest.warns(TruncationWarning, match="n_max = 3000"):
+        energy = energy_per_area_T(Stack((mirror, VAC, mirror), (1e-7,)),
+                                   mats)
     assert energy.panels == 24283
     # the sum runs to n_max: no row past a stop, 15 points per panel
     assert sum(points) == 15 * 24283
@@ -252,6 +254,7 @@ def test_sign_changing_sums_stop_within_rel_tol(case, rel_tol):
     assert truncated <= 0.1 * rel_tol * abs(reference.value)
 
 
+@pytest.mark.filterwarnings("ignore::casimir.lifshitz.TruncationWarning")
 def test_magnetic_stack_matches_term_by_term_sum():
     magnetic = Layer(Constant(3.0), Permeability(4.0))
     stack = FiveLayerStack((magnetic, VAC, GOLD, VAC, magnetic),
@@ -287,6 +290,7 @@ def _tabulated_gold():
                            high_tail=fit_power_tail(tab)))
 
 
+@pytest.mark.filterwarnings("ignore::casimir.lifshitz.TruncationWarning")
 @pytest.mark.parametrize("stack, n_max", [
     (Stack((GOLD, VAC, GOLD), (1e-7,)), 300),
     (Stack((_tabulated_gold(), VAC, _tabulated_gold()), (1e-7,)), 300),
@@ -446,6 +450,7 @@ def test_failing_row_between_the_stops_raises_for_the_later_config():
 SEPARATIONS = (1e-7, 3e-7, 1e-6)
 
 
+@pytest.mark.filterwarnings("ignore::casimir.lifshitz.TruncationWarning")
 @pytest.mark.parametrize("layers, n_max", [
     ((GOLD, VAC, GOLD), 300),
     ((_tabulated_gold(), VAC, _tabulated_gold()), 300),
@@ -541,6 +546,7 @@ def _mixed_stacks():
                   (1e-7, 5e-8, 2e-7, 5e-8, 1e-7)))
 
 
+@pytest.mark.filterwarnings("ignore::casimir.lifshitz.TruncationWarning")
 @pytest.mark.parametrize("configs", [_treatments(80)[0], _treatments(80)[:2]],
                          ids=["drude", "drude_plasma"])
 def test_mixed_stacks_in_one_pass_equal_separate_calls(configs):
@@ -567,6 +573,7 @@ def test_sweep_longer_than_the_row_cap_splits_into_passes(monkeypatch):
     assert len(passes) == 1 and max(sizes) == 128
 
 
+@pytest.mark.filterwarnings("ignore::casimir.lifshitz.TruncationWarning")
 def test_zero_rows_past_the_row_cap_split_into_groups(monkeypatch):
     # every n = 0 row sits in the first pass; the quadrature engine runs a
     # pass longer than its row cap as slices of rows, and every row is
@@ -590,6 +597,7 @@ def test_zero_rows_past_the_row_cap_split_into_groups(monkeypatch):
     assert [zero for zero in zeros if zero] == [15] and zeros[0] == 15
 
 
+@pytest.mark.filterwarnings("ignore::casimir.lifshitz.TruncationWarning")
 @pytest.mark.parametrize("batch", ["one_index", "one_pass"])
 def test_batch_sizes_never_change_a_result(monkeypatch, batch):
     stacks = _mixed_stacks()

@@ -10,6 +10,7 @@ distinct ones.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from casimir.lifshitz import (MatsubaraConfig, QuadratureConfig,
@@ -121,6 +122,7 @@ def test_thickness_derivative_matches_central_difference(system, data):
                       <= 1e-5 * np.abs(exact[pol]) + 16.0 * noise)
 
 
+@pytest.mark.filterwarnings("ignore::casimir.lifshitz.TruncationWarning")
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(systems(), st.data())
 def test_normal_pressure_is_minus_the_energy_derivative(system, data):

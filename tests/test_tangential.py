@@ -36,6 +36,7 @@ def tabulated_gold(omega_p_ev, gamma_ev, merge_below=None):
                            high_tail=fit_power_tail(tab)))
 
 
+@pytest.mark.filterwarnings("ignore::casimir.lifshitz.TruncationWarning")
 def test_reduced_ideal_mirrors_low_temperature():
     # T -> 0 proxy: xi_1 d / c ~ 3e-3, sum converged well before n_max
     d = 1e-6
@@ -68,6 +69,7 @@ def test_result_component_invariant():
                                     - res.energy_slab)
 
 
+@pytest.mark.filterwarnings("ignore::casimir.lifshitz.TruncationWarning")
 def test_general_equals_three_separate_sums():
     # the full, retracted and slab sums run as rows of one pass, each equal
     # to its own call bit for bit, on the magnetodielectric five-layer stack
@@ -98,6 +100,7 @@ def test_general_all_identical_is_zero():
     assert res.force_per_width == 0.0
 
 
+@pytest.mark.filterwarnings("ignore::casimir.lifshitz.TruncationWarning")
 def test_general_without_outer_slabs_is_zero():
     # only the middle plate remains: full term equals the slab term exactly
     stack = FiveLayerStack((VAC, VAC, GOLD, VAC, VAC), 2e-7, 1e-7, 2e-7)
@@ -107,6 +110,7 @@ def test_general_without_outer_slabs_is_zero():
     assert res.force_per_width == pytest.approx(0.0, abs=1e-9 * abs(res.energy_slab))
 
 
+@pytest.mark.filterwarnings("ignore::casimir.lifshitz.TruncationWarning")
 def test_general_on_a_seven_layer_stack():
     # gold layers against the gold half-spaces reflect nothing, so the
     # seven-layer stack is the five-layer one written with two more layers

@@ -174,6 +174,7 @@ def test_density_zero_for_medium_matched_plates():
     assert torque_energy_density(VAC, VAC, VAC, D3, mats) == 0.0
 
 
+@pytest.mark.filterwarnings("ignore::casimir.lifshitz.TruncationWarning")
 def test_density_ideal_mirrors_low_temperature():
     # T -> 0 proxy at d3 = 100 nm; thermal correction ~ (d3/lambda_T)**3
     mats = MatsubaraConfig(10.0, n_max=3000)
@@ -182,6 +183,7 @@ def test_density_ideal_mirrors_low_temperature():
     assert dens == pytest.approx(ideal, rel=0.01)
 
 
+@pytest.mark.filterwarnings("ignore::casimir.lifshitz.TruncationWarning")
 def test_energy_ideal_mirrors_perpendicular():
     mats = MatsubaraConfig(10.0, n_max=3000)
     e = torque_energy(geom(math.pi / 2.0), MIRROR, MIRROR, VAC, mats)
@@ -198,6 +200,7 @@ def test_density_independent_of_plate_thickness():
     assert thin == pytest.approx(thick, rel=1e-4)
 
 
+@pytest.mark.filterwarnings("ignore::casimir.lifshitz.TruncationWarning")
 def test_equal_plates_share_the_isolated_plate_sum(monkeypatch):
     mats = MatsubaraConfig(300.0, n_max=60, zero_mode=DrudeLike())
     t = 1e-6
@@ -231,6 +234,7 @@ def test_equal_plates_share_the_isolated_plate_sum(monkeypatch):
         [[GOLD, GOLD, silver]]
 
 
+@pytest.mark.filterwarnings("ignore::casimir.lifshitz.TruncationWarning")
 def test_energy_ratio_is_area_ratio():
     mats = MatsubaraConfig(300.0, n_max=40, zero_mode=DrudeLike())
     e1 = torque_energy(geom(0.5), GOLD, GOLD, VAC, mats)
@@ -244,11 +248,13 @@ def test_torque_zero_at_aligned_angle():
     assert torque(geom(0.0), GOLD, GOLD, VAC, mats) == 0.0
 
 
+@pytest.mark.filterwarnings("ignore::casimir.lifshitz.TruncationWarning")
 def test_torque_negligible_when_perpendicular():
     mats = MatsubaraConfig(300.0, n_max=20, zero_mode=DrudeLike())
     assert abs(torque(geom(math.pi / 2.0), GOLD, GOLD, VAC, mats)) < 1e-25
 
 
+@pytest.mark.filterwarnings("ignore::casimir.lifshitz.TruncationWarning")
 @pytest.mark.parametrize("th", [0.5, 1.2])
 def test_torque_scales_with_squared_plate_size(th):
     mats = MatsubaraConfig(300.0, n_max=40, zero_mode=DrudeLike())
