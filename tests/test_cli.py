@@ -229,14 +229,15 @@ def test_eps_table_does_not_resolve_the_zero_mode(tmp_path):
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
-@pytest.mark.parametrize("grid", ["log", "matsubara"])
-def test_eps_table_golden_output(tmp_path, grid):
-    # tabulated gold with both tails, on a log and a Matsubara grid: every
+@pytest.mark.parametrize("name", ["log", "matsubara", "coarse"])
+def test_eps_table_golden_output(tmp_path, name):
+    # tabulated gold with both tails, on a log and a Matsubara grid, and a
+    # coarse table whose data band needs more than its cheapest round: every
     # byte of the recorded table (see tests/golden/README.md) must come back
     out = tmp_path / "eps.csv"
-    cfg = os.path.join(GOLDEN, f"eps_{grid}.ini")
+    cfg = os.path.join(GOLDEN, f"eps_{name}.ini")
     assert main(["eps-table", "--config", cfg, "--out", str(out)]) == 0
-    with open(os.path.join(GOLDEN, f"eps_{grid}.csv"), "rb") as fh:
+    with open(os.path.join(GOLDEN, f"eps_{name}.csv"), "rb") as fh:
         assert out.read_bytes() == fh.read()
 
 
