@@ -22,8 +22,9 @@ import numpy as np
 from . import quadrature
 from .constants import e as _ELEMENTARY_CHARGE, hbar
 # adaptive_integral stays a name here: perfbench/tracing.py patches it
-from .quadrature import (_G7_W, _K15_W, _K15_X, _NOISE_FLOOR, QuadratureError,
-                         _adaptive_rows, adaptive_integral)
+from .quadrature import (_K7_D, _K7_W, _K7_X, _K15_D, _K15_W, _K15_X,
+                         _NOISE_FLOOR, QuadratureError, _adaptive_rows,
+                         adaptive_integral)
 
 _EV = _ELEMENTARY_CHARGE / hbar  # rad/s per eV
 
@@ -243,21 +244,24 @@ class OpticalDataTable:
         self.eps2 = e2
         self.source_label = source_label
         self.omegas = e * _EV  # rad/s
-        # read-only, so the transform integrand cached below cannot go stale
+        # read-only, so the transform integrands cached below cannot go stale
         for column in (e, e1, e2, self.omegas):
             column.setflags(write=False)
+        self._kk_bands = {}
 
-    @functools.cached_property
-    def _kk_band(self):
+    def _kk_band(self, nodes):
         """The data band's integrand, per sample segment: its start, width,
         eps'' at the start and log-log exponent, then x**2 and x*eps''(x) at
-        the segment's K15 nodes x as (segment, node) blocks."""
-        w, e2 = self.omegas, np.maximum(self.eps2, _LOG_FLOOR)
-        a, e_ref = w[:-1], e2[:-1]
-        s = np.diff(np.log(e2)) / np.diff(np.log(w))
-        x = 0.5 * (a + w[1:])[:, None] + 0.5 * np.diff(w)[:, None] * _K15_X
-        num = e_ref[:, None] * (x / a[:, None]) ** s[:, None] * x
-        return a, np.diff(w), e_ref, s, x ** 2, num
+        the segment's ``nodes`` x on [-1, 1] as (segment, node) blocks.
+        Built once per table and node count, on first use."""
+        if nodes.size not in self._kk_bands:
+            w, e2 = self.omegas, np.maximum(self.eps2, _LOG_FLOOR)
+            a, e_ref = w[:-1], e2[:-1]
+            s = np.diff(np.log(e2)) / np.diff(np.log(w))
+            x = 0.5 * (a + w[1:])[:, None] + 0.5 * np.diff(w)[:, None] * nodes
+            num = e_ref[:, None] * (x / a[:, None]) ** s[:, None] * x
+            self._kk_bands[nodes.size] = a, np.diff(w), e_ref, s, x ** 2, num
+        return self._kk_bands[nodes.size]
 
     @property
     def e_min_ev(self):
@@ -415,7 +419,7 @@ def drude_synthetic_table(omega_p_ev, gamma_ev, e_min_ev, e_max_ev,
 # ---------------------------------------------------------------------------
 # Kramers-Kronig transform to the imaginary axis
 
-# Bytes of the one (xi, segment, node) block that round 0 of the data band
+# Bytes of the one (xi, segment, node) block that a round of the data band
 # reuses for every chunk of xi; it sets how many xi a chunk holds.
 _BAND_SCRATCH = 256 * 1024
 
@@ -463,19 +467,25 @@ def _power_tail_integral(tail, w_max, xi, rel_tol):
     return out
 
 
-def _band_round(band, xi2, rel_tol, scratch):
-    """Totals, tolerances and converged flags of the data band on one K15
-    panel per segment, one row per xi**2; integrands are built in
-    ``scratch``."""
+def _band_round(band, weights, diffs, xi2, rel_tol):
+    """Totals, tolerances and converged flags of the data band on one panel
+    per segment, one row per xi**2: ``weights`` and ``diffs`` (Kronrod minus
+    Gauss, the error estimate) are a rule's at the nodes ``band`` holds.
+    Chunks of xi reuse one ``_BAND_SCRATCH`` block; rows reduce on their own.
+    """
     half, x2, num = 0.5 * band[1], band[4], band[5]
-    y = scratch[:xi2.size * x2.size].reshape((xi2.size,) + x2.shape)
-    np.add(x2, xi2[:, None, None], out=y)
-    np.divide(num, y, out=y)
-    k15 = (y @ _K15_W) * half
-    err = np.abs(k15 - (y[..., 1::2] @ _G7_W) * half)
-    total = np.add.reduce(k15, axis=-1)
+    chunk = max(1, _BAND_SCRATCH // x2.nbytes)
+    scratch = np.empty(min(chunk, xi2.size) * x2.size)
+    total, err = np.empty((2, xi2.size))
+    for start in range(0, xi2.size, chunk):
+        rows = slice(start, start + chunk)
+        y = scratch[:xi2[rows].size * x2.size].reshape((-1,) + x2.shape)
+        np.add(x2, xi2[rows, None, None], out=y)
+        np.divide(num, y, out=y)
+        total[rows] = np.add.reduce((y @ weights) * half, axis=-1)
+        err[rows] = np.add.reduce(np.abs((y @ diffs) * half), axis=-1)
     tol = rel_tol * np.maximum(np.abs(total), _LOG_FLOOR)
-    return total, tol, np.add.reduce(err, axis=-1) <= tol
+    return total, tol, err <= tol
 
 
 def _band_bisect(band, xi, xi2, tol, round0, rel_tol):
@@ -516,25 +526,20 @@ def _data_band_integral(table, xi, rel_tol):
     1-d array xi.
 
     eps'' is interpolated log-log between samples, so each sample segment
-    carries an analytic power law. Round 0, one K15 panel per segment on
-    the table's cached integrand, runs for a chunk of xi at once; the xi it
-    leaves unconverged go to the quadrature engine together, one row per
-    segment. Each xi gets its one-xi result bit for bit.
+    carries an analytic power law. Round 0, one K7 panel per segment on the
+    table's cached integrand, runs for a chunk of xi at once; the xi it
+    leaves unconverged take one K15 panel per segment, and those that miss
+    again go to the quadrature engine together, one row per segment. Each
+    xi gets its one-xi result bit for bit.
     """
-    xi2 = xi * xi
-    band = table._kk_band
-    chunk = max(1, _BAND_SCRATCH // band[4].nbytes)
-    scratch = np.empty(min(chunk, xi.size) * band[4].size)
-    out, tol = np.empty((2, xi.size))
-    done = np.empty(xi.size, dtype=bool)
-    for start in range(0, xi.size, chunk):
-        rows = slice(start, start + chunk)
-        out[rows], tol[rows], done[rows] = _band_round(band, xi2[rows],
-                                                       rel_tol, scratch)
-    failed = np.flatnonzero(~done)
-    if failed.size:
-        out[failed] = _band_bisect(band, xi[failed], xi2[failed], tol[failed],
-                                   out[failed], rel_tol)
+    xi2, out, rows = xi * xi, np.empty(xi.size), np.arange(xi.size)
+    for nodes, weights, diffs in ((_K7_X, _K7_W, _K7_D), (_K15_X, _K15_W, _K15_D)):
+        band = table._kk_band(nodes)
+        out[rows], tol, done = _band_round(band, weights, diffs, xi2[rows], rel_tol)
+        rows, tol = rows[~done], tol[~done]
+        if not rows.size:
+            return out
+    out[rows] = _band_bisect(band, xi[rows], xi2[rows], tol, out[rows], rel_tol)
     return out
 
 

@@ -38,6 +38,17 @@ _WG = (0.1294849661688697, 0.27970539148927664, 0.3818300505051189,
 _K15_X = np.array([-x for x in _XK[:-1]] + list(_XK[::-1]))
 _K15_W = np.array(_WK[:-1] + _WK[::-1])
 _G7_W = np.array(_WG[:-1] + _WG[::-1])
+# K7 with its embedded G3, laid out as QK15, for integrands that are smooth
+# at the scale of a panel
+_XK7 = (0.9604912687080203, 0.7745966692414834, 0.4342437493468026, 0.0)
+_WK7 = (0.10465622602646727, 0.26848808986833345, 0.4013974147759622,
+        0.45091653865847414)
+_K7_X = np.array([-x for x in _XK7[:-1]] + list(_XK7[::-1]))
+_K7_W = np.array(_WK7[:-1] + _WK7[::-1])
+_G3_W = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
+# Kronrod minus Gauss weights, zero at the Kronrod-only nodes: y @ _D = K - G
+_K15_D = _K15_W - np.insert(_G7_W, range(8), 0.0)
+_K7_D = _K7_W - np.insert(_G3_W, range(4), 0.0)
 _K15_ROW = _K15_X[None, :]
 _ONE_ROW = np.arange(1)
 # Rows per integrand call: bounds the (rows, points) arrays of the engine

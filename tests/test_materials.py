@@ -182,7 +182,7 @@ def test_plasma_frequency_of():
 # ---------------------------------------------------------------------------
 # Kramers-Kronig over many xi at once
 #
-# Round 0 of the data band runs for a chunk of xi at once, with each
+# Each round of the data band runs for a chunk of xi at once, with each
 # element's one-xi arithmetic, and the quadrature engine reduces each
 # power-tail row and each bisecting (xi, segment) row on its own, so batched
 # and scalar calls agree bit for bit. The tests compare against the one-xi
@@ -206,23 +206,39 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def _band_reference(table, xi, rel_tol):
-    """The data band of one xi written out: one K15 panel per sample segment,
-    then, if their summed error misses the tolerance, each segment on its own
-    engine row over t in [0, 1], to an equal share of the tolerance."""
+# the data band's panel rules: nodes, Kronrod weights, Kronrod minus Gauss
+_K7 = (quadrature._K7_X, quadrature._K7_W, quadrature._K7_D)
+_K15 = (quadrature._K15_X, quadrature._K15_W, quadrature._K15_D)
+
+
+def _round_reference(table, xi, rule):
+    """One panel of ``rule`` per sample segment for one xi, written out: the
+    summed values and the summed error estimates."""
+    nodes, weights, diffs = rule
     w, e2 = table.omegas, np.maximum(table.eps2, 1e-300)
     xi2 = float(xi) * float(xi)   # as the band squares xi
     s = np.diff(np.log(e2)) / np.diff(np.log(w))
     half = 0.5 * np.diff(w)
-    x = 0.5 * (w[:-1] + w[1:])[:, None] + half[:, None] * quadrature._K15_X
+    x = 0.5 * (w[:-1] + w[1:])[:, None] + half[:, None] * nodes
     y = (e2[:-1, None] * (x / w[:-1, None]) ** s[:, None] * x
          / (x ** 2 + xi2))
-    k15 = half * (y @ quadrature._K15_W)
-    err = np.abs(k15 - half * (y[:, 1::2] @ quadrature._G7_W))
-    total = float(np.sum(k15))
-    tol = rel_tol * max(abs(total), 1e-300)
-    if float(np.sum(err)) <= tol:
-        return total
+    return (float(np.sum(half * (y @ weights))),
+            float(np.sum(np.abs(half * (y @ diffs)))))
+
+
+def _band_reference(table, xi, rel_tol):
+    """The data band of one xi written out: one K7 panel per sample segment;
+    if their summed error misses the tolerance, one K15 panel per segment;
+    if that misses too, each segment on its own engine row over t in [0, 1],
+    to an equal share of the K15 round's tolerance."""
+    for rule in (_K7, _K15):
+        total, err = _round_reference(table, xi, rule)
+        tol = rel_tol * max(abs(total), 1e-300)
+        if err <= tol:
+            return total
+    w, e2 = table.omegas, np.maximum(table.eps2, 1e-300)
+    xi2 = float(xi) * float(xi)
+    s = np.diff(np.log(e2)) / np.diff(np.log(w))
     parts = []
     for k in range(s.size):
         # (1, 1) arrays, as the batched rows index them
@@ -311,17 +327,18 @@ def test_kk_power_tail_past_the_engine_cap_equals_the_default(monkeypatch):
 
 
 def test_kk_data_band_matches_segment_formula_bitwise():
-    # round 0 reuses the table's cached xi-independent integrand; it must
-    # give the one-pass formula over the sample segments bit for bit
+    # round 0 reuses the table's cached xi-independent integrand; at 50
+    # samples per decade it meets the tolerance and must give the one-pass
+    # K7 formula over the sample segments bit for bit
     tab, _, _ = _gold_kk()
     w = tab.omegas
     e2 = np.maximum(tab.eps2, 1e-300)
     s = (np.diff(np.log(e2)) / np.diff(np.log(w)))[:, None]
     half = 0.5 * (w[1:] - w[:-1])
-    x = 0.5 * (w[:-1] + w[1:])[:, None] + half[:, None] * quadrature._K15_X
+    x = 0.5 * (w[:-1] + w[1:])[:, None] + half[:, None] * quadrature._K7_X
     for xi in ev_to_radps(np.geomspace(1e-3, 1e4, 8)):
         y = e2[:-1, None] * (x / w[:-1, None]) ** s * x / (x ** 2 + xi * xi)
-        reference = float(np.sum(half * (y @ quadrature._K15_W)))
+        reference = float(np.sum(half * (y @ quadrature._K7_W)))
         assert materials._data_band_integral(tab, np.array([xi]), 1e-6)[0] == reference
 
 
@@ -355,7 +372,8 @@ def _kk_spectrum_tables():
 @pytest.mark.parametrize("name", ["single", "merged"])
 def test_kk_batched_band_equals_per_xi_reference(name):
     tab = _kk_spectrum_tables()[name]
-    chunk = max(1, materials._BAND_SCRATCH // (8 * 15 * (tab.omegas.size - 1)))
+    # the chunk of round 0, on the K7 nodes
+    chunk = max(1, materials._BAND_SCRATCH // (8 * 7 * (tab.omegas.size - 1)))
     assert 1 < chunk < 2000
     for size in (1, chunk - 1, chunk, chunk + 1, 2000):
         xi = (ev_to_radps(np.geomspace(0.01, 100.0, size)) if name == "single"
@@ -379,12 +397,51 @@ def test_kk_chunk_mixing_round_0_and_bisection(monkeypatch):
         batched, [_band_reference(tab, x, 1e-3) for x in xi.tolist()])
 
 
+@pytest.mark.parametrize("per_decade", [10, 30, 100])
+def test_kk_fine_table_stays_on_k7(monkeypatch, per_decade):
+    # on 10 samples per decade or more, round 0 meets the tolerance at
+    # every xi from a decade below to a decade above the table: no K15
+    # integrand is built and nothing bisects. Its values stay within 1e-13
+    # of one K15 panel per segment.
+    tab = drude_synthetic_table(9.0, 0.035, 0.01, 100.0, per_decade=per_decade)
+    xi = ev_to_radps(np.geomspace(1e-3, 1e3, 200))
+    bisected = _counting(monkeypatch, "_band_bisect")
+    band = materials._data_band_integral(tab, xi, 1e-6)
+    assert list(tab._kk_bands) == [7] and bisected == []
+    np.testing.assert_allclose(
+        band, [_round_reference(tab, x, _K15)[0] for x in xi.tolist()],
+        rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("per_decade, bisects", [(1, True), (3, False),
+                                                 (5, False), (7, False)])
+def test_kk_coarse_table_falls_back_to_k15(monkeypatch, per_decade, bisects):
+    # below 10 samples per decade every xi misses K7 and takes the K15
+    # round; from 3 per decade up that meets the tolerance, and gives one
+    # K15 panel per segment bit for bit. At 1 per decade every xi bisects.
+    tab = drude_synthetic_table(9.0, 0.035, 0.01, 100.0, per_decade=per_decade)
+    xi = ev_to_radps(np.geomspace(1e-3, 1e3, 40))
+    rounds = _counting(monkeypatch, "_band_round")
+    bisected = _counting(monkeypatch, "_band_bisect")
+    band = materials._data_band_integral(tab, xi, 1e-6)
+    assert [call[3].size for call in rounds] == [xi.size, xi.size]
+    assert len(bisected) == int(bisects)
+    if bisects:
+        np.testing.assert_array_equal(bisected[0][1], xi)
+    np.testing.assert_array_equal(
+        band, [_band_reference(tab, x, 1e-6) for x in xi.tolist()])
+    if not bisects:
+        np.testing.assert_array_equal(
+            band, [_round_reference(tab, x, _K15)[0] for x in xi.tolist()])
+
+
 def test_kk_band_failure_names_xi_and_estimates():
     # five samples over four decades: no segment meets 1e-30 of the band
     # within the engine's panel budget
     tab = drude_synthetic_table(9.0, 0.035, 0.01, 100.0, per_decade=1)
     xi = ev_to_radps(np.array([1.0, 2.0]))
-    round0 = _band_reference(tab, xi[0], math.inf)  # stops at round 0
+    # the engine starts from the K15 round, which K7 hands the xi it misses
+    round0 = _round_reference(tab, xi[0], _K15)[0]
     converged = _band_reference(tab, xi[0], 1e-9)
     named = re.escape(f"at xi = {xi[0]:g} rad/s") + r".* segment \d+ \("
     with pytest.raises(QuadratureError, match=named) as info:

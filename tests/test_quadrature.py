@@ -28,6 +28,25 @@ def test_kronrod_constants_are_exact():
     nodes, weights = np.polynomial.legendre.leggauss(7)
     assert np.allclose(x[1::2], nodes, rtol=0, atol=4e-16)
     assert np.allclose(quadrature._G7_W, weights, rtol=0, atol=4e-16)
+    # K7 (the KK data band's first round) for k <= 11, its G3 for k <= 5
+    x = quadrature._K7_X
+    assert x.size == 7 and np.all(np.diff(x) > 0) and np.all(x == -x[::-1])
+    for k in range(12):
+        assert error(quadrature._K7_W, x, k) <= 4e-16
+    for k in range(6):
+        assert error(quadrature._G3_W, x[1::2], k) <= 4e-16
+    assert error(quadrature._K7_W, x, 12) > 1e-4   # 2.8e-4
+    assert error(quadrature._G3_W, x[1::2], 6) > 1e-2
+    nodes, weights = np.polynomial.legendre.leggauss(3)
+    assert np.allclose(x[1::2], nodes, rtol=0, atol=4e-16)
+    assert np.allclose(quadrature._G3_W, weights, rtol=0, atol=4e-16)
+    # y @ diff is K - G: the Kronrod weights less the Gauss weights at every
+    # second node; both rules integrate 1 exactly, so the difference sums to 0
+    for w, g, diff in ((quadrature._K15_W, quadrature._G7_W, quadrature._K15_D),
+                       (quadrature._K7_W, quadrature._G3_W, quadrature._K7_D)):
+        assert np.array_equal(diff[::2], w[::2])
+        assert np.array_equal(diff[1::2], w[1::2] - g)
+        assert abs(np.sum(diff)) <= 4e-16
 
 
 def test_finite_polynomial_exact():
