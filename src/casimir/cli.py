@@ -39,14 +39,15 @@ _MIN_WIDTH = 1e-3
 _MAX_GAP = 1e-6
 
 
+def _spec(value):
+    """The % format of one cell: a float in 9 digits, None as nothing."""
+    return "%.8e" if isinstance(value, float) else "%.0s" if value is None else "%s"
+
+
 def _fmt(value):
-    if isinstance(value, float):
-        if value == 0.0:  # avoid printing negative zero
-            value = 0.0
-        return f"{value:.8e}"
-    if value is None:
-        return ""
-    return str(value)
+    if isinstance(value, float) and value == 0.0:
+        value = 0.0  # avoid printing negative zero
+    return _spec(value) % (value,)
 
 
 def _write_table(stream, command, metadata, columns, rows):
@@ -54,8 +55,16 @@ def _write_table(stream, command, metadata, columns, rows):
     for key, value in metadata:
         stream.write(f"# {key} = {_fmt(value)}\n")
     stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
+    # one % format for a table whose columns each hold one type; a table
+    # with a mixed column or a negative zero, which %.8e prints with its
+    # sign, is formatted cell by cell
+    rows, text = list(rows), None
+    if rows and all(len(set(map(type, column))) == 1 for column in zip(*rows)):
+        layout = ",".join(map(_spec, rows[0])) + "\n"
+        text = "".join([layout % row for row in rows])
+    if text is None or "-0.00000000e+00" in text:
+        text = "".join([",".join(map(_fmt, row)) + "\n" for row in rows])
+    stream.write(text)
 
 
 def _warn(message):

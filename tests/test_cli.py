@@ -1,4 +1,5 @@
 import importlib
+import io
 import math
 import os
 import re
@@ -330,6 +331,23 @@ def test_force_sweep_linear_spacing(tmp_path):
     assert meta["spacing"] == "linear"
     assert column(rows, columns, "d_m", str) == [
         cli._fmt(d) for d in np.linspace(1e-7, 1e-6, 3).tolist()]
+
+
+@pytest.mark.parametrize("rows, text", [
+    ([(1, 2.5e-7, 1.0), (2, -3.0, 1e300)],
+     "1,2.50000000e-07,1.00000000e+00\n2,-3.00000000e+00,1.00000000e+300\n"),
+    ([(1, -0.0, math.nan)], "1,0.00000000e+00,nan\n"),
+    ([(1, None, 0.5), (2, -0.0, -math.inf)],
+     "1,,5.00000000e-01\n2,0.00000000e+00,-inf\n"),
+    ([], ""),
+], ids=["uniform", "negative-zero", "mixed-column", "empty"])
+def test_table_cells(rows, text):
+    # floats in 9 digits, a negative zero without its sign, None as an
+    # empty cell, whether or not a column holds one type; rows may be any
+    # iterable, as force-sweep passes a zip
+    stream = io.StringIO()
+    cli._write_table(stream, "cmd", [("key", -0.0)], ["a", "b", "c"], iter(rows))
+    assert stream.getvalue() == "# casimir cmd\n# key = 0.00000000e+00\na,b,c\n" + text
 
 
 def test_force_sweep_identical_media_zero(tmp_path):
