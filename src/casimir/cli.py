@@ -55,16 +55,14 @@ def _write_table(stream, command, metadata, columns, rows):
     for key, value in metadata:
         stream.write(f"# {key} = {_fmt(value)}\n")
     stream.write(",".join(columns) + "\n")
-    # one % format for a table whose columns each hold one type; a table
-    # with a mixed column or a negative zero, which %.8e prints with its
-    # sign, is formatted cell by cell
-    rows, text = list(rows), None
-    if rows and all(len(set(map(type, column))) == 1 for column in zip(*rows)):
-        layout = ",".join(map(_spec, rows[0])) + "\n"
-        text = "".join([layout % row for row in rows])
-    if text is None or "-0.00000000e+00" in text:
-        text = "".join([",".join(map(_fmt, row)) + "\n" for row in rows])
-    stream.write(text)
+    # one % format if each column holds one type and no zero, which %.8e
+    # would print with its sign if negative; otherwise cell by cell
+    rows = list(rows)
+    if rows and all(len(set(map(type, column))) == 1 and 0.0 not in column
+                    for column in zip(*rows)):
+        stream.writelines(map((",".join(map(_spec, rows[0])) + "\n").__mod__, rows))
+    else:
+        stream.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def _warn(message):
