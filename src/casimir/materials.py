@@ -22,9 +22,8 @@ import numpy as np
 from . import quadrature
 from .constants import e as _ELEMENTARY_CHARGE, hbar
 # adaptive_integral stays a name here: perfbench/tracing.py patches it
-from .quadrature import (_K7_D, _K7_W, _K7_X, _K15_D, _K15_W, _K15_X,
-                         _NOISE_FLOOR, QuadratureError, _adaptive_rows,
-                         adaptive_integral)
+from .quadrature import (_K7_D, _K7_W, _K7_X, _K15_D, _K15_W, _K15_X, _NOISE_FLOOR,
+                         QuadratureError, _adaptive_rows, adaptive_integral)
 
 _EV = _ELEMENTARY_CHARGE / hbar  # rad/s per eV
 
@@ -250,10 +249,9 @@ class OpticalDataTable:
         self._kk_bands = {}
 
     def _kk_band(self, nodes):
-        """The data band's integrand, per sample segment: its start, width,
-        eps'' at the start and log-log exponent, then x**2 and x*eps''(x) at
-        the segment's ``nodes`` x on [-1, 1] as (segment, node) blocks.
-        Built once per table and node count, on first use."""
+        """The data band's integrand per sample segment, built once per node
+        count: its start, width, eps'' at the start, log-log exponent, and
+        x**2 and x*eps''(x) at its ``nodes`` x as (segment, node) blocks."""
         if nodes.size not in self._kk_bands:
             w, e2 = self.omegas, np.maximum(self.eps2, _LOG_FLOOR)
             a, e_ref = w[:-1], e2[:-1]
@@ -419,8 +417,7 @@ def drude_synthetic_table(omega_p_ev, gamma_ev, e_min_ev, e_max_ev,
 # ---------------------------------------------------------------------------
 # Kramers-Kronig transform to the imaginary axis
 
-# Bytes of the one (xi, segment, node) block that a round of the data band
-# reuses for every chunk of xi; it sets how many xi a chunk holds.
+# Bytes of the one (xi, segment, node) block that each data-band round reuses
 _BAND_SCRATCH = 256 * 1024
 
 
@@ -469,10 +466,9 @@ def _power_tail_integral(tail, w_max, xi, rel_tol):
 
 def _band_round(band, weights, diffs, xi2, rel_tol):
     """Totals, tolerances and converged flags of the data band on one panel
-    per segment, one row per xi**2: ``weights`` and ``diffs`` (Kronrod minus
-    Gauss, the error estimate) are a rule's at the nodes ``band`` holds.
-    Chunks of xi reuse one ``_BAND_SCRATCH`` block; rows reduce on their own.
-    """
+    per segment, one row per xi**2, of the rule with ``weights`` and error
+    weights ``diffs`` (Kronrod minus Gauss) at the nodes ``band`` holds; xi
+    go in chunks through one reused block of ``_BAND_SCRATCH`` bytes."""
     half, x2, num = 0.5 * band[1], band[4], band[5]
     chunk = max(1, _BAND_SCRATCH // x2.nbytes)
     scratch = np.empty(min(chunk, xi2.size) * x2.size)
@@ -527,11 +523,10 @@ def _data_band_integral(table, xi, rel_tol):
 
     eps'' is interpolated log-log between samples, so each sample segment
     carries an analytic power law. Round 0, one K7 panel per segment on the
-    table's cached integrand, runs for a chunk of xi at once; the xi it
-    leaves unconverged take one K15 panel per segment, and those that miss
-    again go to the quadrature engine together, one row per segment. Each
-    xi gets its one-xi result bit for bit.
-    """
+    table's cached integrand, runs for chunks of xi at once; the xi it
+    misses take one K15 panel per segment, and the xi that miss again go to
+    the quadrature engine together, one row per segment. Each xi gets its
+    one-xi result bit for bit."""
     xi2, out, rows = xi * xi, np.empty(xi.size), np.arange(xi.size)
     for nodes, weights, diffs in ((_K7_X, _K7_W, _K7_D), (_K15_X, _K15_W, _K15_D)):
         band = table._kk_band(nodes)
@@ -553,8 +548,9 @@ def kk_transform(table, low_tail, high_tail, xi, rel_tol=1e-6):
 
     ``xi`` is a scalar or an array; an array gives the scalar results in its
     shape, bit for bit. The power tail of all elements is integrated as
-    batched rows, and round 0 of the data band runs for many xi at once;
-    only the xi whose round 0 misses the tolerance bisect, together.
+    batched rows, and the data band's K7 round, then its K15 round for the
+    xi K7 misses, runs for many xi at once; only the xi that miss both
+    bisect, together.
     ``rel_tol`` must lie in (0, 1e-3].
     """
     if not 0.0 < rel_tol <= 1e-3:

@@ -11,6 +11,7 @@ exactly the panel sequence of a scalar worst-panel-first bisection, in
 slices of at most ``_MAX_ROWS`` rows. ``adaptive_integral`` and
 ``semi_infinite_integral`` are its one-row case. The engine owns its
 budgets (``_MAX_ROWS``, ``_MAX_BLOCKS``, ``_MAX_PANELS``), read at call time.
+The KK data band tries the 7-point pair K7/G3 below before it takes K15.
 
 Rows that are the terms of one sum need not each be solved to rel_tol of
 their own value: ``semi_infinite_rows`` takes a per-row absolute floor, the
@@ -38,8 +39,7 @@ _WG = (0.1294849661688697, 0.27970539148927664, 0.3818300505051189,
 _K15_X = np.array([-x for x in _XK[:-1]] + list(_XK[::-1]))
 _K15_W = np.array(_WK[:-1] + _WK[::-1])
 _G7_W = np.array(_WG[:-1] + _WG[::-1])
-# K7 with its embedded G3, laid out as QK15, for integrands that are smooth
-# at the scale of a panel
+# K7 with its embedded G3, laid out as QK15: the KK data band's round 0
 _XK7 = (0.9604912687080203, 0.7745966692414834, 0.4342437493468026, 0.0)
 _WK7 = (0.10465622602646727, 0.26848808986833345, 0.4013974147759622,
         0.45091653865847414)
