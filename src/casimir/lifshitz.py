@@ -155,7 +155,7 @@ def _k_pass(mode, stacks, system, xi, zero, zero_modes, quad, share=None):
     ``share``, if given, is the engine's ``share(first)``: each row's absolute
     floor from the first panels of the pass (see :func:`_lockstep`). A row
     also stops on the mode's a-priori bound of its omitted k-tail, where the
-    mode has one (:func:`_k_tail`)."""
+    mode has one (:func:`_k_tail`), from its stack and xi alone."""
     # with return_inverse: the plain np.unique imports numpy.ma on numpy >= 2.3
     nodes = np.unique(xi[zero < 0], return_inverse=True)[0]
     stand_in = {}   # id of a distinct layer -> its stand-in
@@ -190,35 +190,27 @@ def _k_pass(mode, stacks, system, xi, zero, zero_modes, quad, share=None):
 
     scales = np.array([_k_scale(s) for s in stacks])[system]
     return semi_infinite_rows(f, system.size, scale=scales, rel_tol=quad.rel_tol,
-                              share=share, tail=_k_tail(mode, stacks, runs, run,
-                                                        system, xi, zero))
+                              share=share, tail=_k_tail(mode, stacks, system, xi))
 
 
-def _k_tail(mode, stacks, runs, run, system, xi, zero):
-    """``tail(k, rows)`` of a k pass: ``mode.k_tail`` summed over each row's
-    runs of equal inner layers (:func:`_inner_runs`), or inf where an inner
-    layer has eps*mu < 1 at the row's xi, read from the pass's layer table;
-    None for a mode without ``k_tail``."""
+def _k_tail(mode, stacks, system, xi):
+    """``tail(k, rows)`` of a k pass: ``mode.k_tail`` summed over the runs of
+    equal inner layers of each row's stack (:func:`_run_table`), each at
+    kappa = sqrt(k**2 + m*xi**2/c**2) for its floor m of eps*mu; None for a
+    mode without ``k_tail``."""
     k_tail = getattr(mode, "k_tail", None)
     if k_tail is None:
         return None
-    # per stack its runs' thicknesses, padded with nan, which nansum drops
-    inner = [[sum(s.thicknesses[j] for j in ids) for ids in _inner_runs(s.layers)]
-             for s in stacks]
-    width = max(map(len, inner))
-    thickness = np.array([d + [np.nan] * (width - len(d)) for d in inner])[system]
-    bounded = np.ones(system.size, dtype=bool)
-    for r, (_, layers, _) in enumerate(runs):
-        at = np.flatnonzero((run == r) & (zero < 0))
-        for layer in layers[1:-1]:
-            bounded[at] &= (layer.eps.eps_imag_axis(xi[at])
-                            * layer.mu.mu_imag_axis(xi[at]) >= 1.0)
-    kappa_xi = (xi / c) ** 2
+    # per stack its runs' (thickness, m), padded with (nan, 0), which nansum drops
+    table = [_run_table(s) for s in stacks]
+    width = max(map(len, table))
+    runs = np.array([t + [(np.nan, 0.0)] * (width - len(t)) for t in table])
+    runs = runs.reshape(len(stacks), width, 2)[system]
+    thickness, kappa_xi = runs[..., 0], runs[..., 1] * ((xi / c) ** 2)[:, None]
 
     def tail(k, rows):
-        kappa = np.sqrt(k ** 2 + kappa_xi[rows])[:, None]
-        bound = np.nansum(k_tail(thickness[rows], kappa), axis=1)
-        return np.where(bounded[rows], bound, np.inf)
+        kappa = np.sqrt(k[:, None] ** 2 + kappa_xi[rows])
+        return np.nansum(k_tail(thickness[rows], kappa), axis=1)
 
     return tail
 
@@ -275,8 +267,9 @@ class _RunningSum:
     rho = max(t_n/t_(n-1), q_n) < 1; the sum stops once it is 1% of rel_tol
     of the running sum. q_n = exp(-2a)(1 + 2(n+1)a)/(1 + 2na), a = xi_1*L/c,
     is the term ratio of ideal mirrors across the decay length L: no layer's
-    terms fall slower, even where they hide at low n. Elsewhere, and for
-    L = 0 (q_n = 1), the sum stops after three terms below 1e-15 of its largest.
+    terms fall slower, even where they hide at low n. Where the terms change
+    sign, and for L = 0 (q_n = 1, a stack whose terms are all 0), the sum
+    stops after three terms below 1e-15 of its largest.
     """
 
     def __init__(self, term0, panels, a, rel_tol):
@@ -317,7 +310,7 @@ def _terms(length, xi1, rel_tol):
 def _batch(length, xi1, n_done, rel_tol):
     """Indices n >= 1 of a system's next batch: up to the stop predicted
     from its decay length ``length``, then at least as many as done."""
-    # L = 0 doubles the batches from one
+    # L = 0 (every term 0) doubles the batches from one
     predicted = _terms(length, xi1, rel_tol) + 5 if length else 0
     return max(predicted - n_done, n_done, 1)
 
@@ -336,11 +329,11 @@ def _lockstep(mode, stacks, configs, quad):
 
     Every row of a stack s, n = 0 included, takes the floor
     a_s = rel_tol * |first panel of its n = 1 row| / N_s, its share of the
-    sum's tolerance, with N_s the terms :func:`_terms` predicts from the
-    decay length alone; a stack of decay length 0 takes none. The n = 1
-    rows are all in the first pass, and a_s depends on stack s alone, so
-    neither batches, row slices nor the other stacks and configs of a pass
-    move a result.
+    sum's tolerance, with N_s the smaller of n_max and the terms
+    :func:`_terms` predicts from the decay length alone. The n = 1 rows are
+    all in the first pass, and a_s depends on stack s alone, so neither
+    batches, row slices nor the other stacks and configs of a pass move a
+    result.
     """
     if not stacks:
         raise ValueError("a Matsubara pass needs at least one stack")
@@ -353,8 +346,8 @@ def _lockstep(mode, stacks, configs, quad):
     live = dict(enumerate(sums))      # running sums before their stop
     done = dict.fromkeys(live, 0)     # last index integrated per stack
     zero = np.tile(np.arange(len(stacks)), len(configs))   # n = 0 rows
-    terms = np.array([_terms(L, xi1, quad.rel_tol) if L else math.inf
-                      for L in lengths])
+    terms = np.array([min(_terms(L, xi1, quad.rel_tol) if L else math.inf,
+                          mats.n_max) for L in lengths])
     floor = np.zeros(len(stacks))   # a_s, set by the first pass
 
     def share(first, system, one):
@@ -394,25 +387,25 @@ def _lockstep(mode, stacks, configs, quad):
     return sums
 
 
-def _inner_runs(layers):
-    """Runs of equal adjacent inner layers as lists of thickness indices; a
-    run that takes in a half-space is none."""
-    runs = [[j - 1 for j, _ in run] for _, run in itertools.groupby(
-        enumerate(layers), key=lambda pair: pair[1])]
+def _run_table(stack):
+    """``[(thickness, m)]`` of each run of equal adjacent inner layers, a run
+    that takes in a half-space being none. m = min(1, eps_low*mu) bounds the
+    run's eps(i xi)*mu from below at every xi, with eps_low a Constant's value
+    and 1 for every other model: passive models keep eps(i xi) >= 1."""
+    d = (0.0, *stack.thicknesses, 0.0)
+    runs = []
+    for layer, run in itertools.groupby(enumerate(stack.layers), key=lambda p: p[1]):
+        eps = layer.eps.value if isinstance(layer.eps, Constant) else 1.0
+        runs.append((sum(d[j] for j, _ in run), min(1.0, eps * layer.mu.value)))
     return runs[1:-1]
 
 
 def _decay_length(stack):
-    """The thinnest inner layer, across which the terms fall at least like those of
-    ideal mirrors: a run of equal adjacent layers is one layer as thick as the run
-    (:func:`_inner_runs`). 0 where no inner layer is left or one may have
-    eps*mu < 1 (only a Constant eps(i xi) can be below 1)."""
-    for layer in stack.layers[1:-1]:
-        eps = layer.eps.value if isinstance(layer.eps, Constant) else 1.0
-        if min(eps, 1.0) * layer.mu.value < 1.0:
-            return 0.0
-    return min((sum(stack.thicknesses[j] for j in run)
-                for run in _inner_runs(stack.layers)), default=0.0)
+    """The smallest sqrt(m)*d over the runs (:func:`_run_table`): a run's kappa
+    is at least sqrt(k**2 + m*xi**2/c**2) >= sqrt(m)*sqrt(k**2 + xi**2/c**2),
+    so its terms fall at least like those of ideal mirrors sqrt(m)*d apart.
+    0 for a stack with no inner run, where G = 1 and every term is 0."""
+    return min((math.sqrt(m) * d for d, m in _run_table(stack)), default=0.0)
 
 
 def matsubara_energy(stack, mats, quad=QuadratureConfig(), mode=ln_g):

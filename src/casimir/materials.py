@@ -423,10 +423,9 @@ _BAND_SCRATCH = 256 * 1024
 
 def _drude_tail_integral(omega_p, gamma, w_hi, xi):
     """Closed form of int_0^w_hi w*eps''_drude(w) / (w**2 + xi**2) dw, for
-    a scalar or an array of xi > 0."""
+    gamma > 0 (as :class:`DrudeTail` requires) and a scalar or an array of
+    xi > 0."""
     xi = np.asarray(xi, dtype=float)
-    if gamma == 0.0:
-        return np.zeros(xi.shape)
     a = omega_p ** 2 * gamma
     # Degenerate xi ~ gamma: both the numerator and xi**2 - gamma**2 vanish;
     # there the equal-parameter form is taken at the midpoint. np.where
@@ -589,7 +588,7 @@ class Tabulated:
         return kk_transform(self.table, self.low_tail, self.high_tail, xi)
 
     def zero_limit(self):
-        if self.low_tail is not None and self.low_tail.gamma > 0.0:
+        if self.low_tail is not None:
             return 1, self.low_tail.omega_p ** 2 / self.low_tail.gamma
         return 0, self._static_eps
 

@@ -310,8 +310,8 @@ def ln_g(stack, k_par, xi, zero_mode=None):
 def _ln_g_k_tail(thickness, kappa):
     """Bound on the integral over k in [K, inf) of k * sum_pol |ln G| from
     one run of equal inner layers of total ``thickness``, at
-    kappa = sqrt(K**2 + xi**2/c**2), for a row whose inner layers all have
-    eps(i xi)*mu(i xi) >= 1 (every row at xi = 0).
+    kappa = sqrt(K**2 + m*xi**2/c**2) for an m <= eps(i xi)*mu(i xi) of the
+    run (any m at xi = 0, where every kappa is at least k).
 
     Passive layers keep |R_j * r_{j,j+1}| <= 1 (Tomas, above), and within a
     run r = 0, so the run's one term has |log1p(-y)| <= e/(1 - e) with

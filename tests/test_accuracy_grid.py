@@ -2,8 +2,9 @@
 
 Two-interface stacks (M | vacuum | M) and five-layer stacks
 (gold | vacuum | M | vacuum | gold, a 100 nm plate M), with M Drude gold,
-a constant eps = 5 or an eps = 5, mu = 2 magnetodielectric, gaps d from
-50 nm to 3 um, at 10 K and 300 K, under the Drude and plasma zero modes.
+a constant eps = 5, an eps = 5, mu = 2 magnetodielectric or a vacuum of
+mu = 0.5 (eps*mu < 1), gaps d from 50 nm to 3 um, at 10 K and 300 K,
+under the Drude and plasma zero modes.
 Each sum, at rel_tol 1e-7 and 1e-9, stays within rel_tol of the same sum
 at rel_tol 1e-12. n_max is large enough that every sum stops on its own
 tail bound, so the difference is the error of the k-integrals and of the
@@ -23,7 +24,8 @@ from casimir.stack import DrudeLike, FiveLayerStack, Layer, PlasmaLike, Stack
 GOLD = Layer(Drude(ev_to_radps(9.0), ev_to_radps(0.035)))
 VAC = Layer(Vacuum())
 MATERIALS = {"gold": GOLD, "eps5": Layer(Constant(5.0)),
-             "eps5_mu2": Layer(Constant(5.0), Permeability(2.0))}
+             "eps5_mu2": Layer(Constant(5.0), Permeability(2.0)),
+             "vac_mu0.5": Layer(Vacuum(), Permeability(0.5))}
 ZERO_MODES = (DrudeLike(), PlasmaLike(ev_to_radps(9.0)))
 
 

@@ -1108,6 +1108,30 @@ def test_truncation_is_reported_before_a_later_failure(tmp_path, capsys,
         "error: quadrature did not reach rel_tol"]
 
 
+def test_other_warnings_are_shown_unchanged(tmp_path, capsys, monkeypatch):
+    # a warning that is not a TruncationWarning goes on to warnings.showwarning
+    # as it was raised, not as "warning: ...", and changes neither the exit
+    # code, the table nor the truncation warnings on stderr
+    cfg = force_cfg(tmp_path)
+    out, reference = tmp_path / "f.csv", tmp_path / "reference.csv"
+    assert main(["force-sweep", "--config", cfg, "--out", str(reference)]) == 0
+    err = capsys.readouterr().err
+    command, parser = cli._COMMANDS["force-sweep"]
+
+    def noted(args):
+        warnings.warn("a note from the command", UserWarning)
+        return command(args)
+
+    shown = []
+    monkeypatch.setitem(cli._COMMANDS, "force-sweep", (noted, parser))
+    monkeypatch.setattr(warnings, "showwarning", lambda *args: shown.append(args))
+    assert main(["force-sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_bytes() == reference.read_bytes()
+    assert [(str(m), category, filename) for m, category, filename, _ in shown] \
+        == [("a note from the command", UserWarning, __file__)]
+    assert capsys.readouterr().err == err
+
+
 def test_non_finite_material_parameter_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, """
         [material.gold]

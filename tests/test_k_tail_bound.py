@@ -1,11 +1,12 @@
 """The a-priori k-tail bound that ends a k-row of a Matsubara pass.
 
-Random passive stacks of three to seven layers (Drude, constant eps >= 1
-and vacuum, each with mu >= 1), inner thicknesses from 10 nm to 3 um, at
-xi = 0 under every zero mode and at Matsubara frequencies: the bound a
-k-pass builds for ln G covers the integral of k * sum_pol ln G over
-[K, inf), computed at rel_tol 1e-12, at every K. Layers are drawn from a
-small pool, so runs of equal adjacent layers occur.
+Random passive stacks of three to seven layers (Drude, constant eps from
+0.2 to 50 and vacuum, each with mu from 0.2 to 5, so eps*mu < 1 occurs),
+inner thicknesses from 10 nm to 3 um, at xi = 0 under every zero mode and
+at Matsubara frequencies: the bound a k-pass builds for ln G covers the
+integral of k * sum_pol ln G over [K, inf), computed at rel_tol 1e-12, at
+every K. Layers are drawn from a small pool, so runs of equal adjacent
+layers occur.
 """
 
 import math
@@ -23,10 +24,10 @@ from casimir.stack import DrudeLike, FromModel, Layer, PlasmaLike, Stack, ln_g
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30)
 
 drude = st.builds(Drude, st.floats(1e14, 2e16), st.floats(1e12, 1e15))
-permittivities = st.one_of(drude, st.builds(Constant, st.floats(1.0, 50.0)),
+permittivities = st.one_of(drude, st.builds(Constant, st.floats(0.2, 50.0)),
                            st.just(Vacuum()))
 layers = st.builds(Layer, permittivities, st.builds(Permeability,
-                                                    st.floats(1.0, 5.0)))
+                                                    st.floats(0.2, 5.0)))
 ZERO_MODES = (FromModel(), DrudeLike(), PlasmaLike(1.4e16))
 # Matsubara frequencies at 300 K up to n = 200
 INDICES = (1, 7, 50, 200)
@@ -92,13 +93,16 @@ def test_bound_covers_the_omitted_k_tail(stack, u):
             assert abs(omitted) <= bound[row] * (1.0 + 1e-9), (row, k0)
 
 
-def test_layer_with_eps_mu_below_one_takes_the_block_rule():
+def test_layer_with_eps_mu_below_one_keeps_a_finite_bound():
     # a diamagnetic vacuum layer, eps*mu = 0.5 at every xi > 0: its kappa can
-    # fall below sqrt(k**2 + xi**2/c**2), so the Matsubara rows have no bound;
-    # at xi = 0 every kappa is at least k, so the zero-mode rows keep theirs
+    # fall below sqrt(k**2 + xi**2/c**2) but not below
+    # sqrt(k**2 + 0.5*xi**2/c**2), so every row has a finite bound, xi = 0
+    # rows included, and the Matsubara rows' bound is looser than at mu = 1
     gold = Layer(Drude(1.37e16, 5.3e13))
-    stack = Stack((gold, Layer(Vacuum(), Permeability(0.5)), gold), (1e-7,))
     xi, zero = _pass_rows()
-    bound = _tail(stack)(np.full(xi.size, 1e7), np.arange(xi.size))
-    assert np.all(np.isinf(bound[zero < 0]))
-    assert np.all(np.isfinite(bound[zero >= 0]))
+    rows = np.arange(xi.size)
+    bounds = [_tail(Stack((gold, Layer(Vacuum(), Permeability(mu)), gold), (1e-7,)))(
+        np.full(xi.size, 1e7), rows) for mu in (0.5, 1.0)]
+    assert np.all(np.isfinite(bounds[0])) and np.all(bounds[0] > 0.0)
+    assert np.all(bounds[0][zero >= 0] == bounds[1][zero >= 0])
+    assert np.all(bounds[0][zero < 0] > bounds[1][zero < 0])

@@ -383,13 +383,26 @@ def test_tail_covers_the_ideal_mirror_tail_at_n_max():
     assert truncated <= energy.tail <= 100.0 * truncated
 
 
-def test_no_tail_without_the_ratio_bound():
-    # an inner layer with eps * mu < 1 gives no decay length: the sum stops
-    # on three dead terms and reports no bound
+def test_eps_mu_below_one_stops_on_the_ratio_bound():
+    # an inner layer with eps * mu = 0.5: its run's floor m = 0.5 gives the
+    # stack the decay length sqrt(0.5) * d, so the sum stops on its tail bound
     stack = Stack((GOLD, Layer(Constant(0.5)), GOLD), (1e-7,))
-    assert lifshitz._decay_length(stack) == 0.0
-    energy = energy_per_area_T(stack, MatsubaraConfig(300.0, n_max=500))
-    assert energy.n_stop < 500 and energy.tail is None
-    largest = max(map(abs, energy.terms))
-    assert all(abs(t) <= 1e-15 * largest
-               for t in energy.terms[energy.n_stop - 2:energy.n_stop + 1])
+    assert lifshitz._decay_length(stack) == math.sqrt(0.5) * 1e-7
+    # the reference takes neither that bound, the floors nor the early stop:
+    # every term to n = 340, each k-integral on its own at rel_tol 1e-12
+    pref = k_B * 300.0 / (2.0 * math.pi)
+    terms = []
+    for n in range(341):
+        xi = matsubara_xi(n, 300.0)
+        terms.append(pref * quadrature.semi_infinite_integral(
+            lambda k: k * sum(ln_g(stack, k, xi).values()),
+            scale=lifshitz._k_scale(stack), rel_tol=1e-12))
+    terms[0] *= 0.5
+    assert abs(terms[-1]) < 1e-16 * abs(terms[0])
+    reference = math.fsum(terms)
+    for rel_tol in (1e-7, 1e-9):
+        energy = energy_per_area_T(stack, MatsubaraConfig(300.0, n_max=500),
+                                   QuadratureConfig(rel_tol))
+        assert energy.n_stop < 500
+        assert energy.tail <= 0.01 * rel_tol * abs(energy.value)
+        assert abs(energy.value - reference) <= rel_tol * abs(reference)
