@@ -9,6 +9,7 @@ eV and lengths in meters; keys carry their unit as a suffix.
 from __future__ import annotations
 
 import configparser
+import functools
 import os
 
 from .materials import (Constant, Drude, DrudeTail, Permeability, Plasma,
@@ -70,17 +71,17 @@ def build_layer(cfg, name):
             return Layer(Vacuum())
         raise ConfigError(f"material '{name}' has no [{section}] section")
     model = get(cfg, section, "model", str).lower()
-    mu = Permeability(get(cfg, section, "mu", float, 1.0))
+    mu = get(cfg, section, "mu", float, 1.0)
     if model == "vacuum":
-        return Layer(Vacuum(), mu)
-    if model == "constant":
-        return Layer(Constant(get(cfg, section, "epsilon", float)), mu)
-    if model == "drude":
-        return Layer(Drude(ev_to_radps(get(cfg, section, "omega_p_ev", float)),
-                           ev_to_radps(get(cfg, section, "gamma_ev", float))), mu)
-    if model == "plasma":
-        return Layer(Plasma(ev_to_radps(get(cfg, section, "omega_p_ev", float))), mu)
-    if model == "tabulated":
+        eps = Vacuum
+    elif model == "constant":
+        eps = functools.partial(Constant, get(cfg, section, "epsilon", float))
+    elif model == "drude":
+        eps = functools.partial(Drude, ev_to_radps(get(cfg, section, "omega_p_ev", float)),
+                                ev_to_radps(get(cfg, section, "gamma_ev", float)))
+    elif model == "plasma":
+        eps = functools.partial(Plasma, ev_to_radps(get(cfg, section, "omega_p_ev", float)))
+    elif model == "tabulated":
         path = cfg.resolve(get(cfg, section, "data_path", str))
         table = load_optical_data(path, source_label=os.path.basename(path))
         merge_path = get(cfg, section, "merge_data_path", str, None)
@@ -90,16 +91,19 @@ def build_layer(cfg, name):
                                       source_label=os.path.basename(merge_path))
             table = table.replace_below(other, cutoff)
         omega_p_ev = get(cfg, section, "omega_p_ev", float, None)
-        low_tail = None
-        if omega_p_ev is not None:
-            tail = (ev_to_radps(omega_p_ev), ev_to_radps(get(cfg, section, "gamma_ev", float)),
-                    get(cfg, section, "join_energy_ev", float, table.e_min_ev))
-            try:
-                low_tail = DrudeTail(*tail)
-            except ValueError as err:
-                raise ConfigError(f"[{section}] {err}") from err
-        return Layer(Tabulated(table, low_tail, fit_power_tail(table)), mu)
-    raise ConfigError(f"[{section}] unknown model '{model}'")
+        tail = None if omega_p_ev is None else (
+            ev_to_radps(omega_p_ev), ev_to_radps(get(cfg, section, "gamma_ev", float)),
+            get(cfg, section, "join_energy_ev", float, table.e_min_ev))
+
+        def eps():
+            return Tabulated(table, None if tail is None else DrudeTail(*tail),
+                             fit_power_tail(table))
+    else:
+        raise ConfigError(f"[{section}] unknown model '{model}'")
+    try:   # a value the models reject names its section; get names its key
+        return Layer(eps(), Permeability(mu))
+    except ValueError as err:
+        raise ConfigError(f"[{section}] {err}") from err
 
 
 def build_stack(cfg):

@@ -105,14 +105,14 @@ class EnergyPerArea:
     the terms were computed. ``n_stop`` is the last index evaluated: the
     terms after it are zero padding left by the early stop. ``panels``
     counts the k-quadrature panels of terms 0 .. n_stop. ``tail`` bounds
-    the terms after n_stop, or is None (see :class:`_RunningSum`).
+    the terms after n_stop, inf where no bound holds (see :class:`_RunningSum`).
     """
 
     value: float
     terms: list
     panels: int = 0
     n_stop: int | None = None
-    tail: float | None = None
+    tail: float = math.inf
 
 
 def k_integral(f, quad, scale=1.0):
@@ -125,7 +125,7 @@ def k_integral(f, quad, scale=1.0):
 
 
 def _k_scale(stack):
-    # Rescaling by the largest thickness keeps structure from every layer
+    # Rescaling by the maximum thickness keeps structure from every layer
     # visible: the slowest decay sits at u ~ 1 and faster ones at larger u,
     # which the geometrically growing blocks always reach. The reverse
     # choice would bury large-layer structure inside the first panel.
@@ -267,17 +267,17 @@ class _RunningSum:
     rho = max(t_n/t_(n-1), q_n) < 1; the sum stops once it is 1% of rel_tol
     of the running sum. q_n = exp(-2a)(1 + 2(n+1)a)/(1 + 2na), a = xi_1*L/c,
     is the term ratio of ideal mirrors across the decay length L: no layer's
-    terms fall slower, even where they hide at low n. Where the terms change
-    sign, and for L = 0 (q_n = 1, a stack whose terms are all 0), the sum
-    stops after three terms below 1e-15 of its largest.
+    terms fall slower, even where they hide at low n. A term of exactly 0
+    bounds the terms after it by 0: a passive stack has one only with no
+    inner run (L = 0) or once its gap factors underflow, which only shrink
+    as xi grows. Where t_n and t_(n-1) differ in sign, and at n = 1, no
+    bound holds: ``tail`` is inf.
     """
 
     def __init__(self, term0, panels, a, rel_tol):
         self.terms = [term0]
         self.panels = panels
         self.total = term0
-        self.largest = abs(term0)
-        self.dead = 0
         self.a, self.floor = a, 0.01 * rel_tol
 
     def add(self, term, panels):
@@ -286,18 +286,16 @@ class _RunningSum:
         self.terms.append(term)
         self.panels += panels
         self.total += term
-        self.largest = max(self.largest, abs(term))
-        self.dead = self.dead + 1 if abs(term) <= 1e-15 * self.largest else 0
         cap = math.exp(-2.0 * a) * (1.0 + 2.0 * (n + 1) * a) / (1.0 + 2.0 * n * a)
-        rho = max(term / last, cap) if n > 1 and term * last > 0.0 else 1.0
+        rho = (0.0 if term == 0.0
+               else max(term / last, cap) if n > 1 and term * last > 0.0 else 1.0)
         self.tail = abs(term) * rho / (1.0 - rho) if rho < 1.0 else math.inf
-        return self.dead < 3 and self.tail > self.floor * abs(self.total)
+        return self.tail > self.floor * abs(self.total)
 
     def energy(self, n_max):
         n_stop = len(self.terms) - 1
         terms = self.terms + [0.0] * (n_max - n_stop)
-        return EnergyPerArea(math.fsum(terms), terms, self.panels, n_stop,
-                             None if self.tail == math.inf else self.tail)
+        return EnergyPerArea(math.fsum(terms), terms, self.panels, n_stop, self.tail)
 
 
 def _terms(length, xi1, rel_tol):
@@ -310,7 +308,7 @@ def _terms(length, xi1, rel_tol):
 def _batch(length, xi1, n_done, rel_tol):
     """Indices n >= 1 of a system's next batch: up to the stop predicted
     from its decay length ``length``, then at least as many as done."""
-    # L = 0 (every term 0) doubles the batches from one
+    # L = 0 (no inner run: every term is 0) takes one index, whose 0 ends the sum
     predicted = _terms(length, xi1, rel_tol) + 5 if length else 0
     return max(predicted - n_done, n_done, 1)
 
@@ -404,7 +402,7 @@ def _decay_length(stack):
     """The smallest sqrt(m)*d over the runs (:func:`_run_table`): a run's kappa
     is at least sqrt(k**2 + m*xi**2/c**2) >= sqrt(m)*sqrt(k**2 + xi**2/c**2),
     so its terms fall at least like those of ideal mirrors sqrt(m)*d apart.
-    0 for a stack with no inner run, where G = 1 and every term is 0."""
+    0 for a stack with no inner run: G = 1, so its term n = 1 is 0 and ends the sum."""
     return min((math.sqrt(m) * d for d, m in _run_table(stack)), default=0.0)
 
 
@@ -432,7 +430,7 @@ def matsubara_energy(stack, mats, quad=QuadratureConfig(), mode=ln_g):
     of a separate call bit for bit. A failing row raises
     :class:`QuadratureError` tagged with its ``matsubara_n`` and its
     stack's index as ``system``. A sum that ends at n_max with its ``tail``
-    None or above rel_tol of its value warns with :class:`TruncationWarning`.
+    above rel_tol of its value warns with :class:`TruncationWarning`.
     """
     configs = _shared_pass(mats)
     stacks = stack if isinstance(stack, tuple) else (stack,)
@@ -441,12 +439,10 @@ def matsubara_energy(stack, mats, quad=QuadratureConfig(), mode=ln_g):
     for running in _lockstep(mode, stacks, configs, quad):
         energies = tuple(r.energy(n_max) for r in running)
         for e in energies:
-            if e.n_stop == n_max and (e.tail is None
-                                      or e.tail > quad.rel_tol * abs(e.value)):
-                tail = "none" if e.tail is None else f"{e.tail:.3g} J/m^2"
+            if e.n_stop == n_max and e.tail > quad.rel_tol * abs(e.value):
                 warnings.warn(f"Matsubara sum truncated at n_max = {n_max}: "
-                              f"value {e.value:.6g} J/m^2, tail bound {tail}; "
-                              f"raise n_max", TruncationWarning, stacklevel=2)
+                              f"value {e.value:.6g} J/m^2, tail bound {e.tail:.3g} "
+                              f"J/m^2; raise n_max", TruncationWarning, stacklevel=2)
         results.append(energies if isinstance(mats, tuple) else energies[0])
     return tuple(results) if isinstance(stack, tuple) else results[0]
 

@@ -1,3 +1,4 @@
+import glob
 import importlib
 import io
 import math
@@ -230,34 +231,20 @@ def test_eps_table_does_not_resolve_the_zero_mode(tmp_path):
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
-@pytest.mark.parametrize("name", ["log", "matsubara", "coarse"])
-def test_eps_table_golden_output(tmp_path, name):
-    # tabulated gold with both tails, on a log and a Matsubara grid, and a
-    # coarse table whose data band needs more than its cheapest round: every
-    # byte of the recorded table (see tests/golden/README.md) must come back
-    out = tmp_path / "eps.csv"
-    cfg = os.path.join(GOLDEN, f"eps_{name}.ini")
-    assert main(["eps-table", "--config", cfg, "--out", str(out)]) == 0
-    with open(os.path.join(GOLDEN, f"eps_{name}.csv"), "rb") as fh:
-        assert out.read_bytes() == fh.read()
-
-
-@pytest.mark.parametrize("command, name", [
-    ("torque-sweep", "torque_equal"),
-    ("torque-sweep", "torque_unequal"),
-    ("convergence", "convergence_five_layer"),
-    ("force-sweep", "force_sweep"),
-])
-def test_matsubara_sum_golden_output(tmp_path, command, name):
-    # equal and unequal torque plates (two and three sums in one pass), a
-    # magnetodielectric five-layer stack and a Drude/plasma force sweep of
-    # two materials: every byte of the recorded table
-    # (see tests/golden/README.md) must come back
+@pytest.mark.parametrize("name", sorted(os.path.basename(path)[:-len(".ini")]
+                                        for path in glob.glob(os.path.join(GOLDEN, "*.ini"))))
+def test_golden_output(tmp_path, name):
+    # each tests/golden/<name>.ini with its <name>.csv, whose first line is
+    # "# casimir <command>": every byte of the recorded table must come back
+    # (see tests/golden/README.md)
+    with open(os.path.join(GOLDEN, f"{name}.csv"), "rb") as fh:
+        golden = fh.read()
+    header, command = golden.decode().splitlines()[0].rsplit(" ", 1)
+    assert header == "# casimir"
     out = tmp_path / "out.csv"
     cfg = os.path.join(GOLDEN, f"{name}.ini")
     assert main([command, "--config", cfg, "--out", str(out)]) == 0
-    with open(os.path.join(GOLDEN, f"{name}.csv"), "rb") as fh:
-        assert out.read_bytes() == fh.read()
+    assert out.read_bytes() == golden
 
 
 def test_force_sweep_golden_past_the_engine_row_cap(tmp_path, monkeypatch):
@@ -1050,21 +1037,31 @@ def test_non_finite_temperature_exit_code(tmp_path, capsys):
     assert "temperature must be positive and finite" in capsys.readouterr().err
 
 
-def test_drude_tail_without_damping_names_its_section(tmp_path, capsys):
-    drude_csv(tmp_path / "gold.csv", 9.0, 0.035, per_decade=10)
-    cfg = write_cfg(tmp_path, """
-        [material.gold_data]
-        model = tabulated
-        data_path = gold.csv
-        omega_p_ev = 9.0
-        gamma_ev = 0
+def _rising_csv(path):
+    # eps2 grows over the top decade: no integrable power tail fits it
+    energies = np.geomspace(0.1, 10.0, 21).tolist()
+    path.write_text("energy_ev,eps1,eps2\n" + "".join(
+        f"{e!r},-1.0,{e!r}\n" for e in energies), encoding="utf-8")
 
-        [eps_table]
-        material = gold_data
-    """)
+
+@pytest.mark.parametrize("model, message", [
+    ("model = tabulated\ndata_path = gold.csv\nomega_p_ev = 9.0\ngamma_ev = 0",
+     "DrudeTail gamma must be positive"),
+    ("model = constant\nepsilon = 2\nmu = 0", "permeability must be positive"),
+    ("model = constant\nepsilon = -2", "constant permittivity must be positive"),
+    ("model = drude\nomega_p_ev = 0\ngamma_ev = 0.035", "Drude omega_p must be positive"),
+    ("model = plasma\nomega_p_ev = inf", "plasma omega_p must be finite"),
+    ("model = tabulated\ndata_path = rising.csv", "PowerTail exponent must exceed 1"),
+], ids=["drude-tail-gamma-0", "mu-0", "epsilon-negative", "drude-omega-p-0",
+        "plasma-omega-p-inf", "rising-top-decade"])
+def test_rejected_model_value_names_its_section(tmp_path, capsys, model, message):
+    drude_csv(tmp_path / "gold.csv", 9.0, 0.035, per_decade=10)
+    _rising_csv(tmp_path / "rising.csv")
+    cfg = write_cfg(tmp_path, "[material.gold_data]\n" + model
+                    + "\n[eps_table]\nmaterial = gold_data\n")
     assert main(["eps-table", "--config", cfg]) == 1
     err = capsys.readouterr().err
-    assert "[material.gold_data]" in err and "gamma must be positive" in err
+    assert f"error: [material.gold_data] {message}" in err
 
 
 def test_sum_cut_at_n_max_warns_on_stderr(tmp_path, capsys):

@@ -240,6 +240,37 @@ def test_sum_cut_at_n_max_warns(recwarn):
     assert not [w for w in recwarn if issubclass(w.category, TruncationWarning)]
 
 
+@pytest.mark.parametrize("n_max", [1, 3, 500])
+@pytest.mark.parametrize("layers, thicknesses", [
+    ((VAC, VAC, VAC), (1e-7,)),
+    ((GOLD, VAC, VAC), (1e-7,)),
+    ((GOLD, GOLD, VAC, VAC), (1e-7, 2e-7)),
+    # at 300 K the 1 mm gap factors exp(-2 xi_n d / c) underflow from n = 1 on
+    ((GOLD, VAC, GOLD), (1e-3,)),
+], ids=["vacuum", "gold-vacuum", "gold-gold-vacuum-vacuum", "gold-1mm-gold"])
+def test_a_zero_term_ends_the_sum(layers, thicknesses, n_max, recwarn):
+    # the first n >= 1 term is exactly 0, so it bounds every later term by 0:
+    # the sum is exact at n = 1 whatever n_max is, and does not warn
+    stack = Stack(layers, thicknesses)
+    energy = energy_per_area_T(stack, MatsubaraConfig(300.0, n_max=n_max))
+    assert energy.n_stop == 1 and energy.tail == 0.0
+    assert energy.terms[1:] == [0.0] * n_max
+    assert energy.value == energy.terms[0]
+    if lifshitz._decay_length(stack) == 0.0:   # no inner run: G = 1 at n = 0 too
+        assert energy.value == 0.0
+    else:
+        assert energy.value < 0.0
+    assert not [w for w in recwarn if issubclass(w.category, TruncationWarning)]
+
+
+def test_sum_cut_at_n_max_one_has_no_tail_bound():
+    # one term n >= 1 starts no ratio, so nothing bounds the terms after it
+    stack = Stack((GOLD, VAC, GOLD), (1e-7,))
+    with pytest.warns(TruncationWarning, match="tail bound inf"):
+        energy = energy_per_area_T(stack, MatsubaraConfig(300.0, n_max=1))
+    assert energy.n_stop == 1 and energy.tail == math.inf
+
+
 def test_truncation_report_single_checkpoint():
     mats = MatsubaraConfig(300.0, n_max=50, zero_mode=DrudeLike())
     rows = truncation_report(halfspace_stack(GOLD, 1e-6), mats,

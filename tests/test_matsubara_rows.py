@@ -7,10 +7,13 @@ and drive ``matsubara_energy`` with synthetic mode functions whose terms,
 stop index and failing rows are known.
 """
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.constants import Boltzmann as k_B
 
 from casimir import lifshitz, quadrature
@@ -244,9 +247,9 @@ def _sign_changing_sum(case, rel_tol):
 @pytest.mark.parametrize("rel_tol", [1e-7, 1e-9])
 @pytest.mark.parametrize("case", ["magnetic", "five_layer_plate", "synthetic"])
 def test_sign_changing_sums_stop_within_rel_tol(case, rel_tol):
-    # terms that change sign fall back to the dead-term rule until they keep
-    # one sign; the terms the stop leaves out, taken from a sum at 1e-12,
-    # stay within a tenth of rel_tol
+    # terms that change sign bound no tail, so the sum runs on until they
+    # keep one sign; the terms the stop leaves out, taken from a sum at
+    # 1e-12, stay within a tenth of rel_tol
     reference = _sign_changing_sum(case, 1e-12)
     energy = _sign_changing_sum(case, rel_tol)
     assert energy.n_stop < reference.n_stop < 400
@@ -725,3 +728,38 @@ def test_failing_separation_is_named():
     assert "n=0" in str(err) and "d4 = 5e-08 m" in str(err)
     assert err.last_estimate == alone.value.last_estimate
     assert alone.value.separation == 5e-8
+
+
+# ---------------------------------------------------------------------------
+# one stop rule for every passive stack: the ratio bound, or a term of 0
+
+PALETTE = (GOLD, Layer(Drude(ev_to_radps(0.5), ev_to_radps(0.1))), VAC,
+           Layer(Constant(3.0)), Layer(Constant(0.5)), Layer(Constant(5.0), Permeability(2.0)),
+           Layer(Constant(2.0), Permeability(4.0)), Layer(Vacuum(), Permeability(0.5)))
+
+
+@st.composite
+def passive_stacks(draw):
+    """A Stack of 3 to 5 layers from PALETTE, each inner one 50 nm to 3 um
+    thick, log-uniformly."""
+    n = draw(st.integers(3, 5))
+    thickness = st.floats(math.log(5e-8), math.log(3e-6)).map(math.exp)
+    return Stack(tuple(draw(st.sampled_from(PALETTE)) for _ in range(n)),
+                 tuple(draw(thickness) for _ in range(n - 2)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(passive_stacks())
+def test_every_sum_stops_on_its_tail_bound(stack):
+    # the soft Drude layer's eps(i xi) crosses the constant ones; the
+    # eps * mu < 1 layers slow the terms down
+    rel_tol = 1e-7
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        energies = energy_per_area_T(stack, _treatments(2000), QuadratureConfig(rel_tol))
+    no_inner_run = len([layer for layer, _ in itertools.groupby(stack.layers)]) <= 2
+    for energy in energies:
+        assert energy.n_stop < 2000
+        assert energy.tail <= 0.01 * rel_tol * abs(energy.value)
+        if no_inner_run:
+            assert energy.value == 0.0 and energy.tail == 0.0
